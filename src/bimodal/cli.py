@@ -44,6 +44,8 @@ def _parse_poly(text):
 
 
 def _load_params(args):
+    if not (args.atm and args.w is not None and args.poly):
+        raise CheckFailure("the reduction requires --atm, --w and --poly")
     machine = atm_mod.parse_atm(_read(args.atm))
     return ReductionParams(machine, _parse_poly(args.poly), args.w)
 
@@ -62,8 +64,6 @@ def _gen(args):
         else:
             f, cat = red_s4s5.gen_counter_s4s5(args.n)
     else:
-        if not (args.atm and args.w is not None and args.poly):
-            raise CheckFailure("gen f-* requires --atm, --w and --poly")
         params = _load_params(args)
         if args.kind == "f-ssl":
             f, cat = red_ssl.gen_f_ssl(params)

@@ -15,7 +15,9 @@ validated model.
 import itertools
 import os
 
-from .formula import ATOM, NOT, AND, KMOD, atoms as formula_atoms
+from .formula import atoms as formula_atoms
+from . import relations
+from .relations import bits, eval_masks
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
                         K4S5_COMMUTATOR, S4S5_PRODUCT, FRAME_CLASSES,
                         validate, product_model)
@@ -85,21 +87,6 @@ def _partition_succ(blocks, m):
     return [masks[blocks[i]] for i in range(m)]
 
 
-def _is_transitive(succ, m):
-    for i in range(m):
-        reach = 0
-        row = succ[i]
-        j = 0
-        while row:
-            if row & 1:
-                reach |= succ[j]
-            row >>= 1
-            j += 1
-        if reach & ~succ[i]:
-            return False
-    return True
-
-
 _transitive_cache = {}
 _preorder_cache = {}
 
@@ -112,62 +99,17 @@ def _transitive_relations(m):
         row_mask = (1 << m) - 1
         for code in range(1 << (m * m)):
             succ = [(code >> (i * m)) & row_mask for i in range(m)]
-            if _is_transitive(succ, m):
+            if relations.transitive(succ) is None:
                 rels.append(succ)
         _transitive_cache[m] = rels
         _preorder_cache[m] = [succ for succ in rels
-                              if all((succ[i] >> i) & 1 for i in range(m))]
+                              if relations.reflexive(succ) is None]
     return _transitive_cache[m]
 
 
 def _preorders(m):
     _transitive_relations(m)
     return _preorder_cache[m]
-
-
-def _commutativity_ok(succ_l, succ_d, m, need_right):
-    """Left (and optionally right) commutativity of a candidate frame,
-    with succ_l coming from a partition (so it is an equivalence)."""
-    cloud_reach = {}
-    for i in range(m):
-        c = succ_l[i]
-        if c not in cloud_reach:
-            acc = 0
-            row = c
-            j = 0
-            while row:
-                if row & 1:
-                    acc |= succ_d[j]
-                row >>= 1
-                j += 1
-            cloud_reach[c] = acc
-    for p in range(m):
-        row = succ_d[p]
-        reach = cloud_reach[succ_l[p]]
-        j = 0
-        while row:
-            if row & 1 and succ_l[j] & ~reach:
-                return False
-            row >>= 1
-            j += 1
-    if need_right:
-        # every member of a cloud must reach the same set of clouds
-        cloud_targets = [0] * m
-        for p in range(m):
-            row = succ_d[p]
-            acc = 0
-            j = 0
-            while row:
-                if row & 1:
-                    acc |= succ_l[j]
-                row >>= 1
-                j += 1
-            cloud_targets[p] = acc
-        for p in range(m):
-            for q in range(m):
-                if (succ_l[p] >> q) & 1 and cloud_targets[p] != cloud_targets[q]:
-                    return False
-    return True
 
 
 _frame_cache = {}
@@ -185,82 +127,29 @@ def _frames(frame_class, m):
     for blocks in _set_partitions(m):
         succ_l = _partition_succ(blocks, m)
         for succ_d in rel_ds:
-            if _commutativity_ok(succ_l, succ_d, m, need_right):
-                out.append((succ_l, succ_d))
+            if relations.commutes(succ_d, succ_l, succ_l, succ_d) is not None:
+                continue
+            if need_right and relations.commutes(
+                    succ_l, succ_d, succ_d, succ_l) is not None:
+                continue
+            out.append((succ_l, succ_d))
     _frame_cache[key] = out
     return out
 
 
-# ---------------------------------------------------------------------------
-# Mask evaluation of a formula over a raw candidate.
-
-def _eval_masks(f, succ_d, succ_l, atom_masks, m):
-    """Bitmask of points satisfying f, same algorithm as the model checker
-    but over plain mask lists."""
-    full = (1 << m) - 1
-    cache = {}
-    stack = [f]
-    while stack:
-        t = stack[-1]
-        if t in cache:
-            stack.pop()
-            continue
-        kind = t.kind
-        if kind == ATOM:
-            cache[t] = atom_masks.get(t.value, 0)
-            stack.pop()
-            continue
-        left = t.left
-        if left not in cache:
-            stack.append(left)
-            continue
-        if kind == AND:
-            right = t.right
-            if right not in cache:
-                stack.append(right)
-                continue
-            cache[t] = cache[left] & cache[right]
-        elif kind == NOT:
-            cache[t] = full & ~cache[left]
-        else:
-            succ = succ_l if kind == KMOD else succ_d
-            miss = full & ~cache[left]
-            v = 0
-            for i in range(m):
-                if not (succ[i] & miss):
-                    v |= 1 << i
-            cache[t] = v
-        stack.pop()
-    return cache[f]
+def _pairs(succ):
+    return [(i, j) for i, row in enumerate(succ) for j in bits(row)]
 
 
-def _closed_masks(succ_d, m):
-    """Valuation masks closed under the []-relation (atom persistence)."""
-    out = []
-    for mask in range(1 << m):
-        ok = True
-        row = mask
-        i = 0
-        while row:
-            if row & 1 and succ_d[i] & ~mask:
-                ok = False
-                break
-            row >>= 1
-            i += 1
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _build_hit(frame_class, m, succ_l, succ_d, atom_masks, point_index):
-    worlds = list(range(m))
-    rel_d = [(i, j) for i in range(m) for j in range(m) if (succ_d[i] >> j) & 1]
-    rel_l = [(i, j) for i in range(m) for j in range(m) if (succ_l[i] >> j) & 1]
-    valuation = {a: {i for i in range(m) if (mask >> i) & 1}
+def _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index):
+    """The candidate as a model whose worlds are named "0", "1", ..."""
+    names = [str(i) for i in range(len(succ_d))]
+    rel_d = [(names[i], names[j]) for i, j in _pairs(succ_d)]
+    rel_l = [(names[i], names[j]) for i, j in _pairs(succ_l)]
+    valuation = {a: {names[i] for i in bits(mask)}
                  for a, mask in atom_masks.items()}
-    model = BimodalModel(worlds, rel_d, rel_l, valuation,
-                         frame_class=frame_class, designated=point_index)
-    return model
+    return BimodalModel(names, rel_d, rel_l, valuation,
+                        frame_class=frame_class, designated=names[point_index])
 
 
 def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
@@ -292,7 +181,8 @@ def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
         all_masks = list(range(1 << m))
         for succ_l, succ_d in _frames(frame_class, m):
             if frame_class == CROSS_AXIOM:
-                allowed = _closed_masks(succ_d, m)
+                allowed = [mask for mask in all_masks
+                           if relations.closed(succ_d, mask) is None]
             else:
                 allowed = all_masks
             for combo in itertools.product(allowed, repeat=len(atom_ids)):
@@ -301,16 +191,16 @@ def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
                     raise ResourceCapError(
                         f"exceeded the enumeration ceiling of {max_candidates} candidates")
                 atom_masks = dict(zip(atom_ids, combo))
-                hit = _eval_masks(f, succ_d, succ_l, atom_masks, m)
+                hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {})
                 if hit:
-                    point = (hit & -hit).bit_length() - 1
-                    model = _build_hit(frame_class, m, succ_l, succ_d,
+                    point = bits(hit)[0]
+                    model = _build_hit(frame_class, succ_l, succ_d,
                                        atom_masks, point)
                     report = validate(model, frame_class)
                     if not report.ok:
                         raise AssertionError(
                             f"enumerated frame failed validation: {report.lines()}")
-                    return SatVerdict(True, model=model, point=point)
+                    return SatVerdict(True, model=model, point=model.designated)
     return SatVerdict(False, max_points=max_points, max_atoms=max_atoms)
 
 
@@ -332,20 +222,10 @@ def _bounded_sat_product(f, atom_ids, max_points, max_atoms, max_candidates):
                 for v in range(m1):
                     for x in range(m2):
                         i = v * m2 + x
-                        row1 = succ1[v]
-                        j = 0
-                        while row1:
-                            if row1 & 1:
-                                succ_d[i] |= 1 << (j * m2 + x)
-                            row1 >>= 1
-                            j += 1
-                        row2 = succ2[x]
-                        j = 0
-                        while row2:
-                            if row2 & 1:
-                                succ_l[i] |= 1 << (v * m2 + j)
-                            row2 >>= 1
-                            j += 1
+                        for j in bits(succ1[v]):
+                            succ_d[i] |= 1 << (j * m2 + x)
+                        for j in bits(succ2[x]):
+                            succ_l[i] |= 1 << (v * m2 + j)
                 for combo in itertools.product(range(1 << m),
                                                repeat=len(atom_ids)):
                     budget -= 1
@@ -353,20 +233,14 @@ def _bounded_sat_product(f, atom_ids, max_points, max_atoms, max_candidates):
                         raise ResourceCapError(
                             f"exceeded the enumeration ceiling of {max_candidates} candidates")
                     atom_masks = dict(zip(atom_ids, combo))
-                    hit = _eval_masks(f, succ_d, succ_l, atom_masks, m)
+                    hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {})
                     if hit:
-                        point = (hit & -hit).bit_length() - 1
+                        point = bits(hit)[0]
                         v, x = divmod(point, m2)
-                        frame1 = (list(range(m1)),
-                                  [(a, b) for a in range(m1) for b in range(m1)
-                                   if (succ1[a] >> b) & 1])
-                        frame2 = (list(range(m2)),
-                                  [(a, b) for a in range(m2) for b in range(m2)
-                                   if (succ2[a] >> b) & 1])
-                        valuation = {
-                            a: {divmod(i, m2) for i in range(m)
-                                if (mask >> i) & 1}
-                            for a, mask in atom_masks.items()}
+                        frame1 = (list(range(m1)), _pairs(succ1))
+                        frame2 = (list(range(m2)), _pairs(succ2))
+                        valuation = {a: {divmod(i, m2) for i in bits(mask)}
+                                     for a, mask in atom_masks.items()}
                         model = product_model(frame1, frame2, valuation,
                                               designated=(v, x))
                         report = validate(model, S4S5_PRODUCT)

@@ -11,7 +11,9 @@ keyed by subformula identity, so repeated checks are cheap even for very
 large generated formulas.
 """
 
-from .formula import ATOM, NOT, AND, KMOD, BOXMOD, Formula
+from .formula import Formula
+from . import relations
+from .relations import bits, eval_masks
 
 CROSS_AXIOM = "cross-axiom"
 S4S5_COMMUTATOR = "s4s5-commutator"
@@ -24,6 +26,14 @@ FRAME_CLASSES = (CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT)
 _D_REFLEXIVE = {CROSS_AXIOM, S4S5_COMMUTATOR, S4S5_PRODUCT}
 _RIGHT_COMMUTATIVE = {S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT}
 _PERSISTENT_ATOMS = {CROSS_AXIOM}
+
+
+def _rows(index, pairs):
+    """Row bitmasks of a relation given as pairs of indexed worlds."""
+    succ = [0] * len(index)
+    for a, b in pairs:
+        succ[index[a]] |= 1 << index[b]
+    return succ
 
 
 class BimodalModel:
@@ -53,14 +63,8 @@ class BimodalModel:
         self.designated = designated
         self.is_product = is_product
 
-        n = len(self.worlds)
-        self._full = (1 << n) - 1
-        self._succ_d = [0] * n
-        self._succ_l = [0] * n
-        for a, b in self.rel_d:
-            self._succ_d[self.index[a]] |= 1 << self.index[b]
-        for a, b in self.rel_l:
-            self._succ_l[self.index[a]] |= 1 << self.index[b]
+        self._succ_d = _rows(self.index, self.rel_d)
+        self._succ_l = _rows(self.index, self.rel_l)
         self._atom_masks = {}
         for atom_id, members in self.valuation.items():
             m = 0
@@ -73,54 +77,8 @@ class BimodalModel:
 
     def _mask(self, f):
         """Bitmask of worlds satisfying f (bit i = sorted world i)."""
-        cache = self._mask_cache
-        if f in cache:
-            return cache[f]
-        stack = [f]
-        succ_d = self._succ_d
-        succ_l = self._succ_l
-        full = self._full
-        n = len(self.worlds)
-        while stack:
-            t = stack[-1]
-            if t in cache:
-                stack.pop()
-                continue
-            kind = t.kind
-            if kind == ATOM:
-                cache[t] = self._atom_masks.get(t.value, 0)
-                stack.pop()
-                continue
-            left = t.left
-            if left not in cache:
-                stack.append(left)
-                continue
-            if kind == AND:
-                right = t.right
-                if right not in cache:
-                    stack.append(right)
-                    continue
-                cache[t] = cache[left] & cache[right]
-            elif kind == NOT:
-                cache[t] = full & ~cache[left]
-            elif kind == KMOD:
-                child = cache[left]
-                miss = full & ~child
-                m = 0
-                for i in range(n):
-                    if not (succ_l[i] & miss):
-                        m |= 1 << i
-                cache[t] = m
-            else:  # box
-                child = cache[left]
-                miss = full & ~child
-                m = 0
-                for i in range(n):
-                    if not (succ_d[i] & miss):
-                        m |= 1 << i
-                cache[t] = m
-            stack.pop()
-        return cache[f]
+        return eval_masks(f, self._succ_d, self._succ_l, self._atom_masks,
+                          len(self.worlds), self._mask_cache)
 
     def eval(self, point, f):
         """Truth value of f at the given world."""
@@ -130,28 +88,20 @@ class BimodalModel:
             raise TypeError("eval expects a Formula")
         return bool(self._mask(f) >> self.index[point] & 1)
 
+    def _names(self, mask):
+        return [self.worlds[i] for i in bits(mask)]
+
     def sat_set(self, f):
         """Sorted list of worlds satisfying f."""
-        m = self._mask(f)
-        return [w for i, w in enumerate(self.worlds) if (m >> i) & 1]
+        return self._names(self._mask(f))
 
     # -- relation views ----------------------------------------------------
 
     def d_successors(self, w):
-        m = self._succ_d[self.index[w]]
-        return [v for i, v in enumerate(self.worlds) if (m >> i) & 1]
+        return self._names(self._succ_d[self.index[w]])
 
     def l_successors(self, w):
-        m = self._succ_l[self.index[w]]
-        return [v for i, v in enumerate(self.worlds) if (m >> i) & 1]
-
-    def with_class(self, frame_class, designated=None, is_product=None):
-        """Copy with different metadata."""
-        return BimodalModel(
-            self.worlds, self.rel_d, self.rel_l, self.valuation,
-            frame_class=frame_class,
-            designated=self.designated if designated is None else designated,
-            is_product=self.is_product if is_product is None else is_product)
+        return self._names(self._succ_l[self.index[w]])
 
 
 # ---------------------------------------------------------------------------
@@ -192,119 +142,9 @@ class ValidationReport:
         return out
 
 
-def _check_reflexive(model, succ):
-    for i, w in enumerate(model.worlds):
-        if not (succ[i] >> i) & 1:
-            return (w,)
-    return None
-
-
-def _check_symmetric(model, succ):
-    for i, a in enumerate(model.worlds):
-        m = succ[i]
-        j = 0
-        while m:
-            if m & 1 and not (succ[j] >> i) & 1:
-                return (a, model.worlds[j])
-            m >>= 1
-            j += 1
-    return None
-
-
-def _check_transitive(model, succ):
-    for i, a in enumerate(model.worlds):
-        m = succ[i]
-        reach = 0
-        j = 0
-        mm = m
-        while mm:
-            if mm & 1:
-                reach |= succ[j]
-            mm >>= 1
-            j += 1
-        extra = reach & ~m
-        if extra:
-            # locate a witness triple (a, b, c) with a->b->c but not a->c
-            c_idx = (extra & -extra).bit_length() - 1
-            for j in range(len(model.worlds)):
-                if (m >> j) & 1 and (succ[j] >> c_idx) & 1:
-                    return (a, model.worlds[j], model.worlds[c_idx])
-    return None
-
-
-def _check_left_commutativity(model):
-    """From p -d-> q -l-> r there must be s with p -l-> s -d-> r."""
-    n = len(model.worlds)
-    succ_d, succ_l = model._succ_d, model._succ_l
-    reach = [0] * n  # union of d-successors over l-successors of p
-    for p in range(n):
-        m = succ_l[p]
-        j = 0
-        acc = 0
-        while m:
-            if m & 1:
-                acc |= succ_d[j]
-            m >>= 1
-            j += 1
-        reach[p] = acc
-    for p in range(n):
-        m = succ_d[p]
-        j = 0
-        while m:
-            if m & 1:
-                missing = succ_l[j] & ~reach[p]
-                if missing:
-                    r = (missing & -missing).bit_length() - 1
-                    return (model.worlds[p], model.worlds[j], model.worlds[r])
-            m >>= 1
-            j += 1
-    return None
-
-
-def _check_right_commutativity(model):
-    """From p -l-> q -d-> r there must be s with p -d-> s -l-> r."""
-    n = len(model.worlds)
-    succ_d, succ_l = model._succ_d, model._succ_l
-    reach = [0] * n  # union of l-successors over d-successors of p
-    for p in range(n):
-        m = succ_d[p]
-        j = 0
-        acc = 0
-        while m:
-            if m & 1:
-                acc |= succ_l[j]
-            m >>= 1
-            j += 1
-        reach[p] = acc
-    for p in range(n):
-        m = succ_l[p]
-        j = 0
-        while m:
-            if m & 1:
-                missing = succ_d[j] & ~reach[p]
-                if missing:
-                    r = (missing & -missing).bit_length() - 1
-                    return (model.worlds[p], model.worlds[j], model.worlds[r])
-            m >>= 1
-            j += 1
-    return None
-
-
-def _check_persistence(model):
-    """Atom truth must be preserved along rel_d, for atoms in the valuation."""
-    for atom_id in sorted(model._atom_masks):
-        mask = model._atom_masks[atom_id]
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                lost = model._succ_d[i] & ~mask
-                if lost:
-                    j = (lost & -lost).bit_length() - 1
-                    return (atom_id, model.worlds[i], model.worlds[j])
-            m >>= 1
-            i += 1
-    return None
+def _named(model, indices):
+    """World names of a counterexample given as point indices."""
+    return None if indices is None else tuple(model.worlds[i] for i in indices)
 
 
 def validate(model, frame_class):
@@ -316,24 +156,37 @@ def validate(model, frame_class):
     if frame_class not in FRAME_CLASSES:
         raise ValueError(f"unknown frame class {frame_class!r}")
     checks = []
+    succ_d, succ_l = model._succ_d, model._succ_l
 
     def add(name, counterexample):
         checks.append(PropertyCheck(name, counterexample is None, counterexample))
 
-    add("l-reflexive", _check_reflexive(model, model._succ_l))
-    add("l-symmetric", _check_symmetric(model, model._succ_l))
-    add("l-transitive", _check_transitive(model, model._succ_l))
-    add("d-transitive", _check_transitive(model, model._succ_d))
+    add("l-reflexive", _named(model, relations.reflexive(succ_l)))
+    add("l-symmetric", _named(model, relations.symmetric(succ_l)))
+    add("l-transitive", _named(model, relations.transitive(succ_l)))
+    add("d-transitive", _named(model, relations.transitive(succ_d)))
     if frame_class in _D_REFLEXIVE:
-        add("d-reflexive", _check_reflexive(model, model._succ_d))
-    add("left-commutativity", _check_left_commutativity(model))
+        add("d-reflexive", _named(model, relations.reflexive(succ_d)))
+    add("left-commutativity",
+        _named(model, relations.commutes(succ_d, succ_l, succ_l, succ_d)))
     if frame_class in _RIGHT_COMMUTATIVE:
-        add("right-commutativity", _check_right_commutativity(model))
+        add("right-commutativity",
+            _named(model, relations.commutes(succ_l, succ_d, succ_d, succ_l)))
     if frame_class in _PERSISTENT_ATOMS:
-        add("atom-persistence", _check_persistence(model))
+        add("atom-persistence", _persistence(model))
     if frame_class == S4S5_PRODUCT:
         add("product-provenance", None if model.is_product else ("not built as a product",))
     return ValidationReport(frame_class, checks)
+
+
+def _persistence(model):
+    """First (atom, w, v) with the atom true at w and false at its
+    []-successor v, over the atoms in the valuation."""
+    for atom_id in sorted(model._atom_masks):
+        bad = relations.closed(model._succ_d, model._atom_masks[atom_id])
+        if bad is not None:
+            return (atom_id,) + _named(model, bad)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +198,12 @@ def clouds(model):
     Classes are sorted tuples, listed in order of their smallest member.
     Raises ValueError when rel_l is not an equivalence relation.
     """
-    for name, checker in (("reflexive", _check_reflexive),
-                          ("symmetric", _check_symmetric),
-                          ("transitive", _check_transitive)):
-        bad = checker(model, model._succ_l)
-        if bad is not None:
-            raise ValueError(f"rel_l is not an equivalence relation (not {name}: {bad})")
-    seen = set()
-    out = []
-    for w in model.worlds:
-        if w in seen:
-            continue
-        cls = tuple(model.l_successors(w))
-        seen.update(cls)
-        out.append(cls)
-    return out
+    blocks, failure = relations.classes(model._succ_l)
+    if failure is not None:
+        name, bad = failure
+        raise ValueError(f"rel_l is not an equivalence relation "
+                         f"(not {name}: {_named(model, bad)})")
+    return [tuple(model._names(block)) for block in blocks]
 
 
 def cloud_of(model, point, cloud_list=None):
@@ -406,26 +250,16 @@ def product_model(frame1, frame2, valuation, designated=None):
     worlds2 = sorted(worlds2)
     rel1 = set(rel1)
     rel2 = set(rel2)
-    idx1 = {w: i for i, w in enumerate(worlds1)}
-    succ1 = [0] * len(worlds1)
-    for a, b in rel1:
-        succ1[idx1[a]] |= 1 << idx1[b]
-    for w in worlds1:
-        if (w, w) not in rel1:
-            raise ValueError(f"first frame is not reflexive at {w!r}")
-    for a, b in rel1:
-        for i, c in enumerate(worlds1):
-            if (succ1[idx1[b]] >> i) & 1 and (a, c) not in rel1:
-                raise ValueError(f"first frame is not transitive at ({a!r}, {b!r}, {c!r})")
-    for w in worlds2:
-        if (w, w) not in rel2:
-            raise ValueError(f"second frame is not reflexive at {w!r}")
-    for a, b in rel2:
-        if (b, a) not in rel2:
-            raise ValueError(f"second frame is not symmetric at ({a!r}, {b!r})")
-        for c in worlds2:
-            if (b, c) in rel2 and (a, c) not in rel2:
-                raise ValueError(f"second frame is not transitive at ({a!r}, {b!r}, {c!r})")
+    for which, names, rel, checks in (
+            ("first", worlds1, rel1, (relations.reflexive, relations.transitive)),
+            ("second", worlds2, rel2, (relations.reflexive, relations.symmetric,
+                                       relations.transitive))):
+        succ = _rows({w: i for i, w in enumerate(names)}, rel)
+        for check in checks:
+            bad = check(succ)
+            if bad is not None:
+                raise ValueError(f"{which} frame is not {check.__name__} at "
+                                 f"{tuple(names[i] for i in bad)}")
 
     worlds = [product_point(v, x) for v in worlds1 for x in worlds2]
     rel_d = [(product_point(a, x), product_point(b, x))

@@ -95,18 +95,13 @@ def lift_model_ssl_to_s4s5(model, w, main_atom):
     cloud_list = clouds(model)
     induced = induced_cloud_relation(model, cloud_list)
 
-    if all(isinstance(w, int) for w in model.worlds):
-        # keep the world type uniform so ordering stays well defined
-        base = max(model.worlds) + 1
-        new_points = [base + i for i in range(len(cloud_list))]
-    else:
-        def new_name(i):
-            name = f"newpoint_{i}"
-            while name in model.index:
-                name = "_" + name
-            return name
+    def new_name(i):
+        name = f"newpoint_{i}"
+        while name in model.index:
+            name = "_" + name
+        return name
 
-        new_points = [new_name(i) for i in range(len(cloud_list))]
+    new_points = [new_name(i) for i in range(len(cloud_list))]
     worlds = list(model.worlds) + new_points
 
     rel_l = set(model.rel_l)

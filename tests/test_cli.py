@@ -50,6 +50,16 @@ def test_gen_f_requires_machine_arguments(capsys):
     assert "requires" in err
 
 
+def test_extract_tree_requires_machine_arguments(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("class cross-axiom\ndesignated w\nworld w\n"
+                          "d w w\nl w w\n")
+    code, _, err = run(capsys, "extract", "tree", "--logic", "ssl",
+                       "--model", str(model_file))
+    assert code == 1
+    assert "requires" in err
+
+
 def test_build_and_check_round_trip(tmp_path, capsys, m1_path):
     model_file = tmp_path / "model.txt"
     formula_file = tmp_path / "f.txt"
@@ -97,6 +107,23 @@ def test_sat_reports_verdict(tmp_path, capsys):
                        "--class", "s4s5-product", "--bound", "2")
     assert code == 0
     assert report_dict(out)["verdict"] == "unsat-within-bound"
+
+
+@pytest.mark.parametrize("frame_class", ["cross-axiom", "k4s5-commutator"])
+def test_sat_model_file_checks_in_its_class(tmp_path, capsys, frame_class):
+    formula_file = tmp_path / "f.txt"
+    model_file = tmp_path / "m.txt"
+    formula_file.write_text("(x0 & !Kx0)\n")  # two points in one cloud
+    code, out, _ = run(capsys, "sat", "--formula", str(formula_file),
+                       "--class", frame_class, "--out", str(model_file))
+    assert code == 0
+    report = report_dict(out)
+    assert report["worlds"] == "2"
+    assert load_model(model_file.read_text()).designated == report["point"]
+    code, out, _ = run(capsys, "check", "--model", str(model_file),
+                       "--formula", str(formula_file), "--class", frame_class)
+    assert code == 0
+    assert report_dict(out)["result"] == "pass"
 
 
 def test_atm_run_and_extract_tree(tmp_path, capsys, m1_path):

@@ -1,0 +1,284 @@
+"""The bitset relation kernel, pinned against brute-force references over
+pair sets: frame validation, cloud partitions, the oracle's frame lists
+and the formula evaluator."""
+
+import itertools
+import random
+import re
+
+import pytest
+
+from bimodal import relations, satbound
+from bimodal.formula import Atom, Not, And, K, Box, ATOM, NOT, AND, KMOD
+from bimodal.semantics import (BimodalModel, validate, clouds, FRAME_CLASSES,
+                               CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
+                               S4S5_PRODUCT)
+
+
+# ---------------------------------------------------------------------------
+# References over pair sets; points are the indices 0..n-1.
+
+def ref_reflexive(rel, n):
+    return next(((i,) for i in range(n) if (i, i) not in rel), None)
+
+
+def ref_symmetric(rel, n):
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if (i, j) in rel and (j, i) not in rel), None)
+
+
+def ref_transitive(rel, n):
+    for i in range(n):
+        missed = [k for k in range(n) if (i, k) not in rel
+                  and any((i, j) in rel and (j, k) in rel for j in range(n))]
+        if missed:
+            k = missed[0]
+            j = min(j for j in range(n) if (i, j) in rel and (j, k) in rel)
+            return (i, j, k)
+    return None
+
+
+def ref_commutes(a, b, c, d, n):
+    """From p -a-> q -b-> r there must be s with p -c-> s -d-> r."""
+    for p, q, r in itertools.product(range(n), repeat=3):
+        if ((p, q) in a and (q, r) in b
+                and not any((p, s) in c and (s, r) in d for s in range(n))):
+            return (p, q, r)
+    return None
+
+
+def ref_persistence(rel_d, valuation, n):
+    for atom_id in sorted(valuation):
+        members = valuation[atom_id]
+        for i, j in sorted(rel_d):
+            if i in members and j not in members:
+                return (atom_id, i, j)
+    return None
+
+
+def ref_lines(frame_class, n, rel_d, rel_l, valuation, is_product):
+    checks = [("l-reflexive", ref_reflexive(rel_l, n)),
+              ("l-symmetric", ref_symmetric(rel_l, n)),
+              ("l-transitive", ref_transitive(rel_l, n)),
+              ("d-transitive", ref_transitive(rel_d, n))]
+    if frame_class != K4S5_COMMUTATOR:
+        checks.append(("d-reflexive", ref_reflexive(rel_d, n)))
+    checks.append(("left-commutativity", ref_commutes(rel_d, rel_l, rel_l, rel_d, n)))
+    if frame_class != CROSS_AXIOM:
+        checks.append(("right-commutativity",
+                       ref_commutes(rel_l, rel_d, rel_d, rel_l, n)))
+    if frame_class == CROSS_AXIOM:
+        checks.append(("atom-persistence", ref_persistence(rel_d, valuation, n)))
+    if frame_class == S4S5_PRODUCT:
+        checks.append(("product-provenance",
+                       None if is_product else ("not built as a product",)))
+    lines = [f"class: {frame_class}"]
+    for name, bad in checks:
+        lines.append(f"{name}: pass" if bad is None
+                     else f"{name}: fail {' '.join(str(x) for x in bad)}")
+    ok = all(bad is None for _, bad in checks)
+    lines.append(f"result: {'pass' if ok else 'fail'}")
+    return lines
+
+
+def closure(rel, n, reflexive=False, symmetric=False):
+    rel = set(rel)
+    if reflexive:
+        rel |= {(i, i) for i in range(n)}
+    if symmetric:
+        rel |= {(j, i) for i, j in rel}
+    for j in range(n):  # Warshall
+        for i in range(n):
+            if (i, j) in rel:
+                rel |= {(i, k) for k in range(n) if (j, k) in rel}
+    return rel
+
+
+def random_model(rng):
+    """At most 5 worlds; each relation is random or closed to the shape a
+    class asks for, so that every check both passes and fails often."""
+    n = rng.randint(1, 5)
+    density = rng.random()
+    rel_d = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
+    rel_l = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
+    if rng.random() < 0.6:
+        rel_d = closure(rel_d, n, reflexive=rng.random() < 0.7)
+    if rng.random() < 0.6:
+        rel_l = closure(rel_l, n, reflexive=True, symmetric=True)
+    if rng.random() < 0.3:  # commute by giving every point the same d-row
+        rel_d = {(i, j) for i in range(n) for j in range(n)}
+    valuation = {}
+    for atom_id in rng.sample(range(4), rng.randint(0, 2)):
+        members = {i for i in range(n) if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            members |= {j for i, j in rel_d if i in members}
+        valuation[atom_id] = members
+    return n, rel_d, rel_l, valuation
+
+
+def as_model(n, rel_d, rel_l, valuation, is_product=False):
+    # single-character names keep the sorted world order equal to index order
+    name = "abcdefghij"
+    return BimodalModel([name[i] for i in range(n)],
+                        [(name[i], name[j]) for i, j in rel_d],
+                        [(name[i], name[j]) for i, j in rel_l],
+                        {a: {name[i] for i in s} for a, s in valuation.items()},
+                        is_product=is_product)
+
+
+def named(lines):
+    """Reference lines use indices; the model's worlds are letters."""
+    out = []
+    for line in lines:
+        head, sep, tail = line.partition(": fail ")
+        if sep and not head.startswith(("atom-", "product-")):
+            tail = " ".join("abcdefghij"[int(x)] for x in tail.split())
+        elif sep and head == "atom-persistence":
+            atom_id, *points = tail.split()
+            tail = " ".join([atom_id] + ["abcdefghij"[int(x)] for x in points])
+        out.append(head + sep + tail)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Frame validation and clouds.
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_pair_set_reference(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(150):
+        n, rel_d, rel_l, valuation = random_model(rng)
+        is_product = rng.random() < 0.5
+        model = as_model(n, rel_d, rel_l, valuation, is_product)
+        for frame_class in FRAME_CLASSES:
+            report = validate(model, frame_class)
+            assert report.lines() == named(ref_lines(frame_class, n, rel_d, rel_l,
+                                                     valuation, is_product))
+            seen.update((c.name, c.passed) for c in report.checks)
+    # every check was seen both passing and failing
+    assert seen == {(name, ok) for name, _ in seen for ok in (True, False)}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_clouds_match_reference_or_name_the_failing_property(seed):
+    rng = random.Random(50 + seed)
+    for _ in range(200):
+        n, rel_d, rel_l, valuation = random_model(rng)
+        model = as_model(n, rel_d, rel_l, valuation)
+        failure = next(((name, bad) for name, bad in (
+            ("reflexive", ref_reflexive(rel_l, n)),
+            ("symmetric", ref_symmetric(rel_l, n)),
+            ("transitive", ref_transitive(rel_l, n))) if bad is not None), None)
+        if failure is None:
+            expected = sorted({tuple(sorted(model.worlds[j] for j in range(n)
+                                            if (i, j) in rel_l))
+                               for i in range(n)})
+            assert clouds(model) == expected
+        else:
+            name, bad = failure
+            names = tuple(model.worlds[i] for i in bad)
+            with pytest.raises(ValueError, match=re.escape(f"not {name}: {names}")):
+                clouds(model)
+
+
+@pytest.mark.parametrize("rel_l, prop", [
+    ({("a", "a")}, "reflexive"),
+    ({("a", "a"), ("b", "b"), ("c", "c"), ("a", "b")}, "symmetric"),
+    ({("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "a"),
+      ("b", "c"), ("c", "b")}, "transitive"),
+])
+def test_clouds_rejects_non_equivalence(rel_l, prop):
+    model = BimodalModel(["a", "b", "c"], [], rel_l, {})
+    with pytest.raises(ValueError, match=f"not {prop}"):
+        clouds(model)
+
+
+def test_bits_lists_set_bits_ascending():
+    assert relations.bits(0) == ()
+    assert relations.bits(0b101101) == (0, 2, 3, 5)
+    assert relations.bits(1 << 200 | 1 << 7 | 1) == (0, 7, 200)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's frame lists.
+
+def ref_frames(frame_class, m):
+    """Partitions in restricted-growth order times transitive relations in
+    ascending code order, filtered on pair sets."""
+    partitions = [blocks for blocks in itertools.product(range(m), repeat=m)
+                  if all(b <= max(blocks[:i], default=-1) + 1
+                         for i, b in enumerate(blocks))]
+    out = []
+    for blocks in partitions:
+        rel_l = {(i, j) for i in range(m) for j in range(m) if blocks[i] == blocks[j]}
+        for code in range(1 << (m * m)):
+            rel_d = {(i, j) for i in range(m) for j in range(m)
+                     if code >> (i * m + j) & 1}
+            if ref_transitive(rel_d, m) is not None:
+                continue
+            if (frame_class in (CROSS_AXIOM, S4S5_COMMUTATOR)
+                    and ref_reflexive(rel_d, m) is not None):
+                continue
+            if ref_commutes(rel_d, rel_l, rel_l, rel_d, m) is not None:
+                continue
+            if (frame_class in (S4S5_COMMUTATOR, K4S5_COMMUTATOR)
+                    and ref_commutes(rel_l, rel_d, rel_d, rel_l, m) is not None):
+                continue
+            out.append(([sum(1 << j for j in range(m) if (i, j) in rel_l)
+                         for i in range(m)],
+                        [sum(1 << j for j in range(m) if (i, j) in rel_d)
+                         for i in range(m)]))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("frame_class", [CROSS_AXIOM, S4S5_COMMUTATOR,
+                                         K4S5_COMMUTATOR])
+def test_oracle_frames_match_pair_set_reference(frame_class, m):
+    assert satbound._frames(frame_class, m) == ref_frames(frame_class, m)
+
+
+def test_relation_counts_match_oeis():
+    # transitive relations: OEIS A006905; preorders: OEIS A000798
+    assert [len(satbound._transitive_relations(m)) for m in range(1, 5)] == [2, 13, 171, 3994]
+    assert [len(satbound._preorders(m)) for m in range(1, 5)] == [1, 4, 29, 355]
+
+
+# ---------------------------------------------------------------------------
+# The evaluator.
+
+def ref_sat_set(f, n, rel_d, rel_l, valuation):
+    if f.kind == ATOM:
+        return set(valuation.get(f.value, ()))
+    if f.kind == NOT:
+        return set(range(n)) - ref_sat_set(f.left, n, rel_d, rel_l, valuation)
+    if f.kind == AND:
+        return (ref_sat_set(f.left, n, rel_d, rel_l, valuation)
+                & ref_sat_set(f.right, n, rel_d, rel_l, valuation))
+    rel = rel_l if f.kind == KMOD else rel_d
+    body = ref_sat_set(f.left, n, rel_d, rel_l, valuation)
+    return {i for i in range(n) if all(j in body for j in range(n) if (i, j) in rel)}
+
+
+def random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return Atom(rng.randrange(3))
+    pick = rng.randrange(4)
+    if pick == 0:
+        return Not(random_formula(rng, depth - 1))
+    if pick == 1:
+        return And(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    return (K if pick == 2 else Box)(random_formula(rng, depth - 1))
+
+
+def test_sat_set_matches_reference_evaluator():
+    rng = random.Random(7)
+    for _ in range(150):
+        n, rel_d, rel_l, valuation = random_model(rng)
+        model = as_model(n, rel_d, rel_l, valuation)
+        for _ in range(5):
+            f = random_formula(rng, 4)
+            expected = sorted(model.worlds[i]
+                              for i in ref_sat_set(f, n, rel_d, rel_l, valuation))
+            assert model.sat_set(f) == expected
