@@ -8,26 +8,23 @@ holds.  The model checker, the frame validators and the bounded oracle all
 work through this module.
 """
 
+from functools import lru_cache
+
 from .formula import ATOM, NOT, AND, KMOD
 
 
-def _scan(mask):
+# The oracle's frame search asks for the bits of the same few small rows
+# hundreds of thousands of times, and the rows of an equivalence repeat
+# within each class; a cache hit skips the Python loop.
+@lru_cache(maxsize=64)
+def bits(mask):
+    """Indices of the set bits of mask, ascending, as a tuple."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-# The oracle checks tens of thousands of relations on at most 8 points at
-# set-up; a table lookup keeps those rows as cheap as a plain shift loop.
-_SMALL_BITS = [_scan(mask) for mask in range(256)]
-
-
-def bits(mask):
-    """Indices of the set bits of mask, ascending, as a tuple."""
-    return _SMALL_BITS[mask] if mask < 256 else _scan(mask)
 
 
 def _lowest(mask):

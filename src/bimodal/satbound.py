@@ -93,14 +93,27 @@ _preorder_cache = {}
 
 def _transitive_relations(m):
     """All transitive relations on m points, ascending in the integer
-    encoding that packs row i into bits [i*m, (i+1)*m)."""
+    encoding that packs row i into bits [i*m, (i+1)*m).
+
+    A transitive relation stays transitive on its first m-1 points, so
+    each one is a transitive relation on m-1 points plus a column (which
+    of them reach the new point) and a row (what the new point reaches)."""
     if m not in _transitive_cache:
-        rels = []
-        row_mask = (1 << m) - 1
-        for code in range(1 << (m * m)):
-            succ = [(code >> (i * m)) & row_mask for i in range(m)]
-            if relations.transitive(succ) is None:
-                rels.append(succ)
+        if m == 0:
+            rels = [[]]
+        else:
+            new = 1 << (m - 1)
+            rels = []
+            for sub in _transitive_relations(m - 1):
+                for column in range(new):
+                    base = list(sub)
+                    for i in bits(column):
+                        base[i] |= new
+                    for row in range(2 * new):
+                        succ = base + [row]
+                        if relations.transitive(succ) is None:
+                            rels.append(succ)
+            rels.sort(key=lambda succ: sum(r << (i * m) for i, r in enumerate(succ)))
         _transitive_cache[m] = rels
         _preorder_cache[m] = [succ for succ in rels
                               if relations.reflexive(succ) is None]
@@ -135,6 +148,18 @@ def _frames(frame_class, m):
             out.append((succ_l, succ_d))
     _frame_cache[key] = out
     return out
+
+
+_persistent_cache = {}
+
+
+def _persistent_masks(succ_d):
+    """Valuation masks closed under the []-relation (atom persistence)."""
+    key = tuple(succ_d)
+    if key not in _persistent_cache:
+        _persistent_cache[key] = [mask for mask in range(1 << len(succ_d))
+                                  if relations.closed(succ_d, mask) is None]
+    return _persistent_cache[key]
 
 
 def _pairs(succ):
@@ -181,8 +206,7 @@ def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
         all_masks = list(range(1 << m))
         for succ_l, succ_d in _frames(frame_class, m):
             if frame_class == CROSS_AXIOM:
-                allowed = [mask for mask in all_masks
-                           if relations.closed(succ_d, mask) is None]
+                allowed = _persistent_masks(succ_d)
             else:
                 allowed = all_masks
             for combo in itertools.product(allowed, repeat=len(atom_ids)):

@@ -258,8 +258,9 @@ def product_model(frame1, frame2, valuation, designated=None):
         for check in checks:
             bad = check(succ)
             if bad is not None:
+                at = tuple(names[i] for i in bad)
                 raise ValueError(f"{which} frame is not {check.__name__} at "
-                                 f"{tuple(names[i] for i in bad)}")
+                                 f"{at[0] if len(at) == 1 else at!r}")
 
     worlds = [product_point(v, x) for v in worlds1 for x in worlds2]
     rel_d = [(product_point(a, x), product_point(b, x))

@@ -140,6 +140,21 @@ def test_product_rejects_bad_factors():
         product_model(frame1, frame2, {})
 
 
+@pytest.mark.parametrize("frame1, frame2, message", [
+    ((["0", "1"], [("0", "0")]), (["s"], [("s", "s")]),
+     "first frame is not reflexive at '1'"),
+    ((["0", "1", "2"], [("0", "0"), ("1", "1"), ("2", "2"), ("0", "1"), ("1", "2")]),
+     (["s"], [("s", "s")]),
+     "first frame is not transitive at ('0', '1', '2')"),
+    ((["0"], [("0", "0")]), (["s", "t"], [("s", "s"), ("t", "t"), ("s", "t")]),
+     "second frame is not symmetric at ('s', 't')"),
+])
+def test_product_rejection_names_the_worlds(frame1, frame2, message):
+    with pytest.raises(ValueError) as excinfo:
+        product_model(frame1, frame2, {})
+    assert str(excinfo.value) == message
+
+
 def test_product_provenance_check(two_cloud_model):
     report = validate(two_cloud_model, S4S5_PRODUCT)
     failed = {c.name for c in report.checks if not c.passed}
