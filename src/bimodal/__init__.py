@@ -7,7 +7,8 @@ extractors, satisfiability-preserving translations between frame classes,
 and a bounded-model satisfiability oracle.
 """
 
-from . import formula, catalog, semantics, atm, red_ssl, red_s4s5, translations, satbound
+from . import (formula, catalog, semantics, atm, reduction, red_ssl, red_s4s5,
+               translations, satbound)
 
-__all__ = ["formula", "catalog", "semantics", "atm", "red_ssl", "red_s4s5",
-           "translations", "satbound"]
+__all__ = ["formula", "catalog", "semantics", "atm", "reduction", "red_ssl",
+           "red_s4s5", "translations", "satbound"]

@@ -213,18 +213,26 @@ class ComputationTree:
     def height(self):
         return max(self.depth(v) for v in self.nodes())
 
-    def canonical_labels(self, v=None):
-        """Order-insensitive label structure, for tree label comparison."""
-        if v is None:
-            v = self.root
-        kids = tuple(sorted(self.canonical_labels(c) for c in self.children[v]))
-        return (self.configs[v].key(), kids)
+    def canonical_labels(self, ids):
+        """Order-insensitive label of every node, for tree label
+        comparison: a number from the shared table ids, equal for two
+        nodes exactly when their subtrees carry the same configurations
+        in the same shape (children compared as multisets).  A child's id
+        is larger than its parent's, so one backward pass over the nodes
+        labels every child before its parent."""
+        labels = {}
+        for v in reversed(self.nodes()):
+            kids = tuple(sorted(labels[c] for c in self.children[v]))
+            labels[v] = ids.setdefault((self.configs[v].key(), kids), len(ids))
+        return labels
 
 
 def trees_label_equal(t1, t2):
     """True when the two trees carry the same configurations in the same
     shape (children compared as sets; sibling labels are distinct)."""
-    return t1.canonical_labels() == t2.canonical_labels()
+    ids = {}
+    return (t1.canonical_labels(ids)[t1.root]
+            == t2.canonical_labels(ids)[t2.root])
 
 
 class NodeData:
@@ -255,22 +263,41 @@ def node_data(tree, v):
 # Accepting-tree search.
 
 def _accepts(atm, config, fuel, memo):
+    """Whether config leads to acceptance within fuel steps.  memo maps
+    (configuration key, fuel) to the answer.  An existential configuration
+    stops at its first accepting successor, a universal one at its first
+    non-accepting one.  Each pending configuration is a generator on an
+    explicit stack, so a run of any length needs no Python recursion."""
+    def visit(config, fuel):
+        state = config.state
+        if state == atm.accept:
+            return True
+        if state == atm.reject or fuel == 0:
+            return False
+        decisive = state in atm.exists
+        for s in successors(atm, config):
+            if (yield s, fuel - 1) == decisive:
+                return decisive
+        return not decisive
+
     key = (config.key(), fuel)
     if key in memo:
         return memo[key]
-    state = config.state
-    if state == atm.accept:
-        result = True
-    elif state == atm.reject or fuel == 0:
-        result = False
-    else:
-        succs = successors(atm, config)
-        if state in atm.exists:
-            result = any(_accepts(atm, s, fuel - 1, memo) for s in succs)
-        else:
-            result = all(_accepts(atm, s, fuel - 1, memo) for s in succs)
-    memo[key] = result
-    return result
+    stack = [(key, visit(config, fuel))]
+    answer = None
+    while stack:
+        key, frame = stack[-1]
+        try:
+            child, child_fuel = frame.send(answer)
+        except StopIteration as done:
+            memo[key] = answer = done.value
+            stack.pop()
+            continue
+        child_key = (child.key(), child_fuel)
+        answer = memo.get(child_key)
+        if answer is None:
+            stack.append((child_key, visit(child, child_fuel)))
+    return answer
 
 
 def find_accepting_tree(atm, w, time_bound):
@@ -313,7 +340,9 @@ def accepts(atm, w, time_bound):
 # ---------------------------------------------------------------------------
 # Tree validation.
 
-class TreeReport:
+class Report:
+    """Named pass/fail checks, each failure with its counterexample."""
+
     def __init__(self, checks):
         self.checks = checks
 
@@ -332,7 +361,7 @@ class TreeReport:
         return out
 
 
-class _Check:
+class Check:
     def __init__(self, name, passed, counterexample=None):
         self.name = name
         self.passed = passed
@@ -347,8 +376,8 @@ def validate_tree(atm, w, tree, mode="accepting"):
     checks = []
 
     root_ok = tree.configs[tree.root] == initial_config(atm, w)
-    checks.append(_Check("root-is-initial", root_ok,
-                         None if root_ok else tree.root))
+    checks.append(Check("root-is-initial", root_ok,
+                        None if root_ok else tree.root))
 
     bad_edge = None
     for v in tree.nodes():
@@ -358,7 +387,7 @@ def validate_tree(atm, w, tree, mode="accepting"):
         if tree.configs[v] not in successors(atm, tree.configs[p]):
             bad_edge = (p, v)
             break
-    checks.append(_Check("edges-are-steps", bad_edge is None, bad_edge))
+    checks.append(Check("edges-are-steps", bad_edge is None, bad_edge))
 
     dup = None
     for v in tree.nodes():
@@ -371,7 +400,7 @@ def validate_tree(atm, w, tree, mode="accepting"):
             seen.add(key)
         if dup:
             break
-    checks.append(_Check("siblings-distinct", dup is None, dup))
+    checks.append(Check("siblings-distinct", dup is None, dup))
 
     missing = None
     for v in tree.nodes():
@@ -386,7 +415,7 @@ def validate_tree(atm, w, tree, mode="accepting"):
                     break
         if missing:
             break
-    checks.append(_Check("universal-nodes-complete", missing is None, missing))
+    checks.append(Check("universal-nodes-complete", missing is None, missing))
 
     bad_leaf = None
     for v in tree.leaves():
@@ -400,9 +429,9 @@ def validate_tree(atm, w, tree, mode="accepting"):
                 bad_leaf = (v, state)
                 break
     name = "leaves-accept" if mode == "accepting" else "no-rejecting-leaf"
-    checks.append(_Check(name, bad_leaf is None, bad_leaf))
+    checks.append(Check(name, bad_leaf is None, bad_leaf))
 
-    return TreeReport(checks)
+    return Report(checks)
 
 
 # ---------------------------------------------------------------------------

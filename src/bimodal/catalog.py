@@ -42,12 +42,6 @@ class VariableCatalog:
     def formula(self, family, key=None):
         return Atom(self.atom(family, key))
 
-    def name_of(self, atom_id):
-        try:
-            return self._names[atom_id]
-        except KeyError:
-            raise CatalogError(f"catalog has no atom {atom_id}") from None
-
     def vector(self, family, length):
         """Bit family as a formula vector, most significant bit first."""
         return FormulaVector.of_atoms(

@@ -11,14 +11,19 @@ import argparse
 import sys
 
 from . import formula as fm
-from .catalog import VariableCatalog
-from .semantics import (FRAME_CLASSES, CROSS_AXIOM, S4S5_PRODUCT,
-                        load_model, save_model, validate)
+from .semantics import FRAME_CLASSES, load_model, save_model, validate
 from . import atm as atm_mod
 from . import red_ssl, red_s4s5
-from .red_ssl import ReductionParams, ExtractionError
+from .reduction import (ReductionParams, ExtractionError, gen_formula,
+                        grow_tree)
 from . import translations
 from . import satbound
+
+# The reductions by logic name: `--logic` choices, `gen` kinds
+# (counter-<logic>, f-<logic>) and the pipeline's logics come from here.
+REDUCTIONS = {"ssl": red_ssl.SSL, "s4s5": red_s4s5.S4S5}
+GEN_KINDS = [f"{family}-{logic}" for family in ("counter", "f")
+             for logic in REDUCTIONS]
 
 
 class CheckFailure(Exception):
@@ -50,25 +55,25 @@ def _load_params(args):
     return ReductionParams(machine, _parse_poly(args.poly), args.w)
 
 
-def _emit(lines):
-    for line in lines:
+def _conclude(report, ok, failure=None):
+    """Print the report and its result line; a failed check exits 1 with
+    the failure message."""
+    report.append(f"result: {'pass' if ok else 'fail'}")
+    for line in report:
         print(line)
+    if not ok:
+        raise CheckFailure(failure)
 
 
 def _gen(args):
-    if args.kind in ("counter-ssl", "counter-s4s5"):
+    family, logic = args.kind.split("-", 1)
+    red = REDUCTIONS[logic]
+    if family == "counter":
         if args.n is None:
             raise CheckFailure("gen counter-* requires --n")
-        if args.kind == "counter-ssl":
-            f, cat = red_ssl.gen_counter_ssl(args.n)
-        else:
-            f, cat = red_s4s5.gen_counter_s4s5(args.n)
+        f, cat = red.gen_counter(args.n)
     else:
-        params = _load_params(args)
-        if args.kind == "f-ssl":
-            f, cat = red_ssl.gen_f_ssl(params)
-        else:
-            f, cat = red_s4s5.gen_f_s4s5(params)
+        f, cat = gen_formula(red, _load_params(args))
     text = fm.render(f) + "\n"
     report = [f"command: gen {args.kind}", f"size: {fm.rendered_size(f)}",
               f"atoms: {len(cat)}"]
@@ -80,8 +85,7 @@ def _gen(args):
     if args.catalog:
         _write(args.catalog, cat.dump())
         report.append(f"catalog-file: {args.catalog}")
-    report.append("result: pass")
-    _emit(report)
+    _conclude(report, True)
 
 
 def _build(args):
@@ -91,12 +95,9 @@ def _build(args):
     if tree is None:
         raise CheckFailure(
             f"the machine does not accept {args.w!r} within {time_bound} steps")
-    if args.logic == "ssl":
-        model, point = red_ssl.build_f_ssl_model(params, tree)
-        f, _ = red_ssl.gen_f_ssl(params)
-    else:
-        model, point = red_s4s5.build_f_s4s5_model(params, tree)
-        f, _ = red_s4s5.gen_f_s4s5(params)
+    red = REDUCTIONS[args.logic]
+    model, point = red.build_model(params, tree)
+    f, _ = gen_formula(red, params)
     holds = model.eval(point, f)
     report = [f"command: build model {args.logic}",
               f"worlds: {len(model.worlds)}",
@@ -108,10 +109,7 @@ def _build(args):
     if args.tree_out:
         _write(args.tree_out, atm_mod.save_tree(tree))
         report.append(f"tree-file: {args.tree_out}")
-    report.append(f"result: {'pass' if holds else 'fail'}")
-    _emit(report)
-    if not holds:
-        raise CheckFailure("generated formula is false on its witness model")
+    _conclude(report, holds, "generated formula is false on its witness model")
 
 
 def _check(args):
@@ -125,48 +123,37 @@ def _check(args):
         vr = validate(model, args.frame_class)
         report.extend(vr.lines()[:-1])
         if not vr.ok:
-            report.append("result: fail")
-            _emit(report)
-            raise CheckFailure("frame validation failed")
+            _conclude(report, False, "frame validation failed")
     holds = model.eval(point, f)
     report.append(f"point: {point}")
     report.append(f"holds: {'pass' if holds else 'fail'}")
-    report.append(f"result: {'pass' if holds else 'fail'}")
-    _emit(report)
-    if not holds:
-        raise CheckFailure("formula is false at the given point")
+    _conclude(report, holds, "formula is false at the given point")
 
 
 def _extract(args):
     model = load_model(_read(args.model))
     point = args.point if args.point is not None else model.designated
+    red = REDUCTIONS[args.logic]
     if args.kind == "trace":
         if args.n is None:
             raise CheckFailure("extract trace requires --n")
-        extractor = (red_ssl.extract_counter_trace if args.logic == "ssl"
-                     else red_s4s5.extract_counter_trace_s4s5)
-        p_points, p_prime = extractor(model, point, args.n)
+        p_points, p_prime = red.extract_counter(model, point, args.n)
         report = [f"command: extract trace {args.logic}",
                   f"steps: {len(p_points)}"]
         for i, p in enumerate(p_points):
             report.append(f"p{i}: {p}")
         for i, p in enumerate(p_prime):
             report.append(f"p'{i}: {p}")
-        report.append("result: pass")
-        _emit(report)
+        _conclude(report, True)
     else:
-        params = _load_params(args)
-        extractor = (red_ssl.extract_accepting_tree_ssl if args.logic == "ssl"
-                     else red_s4s5.extract_accepting_tree_s4s5)
-        tree, _pi = extractor(model, point, params)
+        tree, _pi = grow_tree(red, model, point, _load_params(args))
         report = [f"command: extract tree {args.logic}",
                   f"nodes: {len(tree.configs)}",
                   f"height: {tree.height()}"]
         if args.out:
             _write(args.out, atm_mod.save_tree(tree))
             report.append(f"tree-file: {args.out}")
-        report.append("result: pass")
-        _emit(report)
+        _conclude(report, True)
 
 
 def _translate(args):
@@ -185,8 +172,7 @@ def _translate(args):
         report.append(f"formula-file: {args.out}")
     else:
         report.append(f"formula: {fm.render(result.formula)}")
-    report.append("result: pass")
-    _emit(report)
+    _conclude(report, True)
 
 
 def _lift(args):
@@ -202,10 +188,7 @@ def _lift(args):
     if args.out:
         _write(args.out, save_model(lifted))
         report.append(f"model-file: {args.out}")
-    report.append(f"result: {'pass' if holds else 'fail'}")
-    _emit(report)
-    if not holds:
-        raise CheckFailure("translated formula is false on the lifted model")
+    _conclude(report, holds, "translated formula is false on the lifted model")
 
 
 def _restrict(args):
@@ -219,10 +202,7 @@ def _restrict(args):
     if args.out:
         _write(args.out, save_model(restricted))
         report.append(f"model-file: {args.out}")
-    report.append(f"result: {'pass' if holds else 'fail'}")
-    _emit(report)
-    if not holds:
-        raise CheckFailure("formula is false on the restricted model")
+    _conclude(report, holds, "formula is false on the restricted model")
 
 
 def _sat(args):
@@ -241,8 +221,7 @@ def _sat(args):
     else:
         report.append("verdict: unsat-within-bound")
         report.append(f"max-points: {verdict.max_points}")
-    report.append("result: pass")
-    _emit(report)
+    _conclude(report, True)
 
 
 def _atm_run(args):
@@ -251,17 +230,14 @@ def _atm_run(args):
     report = [f"command: atm run", f"input: {args.w}", f"fuel: {args.fuel}"]
     if tree is None:
         report.append("accepts: fail")
-        report.append("result: fail")
-        _emit(report)
-        raise CheckFailure("the machine does not accept within the fuel bound")
+        _conclude(report, False, "the machine does not accept within the fuel bound")
     report.append("accepts: pass")
     report.append(f"tree-nodes: {len(tree.configs)}")
     report.append(f"tree-height: {tree.height()}")
     if args.out:
         _write(args.out, atm_mod.save_tree(tree))
         report.append(f"tree-file: {args.out}")
-    report.append("result: pass")
-    _emit(report)
+    _conclude(report, True)
 
 
 def _verify(args):
@@ -278,26 +254,16 @@ def _verify(args):
     tree = atm_mod.find_accepting_tree(params.atm, params.w, time_bound)
     check("accepting-tree-found", tree is not None)
     if tree is None:
-        report.append("result: fail")
-        _emit(report)
-        raise CheckFailure("no accepting tree")
+        _conclude(report, False, "no accepting tree")
 
     trees = {}
-    for logic, red in (("ssl", red_ssl), ("s4s5", red_s4s5)):
-        if logic == "ssl":
-            f, _ = red.gen_f_ssl(params)
-            model, point = red.build_f_ssl_model(params, tree)
-            extractor = red.extract_accepting_tree_ssl
-            frame_class = CROSS_AXIOM
-        else:
-            f, _ = red.gen_f_s4s5(params)
-            model, point = red.build_f_s4s5_model(params, tree)
-            extractor = red.extract_accepting_tree_s4s5
-            frame_class = S4S5_PRODUCT
-        check(f"{logic}-frame-valid", validate(model, frame_class).ok)
+    for logic, red in REDUCTIONS.items():
+        f, _ = gen_formula(red, params)
+        model, point = red.build_model(params, tree)
+        check(f"{logic}-frame-valid", validate(model, red.frame_class).ok)
         check(f"{logic}-formula-holds", model.eval(point, f))
         try:
-            extracted, _pi = extractor(model, point, params)
+            extracted, _pi = grow_tree(red, model, point, params)
         except ExtractionError as err:
             report.append(f"{logic}-extraction-error: {err}")
             check(f"{logic}-extraction", False)
@@ -307,15 +273,12 @@ def _verify(args):
               atm_mod.trees_label_equal(extracted, tree))
         trees[logic] = extracted
 
-    if len(trees) == 2:
+    if len(trees) == len(REDUCTIONS):
+        first, *others = trees.values()
         check("extractions-agree",
-              atm_mod.trees_label_equal(trees["ssl"], trees["s4s5"]))
+              all(atm_mod.trees_label_equal(first, t) for t in others))
 
-    ok = all(checks)
-    report.append(f"result: {'pass' if ok else 'fail'}")
-    _emit(report)
-    if not ok:
-        raise CheckFailure("pipeline verification failed")
+    _conclude(report, all(checks), "pipeline verification failed")
 
 
 def build_parser():
@@ -327,8 +290,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a formula")
-    p.add_argument("kind", choices=["counter-ssl", "counter-s4s5",
-                                    "f-ssl", "f-s4s5"])
+    p.add_argument("kind", choices=GEN_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--atm")
     p.add_argument("--w")
@@ -339,7 +301,7 @@ def build_parser():
 
     p = sub.add_parser("build", help="build a witness model")
     p.add_argument("what", choices=["model"])
-    p.add_argument("--logic", choices=["ssl", "s4s5"], required=True)
+    p.add_argument("--logic", choices=list(REDUCTIONS), required=True)
     p.add_argument("--atm", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--poly", required=True)
@@ -356,7 +318,7 @@ def build_parser():
 
     p = sub.add_parser("extract", help="extract a counter trace or tree")
     p.add_argument("kind", choices=["trace", "tree"])
-    p.add_argument("--logic", choices=["ssl", "s4s5"], required=True)
+    p.add_argument("--logic", choices=list(REDUCTIONS), required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--point")
     p.add_argument("--n", type=int)

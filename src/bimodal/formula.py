@@ -138,26 +138,6 @@ def atoms(f):
     return {t.value for t in subformulas(f) if t.kind == ATOM}
 
 
-def node_count(f):
-    """Number of nodes of f counted as a tree (shared subtrees recounted)."""
-    _check(f)
-    counts = {}
-    stack = [f]
-    while stack:
-        t = stack[-1]
-        if t in counts:
-            stack.pop()
-            continue
-        kids = [c for c in (t.left, t.right) if c is not None]
-        missing = [c for c in kids if c not in counts]
-        if missing:
-            stack.extend(missing)
-            continue
-        counts[t] = 1 + sum(counts[c] for c in kids)
-        stack.pop()
-    return counts[f]
-
-
 # ---------------------------------------------------------------------------
 # Canonical text syntax.
 
@@ -331,13 +311,6 @@ def bit(k, i):
     return (i >> k) & 1
 
 
-def bin_str(length, i):
-    """Binary string of i, zero-padded to `length` digits."""
-    if not 0 <= i < 2 ** length:
-        raise ValueError(f"{i} is not representable in {length} bits")
-    return format(i, f"0{length}b")
-
-
 class FormulaVector:
     """A vector F of formulas standing for a binary number.
 
@@ -479,16 +452,6 @@ def neq_plus1(F, G):
     return Not(plus1(F, G))
 
 
-def compare(F, G, op):
-    """Table of vector comparison macros, selected by name."""
-    table = {"unique": lambda: unique(F), "neq": lambda: neq(F, G),
-             "lt": lambda: lt(F, G), "leq": lambda: leq(F, G),
-             "plus1": lambda: plus1(F, G), "neq_plus1": lambda: neq_plus1(F, G)}
-    if op not in table:
-        raise ValueError(f"unknown comparison {op!r}")
-    return table[op]()
-
-
 def lt_binary(F, i):
     """The number encoded by F is strictly below the constant i."""
     l = len(F)
@@ -509,13 +472,6 @@ def leq_binary(F, i):
 
 def gt_binary(F, i):
     return Not(leq_binary(F, i))
-
-
-def compare_binary(F, i, op):
-    table = {"lt": lt_binary, "leq": leq_binary, "gt": gt_binary}
-    if op not in table:
-        raise ValueError(f"unknown comparison {op!r}")
-    return table[op](F, i)
 
 
 def persistent_macro(F, k=-1):

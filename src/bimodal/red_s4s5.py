@@ -1,26 +1,28 @@
-"""Product-logic constructions: binary-counter formulas, machine-encoding
-formulas, product witness models, and extraction of counter traces and
-accepting trees from arbitrary commutator models.
+"""Product-logic side of the machine reduction: the binary-counter formula
+on product frames, its witness model and trace extraction, and the
+machine-encoding formula's vocabulary, named conjuncts, step queries and
+product witness model.  `S4S5` hands them to the shared generator and
+extractor in `bimodal.reduction`.
 
-The same tape-window conventions as the subset-space constructions apply:
-window [0, 2^(N+1)-2], head starting at cell 2^N-1, with machine-level
-configurations kept in head-at-0 coordinates.
+The encoding's shared variables are LA over carrier atoms A
+(`shared_s4s5`); persistent X vectors carry values across []-steps, and
+the activity flag B_active guards the read-symbol transport.
 """
 
-from .formula import (Atom, Not, And, K, Box, L, Diamond, Implies,
-                      FormulaVector, conj, disj, eq_vector, eq_binary,
-                      rightmost_zero, rightmost_one, unique, lt, leq,
-                      leq_binary, gt_binary, persistent_macro, shared_s4s5,
-                      ones)
+from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
+                      conj, disj, eq_vector, eq_binary, rightmost_zero,
+                      rightmost_one, unique, lt, leq, leq_binary, gt_binary,
+                      persistent_macro, shared_s4s5, ones)
 from .catalog import VariableCatalog
-from .semantics import product_model, clouds, induced_cloud_relation
-from .atm import (BLANK, LEFT, RIGHT, ComputationTree, initial_config,
-                  apply_entry, node_data, validate_tree)
-from .red_ssl import (ExtractionError, ReductionParams, window_pos,
-                      check_window, entries_left_then_right, _staircase,
-                      _reachable_restriction, _check_global_conjuncts,
-                      tree_size_bound, MorphismReport, _node_window_data,
-                      _pos_guard, _pos_move)
+from .semantics import product_model, S4S5_PRODUCT
+from .atm import BLANK
+from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
+                        everywhere, computation, gen_formula, grow_tree,
+                        check_morphism, counter_steps, _staircase,
+                        _pos_guard, _pos_move)
+# The shared engine's public names stay importable from here.
+from .reduction import (ExtractionError, ReductionParams, window_pos,  # noqa: F401
+                        entries_left_then_right, tree_size_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +52,8 @@ def gen_counter_s4s5(n):
         raise ValueError("counter width must be at least 1")
     cat = counter_catalog_s4s5(n)
     alpha, x = _counter_vectors(n, cat)
-    steps = []
-    for k in range(n):
-        body = conj([eq_vector(x, alpha, k), rightmost_one(x, k),
-                     Diamond(eq_vector(x, alpha, -1))])
-        steps.append(Implies(rightmost_zero(alpha, k), L(body)))
-    f = conj([persistent_macro(x), eq_binary(alpha, 0), K(Box(conj(steps)))])
+    f = conj([persistent_macro(x), eq_binary(alpha, 0),
+              K(Box(counter_steps(n, alpha, x)))])
     return f, cat
 
 
@@ -92,67 +90,25 @@ def extract_counter_trace_s4s5(model, p0, n):
 # Machine-encoding formula.
 
 def f_s4s5_catalog(params):
-    """Atom layout: bit families most-significant-bit first, families in a
-    fixed order ending with the scalar activity flag."""
-    atm = params.atm
-    N = params.N
-    cat = VariableCatalog()
-
-    def bits(fam, length):
-        for k in range(length - 1, -1, -1):
-            cat.assign_next(fam, k)
-
-    bits("A_time", N)
-    bits("X_prevtime", N)
-    bits("X_tapv", N)
-    bits("A_pos", N + 1)
-    bits("X_pos", N + 1)
-    bits("A_prevpos", N + 1)
-    bits("X_prevpos", N + 1)
-    for q in atm.states:
-        cat.assign_next("A_state", q)
-    for a in atm.symbols:
-        cat.assign_next("A_read", a)
-    for a in atm.symbols:
-        cat.assign_next("A_written", a)
-    for a in atm.symbols:
-        cat.assign_next("X_read", a)
-    cat.assign_next("B_active", None)
-    return cat
+    """Atom layout: families in a fixed order ending with the scalar
+    activity flag."""
+    return family_catalog(params, ("A_time", "X_prevtime", "X_tapv", "A_pos",
+                                   "X_pos", "A_prevpos", "X_prevpos",
+                                   "A_state", "A_read", "A_written", "X_read",
+                                   "B_active"))
 
 
-class _S4Vocab:
-    """Shared-variable and persistent-variable vectors for one parameter set."""
+class _S4Vocab(Vocabulary):
+    """The common vocabulary over the shared variables LA, with the
+    previous position, the time and position carries and the activity
+    flag."""
 
     def __init__(self, params, cat):
-        self.params = params
-        self.cat = cat
-        atm = params.atm
+        super().__init__(params, cat, shared_s4s5)
         N = params.N
-
-        def shared_vec(fam, length):
-            return FormulaVector([shared_s4s5(cat.formula(fam, k))
-                                  for k in range(length - 1, -1, -1)])
-
-        self.alpha_time = shared_vec("A_time", N)
-        self.alpha_pos = shared_vec("A_pos", N + 1)
-        self.alpha_prevpos = shared_vec("A_prevpos", N + 1)
-        self.alpha_state = {q: shared_s4s5(cat.formula("A_state", q))
-                            for q in atm.states}
-        self.alpha_written = {a: shared_s4s5(cat.formula("A_written", a))
-                              for a in atm.symbols}
-        self.alpha_read = {a: shared_s4s5(cat.formula("A_read", a))
-                           for a in atm.symbols}
-        self.alpha_state_vec = FormulaVector([self.alpha_state[q] for q in atm.states])
-        self.alpha_written_vec = FormulaVector([self.alpha_written[a] for a in atm.symbols])
-        self.alpha_read_vec = FormulaVector([self.alpha_read[a] for a in atm.symbols])
-
+        self.alpha_prevpos = self.shared_vector("A_prevpos", N + 1)
         self.x_prevtime = cat.vector("X_prevtime", N)
-        self.x_tapv = cat.vector("X_tapv", N)
-        self.x_pos = cat.vector("X_pos", N + 1)
         self.x_prevpos = cat.vector("X_prevpos", N + 1)
-        self.x_read = {a: cat.formula("X_read", a) for a in atm.symbols}
-        self.x_read_vec = FormulaVector([self.x_read[a] for a in atm.symbols])
         self.b_active = cat.formula("B_active")
 
 
@@ -232,15 +188,6 @@ def _after_s4s5(v, r, theta):
                  v.alpha_state[r], v.alpha_written[theta]])
 
 
-def _compstep_body_s4s5(v, r, theta, direction, k, l):
-    """Innermost <>-body of one computation step once the live time bit k
-    and position bit l are known: the shared vectors of the successor
-    cloud pick up the incremented time and the moved position from the
-    persistent carry vectors."""
-    return conj([_time_step_s4s5(v, k), _pos_step_s4s5(v, direction, l),
-                 _after_s4s5(v, r, theta)])
-
-
 def _compstep_mid_s4s5(v):
     return And(eq_vector(v.x_prevtime, v.alpha_time, -1),
                eq_vector(v.x_prevpos, v.alpha_pos, -1))
@@ -284,23 +231,26 @@ def _compstep_s4s5(v, r, theta, direction):
 
 
 def _computation_s4s5(v):
-    atm = v.params.atm
-    parts = []
-    for q in atm.forall:
-        for a in atm.symbols:
-            steps = [_compstep_s4s5(v, r, b, d)
-                     for r, b, d in entries_left_then_right(atm, q, a)]
-            parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]), conj(steps)))
-    for q in atm.exists:
-        for a in atm.symbols:
-            steps = [_compstep_s4s5(v, r, b, d)
-                     for r, b, d in entries_left_then_right(atm, q, a)]
-            parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]), disj(steps)))
-    return conj(parts)
+    # _compstep_s4s5 is looked up on each call, so the reference tests can swap
+    # in the cubic encoding
+    return computation(v, _compstep_s4s5)
 
 
 def _no_reject_s4s5(v):
     return Not(v.alpha_state[v.params.atm.reject])
+
+
+# The machine-encoding formula's conjuncts, named, in formula order.
+_CONJUNCTS = (
+    ("persistence", _persistence),
+    ("uniqueness", everywhere(_uniqueness_s4s5)),
+    ("start", _start_s4s5),
+    ("initial_symbols", everywhere(_initial_symbols)),
+    ("written_symbols", everywhere(_written_symbols)),
+    ("read_a_symbol", everywhere(_read_a_symbol)),
+    ("computation", everywhere(_computation_s4s5)),
+    ("no_reject", everywhere(_no_reject_s4s5)),
+)
 
 
 def gen_f_s4s5(params):
@@ -308,13 +258,7 @@ def gen_f_s4s5(params):
     eight conjuncts fixing persistence, uniqueness, the start
     configuration, symbol lookups (fresh and rewritten cells), the
     read-symbol transport, the step relation, and rejection-freeness."""
-    cat = f_s4s5_catalog(params)
-    v = _S4Vocab(params, cat)
-    f = conj([_persistence(v), K(Box(_uniqueness_s4s5(v))), _start_s4s5(v),
-              K(Box(_initial_symbols(v))), K(Box(_written_symbols(v))),
-              K(Box(_read_a_symbol(v))), K(Box(_computation_s4s5(v))),
-              K(Box(_no_reject_s4s5(v)))])
-    return f, cat
+    return gen_formula(S4S5, params)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +281,9 @@ def _tapv_s4s5(tree, data, x):
 def build_f_s4s5_model(params, tree):
     """Product witness model over the accepting tree: the first factor is
     the tree under ancestry, the second indexes the persistent carriers."""
-    report = validate_tree(params.atm, params.w, tree, mode="accepting")
-    if not report.ok:
-        raise ValueError(f"tree is not accepting: {report.lines()}")
-    check_window(params, tree)
-
     atm = params.atm
     N = params.N
-    data = _node_window_data(params, tree)
+    data = witness_data(params, tree)
     nodes = tree.nodes()
     root = tree.root
 
@@ -400,164 +339,39 @@ def build_f_s4s5_model(params, tree):
 # ---------------------------------------------------------------------------
 # Accepting-tree extraction.
 
+def _step_query_s4s5(v, entry, k, l):
+    """The L-neighbour of a step copies time and position into the
+    carries; its []-successor is the successor's cloud, whose shared
+    vectors pick up the incremented time and the moved position from the
+    carries, given the live time bit k and position bit l."""
+    r, theta, direction = entry
+    return (_compstep_mid_s4s5(v),
+            conj([_time_step_s4s5(v, k), _pos_step_s4s5(v, direction, l),
+                  _after_s4s5(v, r, theta)]))
+
+
+def _prevpos_and_written(v, data, nid, parent):
+    return And(eq_binary(v.alpha_prevpos, data[parent]["pos"]),
+               v.alpha_written[data[nid]["written"]])
+
+
+S4S5 = Reduction(frame_class=S4S5_PRODUCT,
+                 catalog=f_s4s5_catalog, vocab=_S4Vocab,
+                 conjuncts=_CONJUNCTS, step_query=_step_query_s4s5,
+                 node_check=("prevpos-and-written", _prevpos_and_written),
+                 build_model=build_f_s4s5_model,
+                 gen_counter=gen_counter_s4s5,
+                 extract_counter=extract_counter_trace_s4s5)
+
+
 def extract_accepting_tree_s4s5(model, r0, params):
-    """Rebuild an accepting tree from any commutator model of the
-    machine-encoding formula, growing a partial tree leaf by leaf and
-    keeping a morphism from tree nodes to model points (one per cloud)."""
-    model = _reachable_restriction(model, r0)
-    atm = params.atm
-    N = params.N
-    cat = f_s4s5_catalog(params)
-    v = _S4Vocab(params, cat)
-
-    _check_global_conjuncts(model, r0, [
-        ("persistence", _persistence(v)),
-        ("uniqueness", K(Box(_uniqueness_s4s5(v)))),
-        ("start", _start_s4s5(v)),
-        ("initial_symbols", K(Box(_initial_symbols(v)))),
-        ("written_symbols", K(Box(_written_symbols(v)))),
-        ("read_a_symbol", K(Box(_read_a_symbol(v)))),
-        ("no_reject", K(Box(_no_reject_s4s5(v)))),
-    ])
-
-    tree = ComputationTree()
-    tree.add_root(initial_config(atm, params.w))
-    pi = {tree.root: r0}
-    bound = tree_size_bound(atm, N)
-
-    def grow_at(leaf):
-        config = tree.configs[leaf]
-        point = pi[leaf]
-        i = tree.depth(leaf)
-        j = window_pos(N, config.head)
-        free = set(range(N)) - ones(i)
-        if not free:
-            raise ExtractionError("witness-not-found",
-                                  f"computation: node at the time bound ({leaf})")
-        k = min(free)
-        entries = entries_left_then_right(atm, config.state, config.read())
-        universal = config.state in atm.forall
-        mid = _compstep_mid_s4s5(v)
-
-        def find_witness(entry):
-            r, theta, direction = entry
-            if direction == RIGHT:
-                l_set = set(range(N + 1)) - ones(j)
-            else:
-                l_set = ones(j)
-            if not l_set:
-                return None
-            l = min(l_set)
-            body = _compstep_body_s4s5(v, r, theta, direction, k, l)
-            for s in sorted(model.l_successors(point)):
-                if not model.eval(s, mid):
-                    continue
-                for t in sorted(model.d_successors(s)):
-                    if model.eval(t, body):
-                        return t
-            return None
-
-        added = []
-        seen_configs = set()
-        for entry in entries:
-            t = find_witness(entry)
-            if t is None:
-                if universal:
-                    raise ExtractionError(
-                        "witness-not-found",
-                        f"computation: compstep for {entry} at node {leaf}")
-                continue
-            nxt = apply_entry(config, entry)
-            if nxt.key() in seen_configs:
-                continue
-            seen_configs.add(nxt.key())
-            child = tree.add_child(leaf, nxt)
-            pi[child] = t
-            added.append(child)
-            if not universal:
-                break
-        if not added:
-            raise ExtractionError(
-                "witness-not-found",
-                f"computation: no applicable step at node {leaf}")
-        return added
-
-    pending = [tree.root]
-    while pending:
-        leaf = pending.pop(0)
-        state = tree.configs[leaf].state
-        if state == atm.accept:
-            continue
-        if state == atm.reject:
-            raise ExtractionError("witness-not-found",
-                                  f"no_reject: node {leaf} rejects")
-        if len(tree.configs) > bound:
-            raise ExtractionError("bound-exceeded",
-                                  f"partial tree grew past {bound} nodes")
-        pending.extend(grow_at(leaf))
-        if len(tree.configs) > bound:
-            raise ExtractionError("bound-exceeded",
-                                  f"partial tree grew past {bound} nodes")
-
-    report = validate_tree(atm, params.w, tree, mode="accepting")
-    if not report.ok:
-        raise ExtractionError("witness-not-found",
-                              f"extracted tree fails validation: {report.lines()}")
-    morphism_report = check_morphism_s4s5(model, r0, params, tree, pi)
-    if not morphism_report.ok:
-        raise ExtractionError("witness-not-found",
-                              f"morphism check failed: {morphism_report.lines()}")
-    return tree, pi
+    """Accepting tree and morphism from any commutator model of the
+    machine-encoding formula (see `reduction.grow_tree`)."""
+    return grow_tree(S4S5, model, r0, params)
 
 
 def check_morphism_s4s5(model, r0, params, tree, pi):
-    """The four anchoring conditions tying tree nodes to model clouds:
-    root anchoring, cloud-relation preservation, the previous-position and
-    written-symbol shared variables, and the configuration shared
-    variables."""
-    cat = f_s4s5_catalog(params)
-    v = _S4Vocab(params, cat)
-    checks = []
-
-    checks.append(("root-anchored", pi[tree.root] == r0, pi.get(tree.root)))
-
-    cloud_list = clouds(model)
-    owner = {}
-    for ci, members in enumerate(cloud_list):
-        for w in members:
-            owner[w] = ci
-    induced = set(induced_cloud_relation(model, cloud_list))
-    bad_edge = None
-    for child in tree.nodes():
-        parent = tree.parent[child]
-        if parent is None:
-            continue
-        if (owner[pi[parent]], owner[pi[child]]) not in induced:
-            bad_edge = (parent, child)
-            break
-    checks.append(("edges-preserved", bad_edge is None, bad_edge))
-
-    data = _node_window_data(params, tree)
-    bad_written = None
-    for nid in tree.nodes():
-        parent = tree.parent[nid]
-        if parent is None:
-            continue
-        want = And(eq_binary(v.alpha_prevpos, data[parent]["pos"]),
-                   v.alpha_written[data[nid]["written"]])
-        if not model.eval(pi[nid], want):
-            bad_written = nid
-            break
-    checks.append(("prevpos-and-written", bad_written is None, bad_written))
-
-    bad_config = None
-    for nid in tree.nodes():
-        want = conj([eq_binary(v.alpha_time, data[nid]["time"]),
-                     eq_binary(v.alpha_pos, data[nid]["pos"]),
-                     v.alpha_state[data[nid]["state"]],
-                     v.alpha_read[data[nid]["read"]]])
-        if not model.eval(pi[nid], want):
-            bad_config = nid
-            break
-    checks.append(("configurations", bad_config is None, bad_config))
-    return MorphismReport(checks)
+    """Root anchoring, edge preservation, the previous-position and
+    written-symbol shared variables, and the configurations (see
+    `reduction.check_morphism`)."""
+    return check_morphism(S4S5, model, r0, params, tree, pi)

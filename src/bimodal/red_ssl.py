@@ -1,81 +1,27 @@
-"""Subset-space constructions: binary-counter formulas, machine-encoding
-formulas, their witness models, and the extraction of counter traces and
-accepting trees back out of arbitrary satisfying models.
+"""Subset-space side of the machine reduction: the binary-counter formula,
+its witness model and trace extraction, and the machine-encoding formula's
+vocabulary, named conjuncts, step queries and witness model.  `SSL` hands
+them to the shared generator and extractor in `bimodal.reduction`.
 
-The machine encoding views a computation through a tape window
-[0, 2^(N+1)-2] with the head starting at cell 2^N-1, where N = p(n) for
-the size parameter polynomial p and input length n.  Machine-level
-configurations keep the head-at-0 convention; `window_pos` converts.
+The encoding's shared variables are L(A & []LB) over carrier atoms A and
+the class marker B (`shared_ssl`); the witness model has one cloud per
+tree node plus a final cloud of carrier points.
 """
 
-from .formula import (Atom, Not, And, K, Box, L, Diamond, Implies,
-                      FormulaVector, conj, disj, eq_vector, eq_binary,
-                      rightmost_zero, rightmost_one, unique, neq, lt, leq,
-                      plus1, neq_plus1, lt_binary, leq_binary, gt_binary,
-                      shared_ssl, ones)
+from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
+                      conj, disj, eq_vector, eq_binary, rightmost_zero,
+                      rightmost_one, unique, neq, lt, leq, neq_plus1,
+                      leq_binary, gt_binary, shared_ssl, ones)
 from .catalog import VariableCatalog
-from .semantics import BimodalModel, CROSS_AXIOM, clouds, induced_cloud_relation
-from . import atm as atm_mod
-from .atm import (BLANK, LEFT, RIGHT, ComputationTree, initial_config,
-                  apply_entry, node_data, validate_tree)
-
-
-class ExtractionError(RuntimeError):
-    """Raised when a model does not actually support the extraction it was
-    claimed to support.
-
-    kind is one of "extraction-failure" (counter traces),
-    "witness-not-found", or "bound-exceeded"; detail names the failing
-    subformula or step.
-    """
-
-    def __init__(self, kind, detail):
-        super().__init__(f"{kind}: {detail}")
-        self.kind = kind
-        self.detail = detail
-
-
-class ReductionParams:
-    """Machine, size-parameter polynomial, and input word."""
-
-    def __init__(self, atm, poly, w):
-        self.atm = atm
-        self.poly = tuple(poly)
-        if not self.poly or any(c < 0 for c in self.poly):
-            raise ValueError("polynomial coefficients must be natural numbers")
-        self.w = str(w)
-        for a in self.w:
-            if a not in atm.input_symbols:
-                raise ValueError(f"input symbol {a!r} is not in the input alphabet")
-        self.n = len(self.w)
-        self.N = self.poly_eval(self.n)
-        if self.N < self.n or self.N < 1:
-            raise ValueError(f"need p(n) >= max(n, 1), got p({self.n}) = {self.N}")
-
-    def poly_eval(self, x):
-        return sum(c * x ** i for i, c in enumerate(self.poly))
-
-
-def window_offset(N):
-    """Shift from machine head coordinates (start at 0) to window
-    coordinates (start at 2^N - 1)."""
-    return 2 ** N - 1
-
-
-def window_pos(N, machine_pos):
-    return machine_pos + window_offset(N)
-
-
-def check_window(params, tree):
-    """Every node of the tree must stay inside the time and tape bounds."""
-    N = params.N
-    for v in tree.nodes():
-        data = node_data(tree, v)
-        if data.time > 2 ** N - 1:
-            raise ValueError(f"node {v} exceeds the time bound 2^{N}-1")
-        wpos = window_pos(N, data.pos)
-        if not 0 <= wpos <= 2 ** (N + 1) - 2:
-            raise ValueError(f"node {v} leaves the tape window at cell {wpos}")
+from .semantics import BimodalModel, CROSS_AXIOM
+from .atm import BLANK
+from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
+                        everywhere, computation, gen_formula, grow_tree,
+                        check_morphism, counter_steps, _staircase,
+                        _pos_guard, _pos_move)
+# The shared engine's public names stay importable from here.
+from .reduction import (ExtractionError, ReductionParams, window_offset,  # noqa: F401
+                        window_pos, entries_left_then_right, tree_size_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +52,7 @@ def gen_counter_ssl(n):
         raise ValueError("counter width must be at least 1")
     cat = counter_catalog(n)
     b, alpha, x = _counter_vectors(n, cat)
-    steps = []
-    for k in range(n):
-        body = conj([b, eq_vector(x, alpha, k), rightmost_one(x, k),
-                     Diamond(eq_vector(x, alpha, -1))])
-        steps.append(Implies(And(b, rightmost_zero(alpha, k)), L(body)))
-    f = conj([b, eq_binary(alpha, 0), K(Box(conj(steps)))])
+    f = conj([b, eq_binary(alpha, 0), K(Box(counter_steps(n, alpha, x, b)))])
     return f, cat
 
 
@@ -176,56 +117,6 @@ def build_counter_ssl_model(n):
     return model, _p(0, 0)
 
 
-def _staircase(model, p0, n, alpha, x, marker=None):
-    """Shared staircase extraction for counter traces.
-
-    From a point satisfying value 0, repeatedly find an L-neighbour whose
-    x-vector shows the incremented value and a []-successor where the
-    shared vector has caught up.  marker, when given, is a formula every
-    staircase point must satisfy (the subset-space class marker B).
-    """
-    def holds(point, f):
-        return model.eval(point, f)
-
-    def require(point, f, what, step):
-        if not holds(point, f):
-            raise ExtractionError("extraction-failure",
-                                  f"step {step}: {what} fails at {point}")
-
-    require(p0, eq_binary(alpha, 0), "initial counter value 0", 0)
-    if marker is not None:
-        require(p0, marker, "class marker at the start", 0)
-
-    p_points = [p0]
-    p_prime_points = []
-    current = p0
-    for m in range(2 ** n - 1):
-        k = min(set(range(n)) - ones(m))
-        move = conj(([marker] if marker is not None else [])
-                    + [eq_vector(x, alpha, k), rightmost_one(x, k),
-                       Diamond(eq_vector(x, alpha, -1))])
-        landing = conj(([marker] if marker is not None else [])
-                       + [eq_vector(x, alpha, -1), eq_binary(alpha, m + 1)])
-        found = None
-        for cand in sorted(model.l_successors(current)):
-            if not holds(cand, move):
-                continue
-            for nxt in sorted(model.d_successors(cand)):
-                if holds(nxt, landing):
-                    found = (cand, nxt)
-                    break
-            if found:
-                break
-        if found is None:
-            raise ExtractionError(
-                "extraction-failure",
-                f"step {m}: no staircase witness for value {m + 1} from {current}")
-        p_prime_points.append(found[0])
-        p_points.append(found[1])
-        current = found[1]
-    return p_points, p_prime_points
-
-
 def extract_counter_trace(model, p0, n):
     """Staircase trace for the subset-space counter: points p_0..p_{2^n-1}
     with counter values 0..2^n-1, linked by L-steps to the p'_i points and
@@ -238,68 +129,22 @@ def extract_counter_trace(model, p0, n):
 # ---------------------------------------------------------------------------
 # Machine-encoding formula.
 
-_A_FAMILIES = ("A_time", "A_pos", "A_state", "A_written", "A_read")
-_X_FAMILIES = ("X_time", "X_tapv", "X_pos", "X_read")
-
-
 def f_ssl_catalog(params):
     """Atom layout: the class marker B first, then the shared-variable
-    carrier families, then the persistent X families; bit families are
-    numbered most significant bit first."""
-    atm = params.atm
-    N = params.N
-    cat = VariableCatalog()
-    cat.assign_next("B", None)
-    lengths = {"A_time": N, "A_pos": N + 1, "X_time": N, "X_tapv": N,
-               "X_pos": N + 1}
-    for fam in _A_FAMILIES:
-        _assign_family(cat, fam, lengths, atm)
-    for fam in _X_FAMILIES:
-        _assign_family(cat, fam, lengths, atm)
-    return cat
+    carrier families, then the persistent X families."""
+    return family_catalog(params, ("B", "A_time", "A_pos", "A_state",
+                                   "A_written", "A_read", "X_time", "X_tapv",
+                                   "X_pos", "X_read"))
 
 
-def _assign_family(cat, fam, lengths, atm):
-    if fam.endswith("_state"):
-        for q in atm.states:
-            cat.assign_next(fam, q)
-    elif fam.endswith("_written") or fam.endswith("_read"):
-        for a in atm.symbols:
-            cat.assign_next(fam, a)
-    else:
-        for k in range(lengths[fam] - 1, -1, -1):
-            cat.assign_next(fam, k)
-
-
-class _SslVocab:
-    """Shared-variable and persistent-variable vectors for one parameter set."""
+class _SslVocab(Vocabulary):
+    """The common vocabulary over the shared variables L(A & []LB), with
+    the class marker B and the persistent time vector."""
 
     def __init__(self, params, cat):
-        self.params = params
-        self.cat = cat
-        atm = params.atm
-        N = params.N
-        self.b = cat.formula("B")
-
-        def shared(fam, key):
-            return shared_ssl(cat.formula(fam, key), self.b)
-
-        self.alpha_time = FormulaVector([shared("A_time", k)
-                                         for k in range(N - 1, -1, -1)])
-        self.alpha_pos = FormulaVector([shared("A_pos", k)
-                                        for k in range(N, -1, -1)])
-        self.alpha_state = {q: shared("A_state", q) for q in atm.states}
-        self.alpha_written = {a: shared("A_written", a) for a in atm.symbols}
-        self.alpha_read = {a: shared("A_read", a) for a in atm.symbols}
-        self.alpha_state_vec = FormulaVector([self.alpha_state[q] for q in atm.states])
-        self.alpha_written_vec = FormulaVector([self.alpha_written[a] for a in atm.symbols])
-        self.alpha_read_vec = FormulaVector([self.alpha_read[a] for a in atm.symbols])
-
-        self.x_time = cat.vector("X_time", N)
-        self.x_tapv = cat.vector("X_tapv", N)
-        self.x_pos = cat.vector("X_pos", N + 1)
-        self.x_read = {a: cat.formula("X_read", a) for a in atm.symbols}
-        self.x_read_vec = FormulaVector([self.x_read[a] for a in atm.symbols])
+        self.b = self.marker = cat.formula("B")
+        super().__init__(params, cat, lambda a: shared_ssl(a, self.b))
+        self.x_time = cat.vector("X_time", params.N)
 
 
 def _uniqueness_ssl(v):
@@ -340,19 +185,6 @@ def _get_the_right_symbol(v):
                             eq_vector(v.alpha_time, v.x_tapv, -1)]),
                       eq_vector(v.x_read_vec, v.alpha_written_vec, -1))
     return And(fresh, revisit)
-
-
-def _pos_guard(direction):
-    """Macro locating the bit the head move flips in the old position: a
-    right move carries into the lowest zero, a left move borrows from the
-    lowest one."""
-    return rightmost_zero if direction == RIGHT else rightmost_one
-
-
-def _pos_move(direction):
-    """Macro stating that the new position has the opposite lowest bit at
-    the bit the move flipped."""
-    return rightmost_one if direction == RIGHT else rightmost_zero
 
 
 def _time_step_ssl(v, k):
@@ -408,80 +240,36 @@ def _compstep_ssl(v, r, theta, direction):
     return Implies(conj([v.b, disj(tg), disj(pg)]), L(body))
 
 
-def entries_left_then_right(atm, q, a):
-    """Transition right-hand sides for (q, a): the left-moving entries
-    first, then the right-moving ones, declaration order within each."""
-    all_entries = atm.delta_for(q, a)
-    return ([e for e in all_entries if e[2] == LEFT]
-            + [e for e in all_entries if e[2] == RIGHT])
-
-
 def _computation_ssl(v):
-    atm = v.params.atm
-    parts = []
-    for q in atm.forall:
-        for a in atm.symbols:
-            steps = [_compstep_ssl(v, r, b, d)
-                     for r, b, d in entries_left_then_right(atm, q, a)]
-            parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]), conj(steps)))
-    for q in atm.exists:
-        for a in atm.symbols:
-            steps = [_compstep_ssl(v, r, b, d)
-                     for r, b, d in entries_left_then_right(atm, q, a)]
-            parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]), disj(steps)))
-    return conj(parts)
+    # _compstep_ssl is looked up on each call, so the reference tests can swap
+    # in the cubic encoding
+    return computation(v, _compstep_ssl)
 
 
 def _no_reject_ssl(v):
     return Not(v.alpha_state[v.params.atm.reject])
 
 
+# The machine-encoding formula's conjuncts, named, in formula order.
+_CONJUNCTS = (
+    ("uniqueness", everywhere(_uniqueness_ssl)),
+    ("start", _start_ssl),
+    ("time_after_previous_visit", everywhere(_time_after_previous_visit)),
+    ("get_the_right_symbol", everywhere(_get_the_right_symbol)),
+    ("computation", everywhere(_computation_ssl)),
+    ("no_reject", everywhere(_no_reject_ssl)),
+)
+
+
 def gen_f_ssl(params):
     """Formula satisfiable exactly when the machine accepts the input:
     six conjuncts fixing uniqueness, the start configuration, tape-cell
     bookkeeping, symbol lookups, the step relation, and rejection-freeness."""
-    cat = f_ssl_catalog(params)
-    v = _SslVocab(params, cat)
-    f = conj([K(Box(_uniqueness_ssl(v))), _start_ssl(v),
-              K(Box(_time_after_previous_visit(v))),
-              K(Box(_get_the_right_symbol(v))),
-              K(Box(_computation_ssl(v))),
-              K(Box(_no_reject_ssl(v)))])
-    return f, cat
+    return gen_formula(SSL, params)
 
 
 # ---------------------------------------------------------------------------
 # Witness model for the machine-encoding formula.
-
-def _index_set(params):
-    """Per-cloud carrier point index: one entry per shared-variable bit."""
-    atm = params.atm
-    N = params.N
-    out = []
-    out += [("A_time", k) for k in range(N)]
-    out += [("A_pos", k) for k in range(N + 1)]
-    out += [("A_state", q) for q in atm.states]
-    out += [("A_written", a) for a in atm.symbols]
-    out += [("A_read", a) for a in atm.symbols]
-    return out
-
-
-def _node_window_data(params, tree):
-    """Window-coordinate node attributes keyed by node id."""
-    N = params.N
-    data = {}
-    for nid in tree.nodes():
-        d = node_data(tree, nid)
-        data[nid] = {
-            "time": d.time,
-            "pos": window_pos(N, d.pos),
-            "state": d.state,
-            "read": d.read,
-            "written": d.written if d.pred is not None else BLANK,
-            "pred": d.pred,
-        }
-    return data
-
 
 def _tapv_value(tree, data, x):
     """Time after the previous visit to the cell of node x: zero when the
@@ -513,14 +301,12 @@ def build_f_ssl_model(params, tree):
     """Witness model built from an accepting tree: one cloud per tree node
     (descendant points, carrier points, stopper points) plus a final cloud
     holding only carrier points."""
-    report = validate_tree(params.atm, params.w, tree, mode="accepting")
-    if not report.ok:
-        raise ValueError(f"tree is not accepting: {report.lines()}")
-    check_window(params, tree)
-
     atm = params.atm
-    data = _node_window_data(params, tree)
-    idx_set = _index_set(params)
+    data = witness_data(params, tree)
+    cat = f_ssl_catalog(params)
+    # per-cloud carrier point index: one entry per shared-variable atom
+    idx_set = [(fam, key) for fam, key, _ in cat.entries()
+               if fam.startswith("A_")]
     nodes = tree.nodes()
     TOPV = "T"  # sentinel cloud label
 
@@ -571,7 +357,6 @@ def build_f_ssl_model(params, tree):
     for v, i in s_points:
         rel_d.append((_sw(v, i), _sw(v, i)))
 
-    cat = f_ssl_catalog(params)
     valuation = {cat.atom("B"): {_pw(v, x) for v, x in p_points}}
     for fam, key in idx_set:
         valuation[cat.atom(fam, key)] = (
@@ -600,216 +385,33 @@ def build_f_ssl_model(params, tree):
 # ---------------------------------------------------------------------------
 # Accepting-tree extraction.
 
-def _reachable_restriction(model, r0):
-    """Submodel on the points reachable from r0 by breadth-first search
-    over both relations; on validated models this is exactly the part the
-    formula constrains."""
-    seen = {r0}
-    queue = [r0]
-    while queue:
-        w = queue.pop(0)
-        for nxt in sorted(model.l_successors(w)) + sorted(model.d_successors(w)):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    worlds = sorted(seen)
-    keep = set(worlds)
-    rel_d = [(a, b) for a, b in model.rel_d if a in keep and b in keep]
-    rel_l = [(a, b) for a, b in model.rel_l if a in keep and b in keep]
-    val = {atom_id: members & keep for atom_id, members in model.valuation.items()}
-    return BimodalModel(worlds, rel_d, rel_l, val,
-                        frame_class=model.frame_class, designated=r0,
-                        is_product=model.is_product)
+def _step_query_ssl(v, entry, k, l):
+    """The L-neighbour of a step holds the new time and position in its
+    persistent vectors; its []-successor is the successor's cloud."""
+    r, theta, direction = entry
+    return (conj([v.b, _time_step_ssl(v, k), _pos_step_ssl(v, direction, l)]),
+            _after_ssl(v, r, theta))
 
 
-def tree_size_bound(atm, N):
-    """Largest possible partial tree: branching D, height below 2^N."""
-    D = atm.max_branching()
-    depth = 2 ** N
-    if D == 1:
-        return depth
-    return (D ** depth - 1) // (D - 1)
+def _written_symbol(v, data, nid, parent):
+    return v.alpha_written[data[nid]["written"]]
 
 
-def _check_global_conjuncts(model, r0, named):
-    for name, f in named:
-        if not model.eval(r0, f):
-            raise ExtractionError("witness-not-found", name)
+SSL = Reduction(frame_class=CROSS_AXIOM, catalog=f_ssl_catalog,
+                vocab=_SslVocab, conjuncts=_CONJUNCTS,
+                step_query=_step_query_ssl,
+                node_check=("written-symbols", _written_symbol),
+                build_model=build_f_ssl_model, gen_counter=gen_counter_ssl,
+                extract_counter=extract_counter_trace)
 
 
 def extract_accepting_tree_ssl(model, r0, params):
-    """Rebuild an accepting tree from any model of the machine-encoding
-    formula, growing a partial tree leaf by leaf and keeping a morphism
-    from tree nodes to model points."""
-    model = _reachable_restriction(model, r0)
-    atm = params.atm
-    N = params.N
-    cat = f_ssl_catalog(params)
-    v = _SslVocab(params, cat)
-
-    _check_global_conjuncts(model, r0, [
-        ("uniqueness", K(Box(_uniqueness_ssl(v)))),
-        ("start", _start_ssl(v)),
-        ("time_after_previous_visit", K(Box(_time_after_previous_visit(v)))),
-        ("get_the_right_symbol", K(Box(_get_the_right_symbol(v)))),
-        ("no_reject", K(Box(_no_reject_ssl(v)))),
-    ])
-
-    tree = ComputationTree()
-    tree.add_root(initial_config(atm, params.w))
-    pi = {tree.root: r0}
-    bound = tree_size_bound(atm, N)
-
-    def grow_at(leaf):
-        config = tree.configs[leaf]
-        point = pi[leaf]
-        i = tree.depth(leaf)
-        j = window_pos(N, config.head)
-        free = set(range(N)) - ones(i)
-        if not free:
-            raise ExtractionError("witness-not-found",
-                                  f"computation: node at the time bound ({leaf})")
-        k = min(free)
-        entries = entries_left_then_right(atm, config.state, config.read())
-        universal = config.state in atm.forall
-
-        def find_witness(entry):
-            r, theta, direction = entry
-            if direction == RIGHT:
-                l_set = set(range(N + 1)) - ones(j)
-            else:
-                l_set = ones(j)
-            if not l_set:
-                return None
-            l = min(l_set)
-            mid = conj([v.b, _time_step_ssl(v, k),
-                        _pos_step_ssl(v, direction, l)])
-            after = _after_ssl(v, r, theta)
-            for x in sorted(model.l_successors(point)):
-                if not model.eval(x, mid):
-                    continue
-                for y in sorted(model.d_successors(x)):
-                    if model.eval(y, after):
-                        return y
-            return None
-
-        added = []
-        seen_configs = set()
-        for entry in entries:
-            y = find_witness(entry)
-            if y is None:
-                if universal:
-                    raise ExtractionError(
-                        "witness-not-found",
-                        f"computation: compstep for {entry} at node {leaf}")
-                continue
-            nxt = apply_entry(config, entry)
-            if nxt.key() in seen_configs:
-                continue
-            seen_configs.add(nxt.key())
-            child = tree.add_child(leaf, nxt)
-            pi[child] = y
-            added.append(child)
-            if not universal:
-                break
-        if not added:
-            raise ExtractionError(
-                "witness-not-found",
-                f"computation: no applicable step at node {leaf}")
-        return added
-
-    pending = [tree.root]
-    while pending:
-        leaf = pending.pop(0)
-        state = tree.configs[leaf].state
-        if state == atm.accept:
-            continue
-        if state == atm.reject:
-            raise ExtractionError("witness-not-found",
-                                  f"no_reject: node {leaf} rejects")
-        if len(tree.configs) > bound:
-            raise ExtractionError("bound-exceeded",
-                                  f"partial tree grew past {bound} nodes")
-        pending.extend(grow_at(leaf))
-        if len(tree.configs) > bound:
-            raise ExtractionError("bound-exceeded",
-                                  f"partial tree grew past {bound} nodes")
-
-    report = validate_tree(atm, params.w, tree, mode="accepting")
-    if not report.ok:
-        raise ExtractionError("witness-not-found",
-                              f"extracted tree fails validation: {report.lines()}")
-    morphism_report = check_morphism_ssl(model, r0, params, tree, pi)
-    if not morphism_report.ok:
-        raise ExtractionError("witness-not-found",
-                              f"morphism check failed: {morphism_report.lines()}")
-    return tree, pi
-
-
-class MorphismReport:
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(passed for _, passed, _ in self.checks)
-
-    def lines(self):
-        out = []
-        for name, passed, detail in self.checks:
-            line = f"{name}: {'pass' if passed else 'fail'}"
-            if not passed and detail is not None:
-                line += f" {detail}"
-            out.append(line)
-        out.append(f"result: {'pass' if self.ok else 'fail'}")
-        return out
+    """Accepting tree and morphism from any model of the machine-encoding
+    formula (see `reduction.grow_tree`)."""
+    return grow_tree(SSL, model, r0, params)
 
 
 def check_morphism_ssl(model, r0, params, tree, pi):
-    """The four anchoring conditions tying tree nodes to model points:
-    root anchoring, cloud-relation preservation, the written-symbol shared
-    variable, and the configuration shared variables."""
-    cat = f_ssl_catalog(params)
-    v = _SslVocab(params, cat)
-    N = params.N
-    checks = []
-
-    checks.append(("root-anchored", pi[tree.root] == r0, pi.get(tree.root)))
-
-    cloud_list = clouds(model)
-    owner = {}
-    for ci, members in enumerate(cloud_list):
-        for w in members:
-            owner[w] = ci
-    induced = set(induced_cloud_relation(model, cloud_list))
-    bad_edge = None
-    for child in tree.nodes():
-        parent = tree.parent[child]
-        if parent is None:
-            continue
-        if (owner[pi[parent]], owner[pi[child]]) not in induced:
-            bad_edge = (parent, child)
-            break
-    checks.append(("edges-preserved", bad_edge is None, bad_edge))
-
-    data = _node_window_data(params, tree)
-    bad_written = None
-    for nid in tree.nodes():
-        if tree.parent[nid] is None:
-            continue
-        if not model.eval(pi[nid], v.alpha_written[data[nid]["written"]]):
-            bad_written = nid
-            break
-    checks.append(("written-symbols", bad_written is None, bad_written))
-
-    bad_config = None
-    for nid in tree.nodes():
-        want = conj([v.b, eq_binary(v.alpha_time, data[nid]["time"]),
-                     eq_binary(v.alpha_pos, data[nid]["pos"]),
-                     v.alpha_state[data[nid]["state"]],
-                     v.alpha_read[data[nid]["read"]]])
-        if not model.eval(pi[nid], want):
-            bad_config = nid
-            break
-    checks.append(("configurations", bad_config is None, bad_config))
-    return MorphismReport(checks)
+    """Root anchoring, edge preservation, the written-symbol shared
+    variable and the configurations (see `reduction.check_morphism`)."""
+    return check_morphism(SSL, model, r0, params, tree, pi)

@@ -1,0 +1,490 @@
+"""Logic-neutral machinery of the two machine reductions: parameters and
+tape-window coordinates, the shared shape of the step relation, the
+counter staircase, and the tree-growing extractor with its morphism check.
+
+Each logic describes its side of the construction in a `Reduction`
+record (vocabulary, named conjuncts, step queries, witness model); the
+functions here take that record and do the rest the same way for both.
+
+The machine encoding views a computation through a tape window
+[0, 2^(N+1)-2] with the head starting at cell 2^N-1, where N = p(n) for
+the size parameter polynomial p and input length n.  Machine-level
+configurations keep the head-at-0 convention; `window_pos` converts.
+"""
+
+from typing import Callable, NamedTuple
+
+from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
+                      disj, eq_vector, eq_binary, rightmost_zero,
+                      rightmost_one, ones)
+from .catalog import VariableCatalog
+from .semantics import BimodalModel, clouds, induced_cloud_relation
+from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
+                  initial_config, apply_entry, node_data, validate_tree)
+
+
+class ExtractionError(RuntimeError):
+    """Raised when a model does not actually support the extraction it was
+    claimed to support.
+
+    kind is one of "extraction-failure" (counter traces),
+    "witness-not-found", or "bound-exceeded"; detail names the failing
+    subformula or step.
+    """
+
+    def __init__(self, kind, detail):
+        super().__init__(f"{kind}: {detail}")
+        self.kind = kind
+        self.detail = detail
+
+
+class ReductionParams:
+    """Machine, size-parameter polynomial, and input word."""
+
+    def __init__(self, atm, poly, w):
+        self.atm = atm
+        self.poly = tuple(poly)
+        if not self.poly or any(c < 0 for c in self.poly):
+            raise ValueError("polynomial coefficients must be natural numbers")
+        self.w = str(w)
+        for a in self.w:
+            if a not in atm.input_symbols:
+                raise ValueError(f"input symbol {a!r} is not in the input alphabet")
+        self.n = len(self.w)
+        self.N = self.poly_eval(self.n)
+        if self.N < self.n or self.N < 1:
+            raise ValueError(f"need p(n) >= max(n, 1), got p({self.n}) = {self.N}")
+
+    def poly_eval(self, x):
+        return sum(c * x ** i for i, c in enumerate(self.poly))
+
+
+def window_offset(N):
+    """Shift from machine head coordinates (start at 0) to window
+    coordinates (start at 2^N - 1)."""
+    return 2 ** N - 1
+
+
+def window_pos(N, machine_pos):
+    return machine_pos + window_offset(N)
+
+
+def witness_data(params, tree):
+    """Window-coordinate node data of a tree a witness model is built from:
+    the tree must be accepting and stay inside the time and tape bounds."""
+    report = validate_tree(params.atm, params.w, tree, mode="accepting")
+    if not report.ok:
+        raise ValueError(f"tree is not accepting: {report.lines()}")
+    N = params.N
+    for v in tree.nodes():
+        d = node_data(tree, v)
+        if d.time > 2 ** N - 1:
+            raise ValueError(f"node {v} exceeds the time bound 2^{N}-1")
+        wpos = window_pos(N, d.pos)
+        if not 0 <= wpos <= 2 ** (N + 1) - 2:
+            raise ValueError(f"node {v} leaves the tape window at cell {wpos}")
+    return _node_window_data(params, tree)
+
+
+def _node_window_data(params, tree):
+    """Window-coordinate node attributes keyed by node id."""
+    N = params.N
+    data = {}
+    for nid in tree.nodes():
+        d = node_data(tree, nid)
+        data[nid] = {
+            "time": d.time,
+            "pos": window_pos(N, d.pos),
+            "state": d.state,
+            "read": d.read,
+            "written": d.written if d.pred is not None else BLANK,
+            "pred": d.pred,
+        }
+    return data
+
+
+# ---------------------------------------------------------------------------
+# Variables.
+
+def family_catalog(params, families):
+    """Atom layout assigning the families in the given order: position
+    families (ending in "pos") get N+1 bits and time families ("time",
+    "tapv") N bits, most significant bit first; state families get one
+    atom per state, symbol families ("written", "read") one per tape
+    symbol, and any other family a single atom."""
+    atm = params.atm
+    N = params.N
+    cat = VariableCatalog()
+    for fam in families:
+        if fam.endswith("_state"):
+            keys = atm.states
+        elif fam.endswith(("_written", "_read")):
+            keys = atm.symbols
+        elif fam.endswith("pos"):
+            keys = range(N, -1, -1)
+        elif fam.endswith(("time", "tapv")):
+            keys = range(N - 1, -1, -1)
+        else:
+            keys = [None]
+        for key in keys:
+            cat.assign_next(fam, key)
+    return cat
+
+
+class Vocabulary:
+    """Shared-variable vectors (alpha_*, each carrier atom wrapped by the
+    logic's shared) and persistent-variable vectors (x_*) common to both
+    encodings.  marker is a formula every configuration point satisfies,
+    or None."""
+
+    marker = None
+
+    def __init__(self, params, cat, shared):
+        self.params = params
+        self.cat = cat
+        self.shared = shared
+        atm = params.atm
+        N = params.N
+        self.alpha_time = self.shared_vector("A_time", N)
+        self.alpha_pos = self.shared_vector("A_pos", N + 1)
+        self.alpha_state = {q: shared(cat.formula("A_state", q))
+                            for q in atm.states}
+        self.alpha_written = {a: shared(cat.formula("A_written", a))
+                              for a in atm.symbols}
+        self.alpha_read = {a: shared(cat.formula("A_read", a))
+                           for a in atm.symbols}
+        self.alpha_state_vec = FormulaVector([self.alpha_state[q] for q in atm.states])
+        self.alpha_written_vec = FormulaVector([self.alpha_written[a] for a in atm.symbols])
+        self.alpha_read_vec = FormulaVector([self.alpha_read[a] for a in atm.symbols])
+
+        self.x_tapv = cat.vector("X_tapv", N)
+        self.x_pos = cat.vector("X_pos", N + 1)
+        self.x_read = {a: cat.formula("X_read", a) for a in atm.symbols}
+        self.x_read_vec = FormulaVector([self.x_read[a] for a in atm.symbols])
+
+    def shared_vector(self, fam, length):
+        """Shared variables over a bit family, most significant bit first."""
+        return FormulaVector([self.shared(self.cat.formula(fam, k))
+                              for k in range(length - 1, -1, -1)])
+
+
+# ---------------------------------------------------------------------------
+# Binary counter: step block and staircase extraction.
+
+def _marked(marker, parts):
+    """Conjunction of parts, led by marker unless it is None."""
+    return conj(([marker] if marker is not None else []) + parts)
+
+
+def counter_move(alpha, x, k, marker=None):
+    """A counter step's L-neighbour, given that bit k is alpha's lowest
+    zero: x holds alpha plus one, and some []-successor has alpha caught
+    up with x."""
+    return _marked(marker, [eq_vector(x, alpha, k), rightmost_one(x, k),
+                            Diamond(eq_vector(x, alpha, -1))])
+
+
+def counter_steps(n, alpha, x, marker=None):
+    """Wherever bit k is alpha's lowest zero, the counter steps on."""
+    return conj([Implies(_marked(marker, [rightmost_zero(alpha, k)]),
+                         L(counter_move(alpha, x, k, marker)))
+                 for k in range(n)])
+
+
+def _l_then_box(model, point, mid, target):
+    """The first pair (x, y), in sorted order, of an L-neighbour x of point
+    satisfying mid and a []-successor y of x satisfying target, or None."""
+    for x in sorted(model.l_successors(point)):
+        if model.eval(x, mid):
+            for y in sorted(model.d_successors(x)):
+                if model.eval(y, target):
+                    return x, y
+    return None
+
+
+def _staircase(model, p0, n, alpha, x, marker=None):
+    """Shared staircase extraction for counter traces.
+
+    From a point satisfying value 0, repeatedly find an L-neighbour whose
+    x-vector shows the incremented value and a []-successor where the
+    shared vector has caught up.  marker, when given, is a formula every
+    staircase point must satisfy (the subset-space class marker B).
+    """
+    def require(point, f, what, step):
+        if not model.eval(point, f):
+            raise ExtractionError("extraction-failure",
+                                  f"step {step}: {what} fails at {point}")
+
+    require(p0, eq_binary(alpha, 0), "initial counter value 0", 0)
+    if marker is not None:
+        require(p0, marker, "class marker at the start", 0)
+
+    p_points = [p0]
+    p_prime_points = []
+    current = p0
+    for m in range(2 ** n - 1):
+        k = min(set(range(n)) - ones(m))
+        move = counter_move(alpha, x, k, marker)
+        landing = _marked(marker, [eq_vector(x, alpha, -1),
+                                   eq_binary(alpha, m + 1)])
+        found = _l_then_box(model, current, move, landing)
+        if found is None:
+            raise ExtractionError(
+                "extraction-failure",
+                f"step {m}: no staircase witness for value {m + 1} from {current}")
+        p_prime_points.append(found[0])
+        p_points.append(found[1])
+        current = found[1]
+    return p_points, p_prime_points
+
+
+# ---------------------------------------------------------------------------
+# The step relation.
+
+def _pos_guard(direction):
+    """Macro locating the bit the head move flips in the old position: a
+    right move carries into the lowest zero, a left move borrows from the
+    lowest one."""
+    return rightmost_zero if direction == RIGHT else rightmost_one
+
+
+def _pos_move(direction):
+    """Macro stating that the new position has the opposite lowest bit at
+    the bit the move flipped."""
+    return rightmost_one if direction == RIGHT else rightmost_zero
+
+
+def entries_left_then_right(atm, q, a):
+    """Transition right-hand sides for (q, a): the left-moving entries
+    first, then the right-moving ones, declaration order within each."""
+    all_entries = atm.delta_for(q, a)
+    return ([e for e in all_entries if e[2] == LEFT]
+            + [e for e in all_entries if e[2] == RIGHT])
+
+
+def everywhere(part):
+    """Conjunct builder for K[]part: the part holds at every point K[]
+    reaches."""
+    return lambda v: K(Box(part(v)))
+
+
+def computation(v, compstep):
+    """The step relation: in every universal configuration all steps
+    (compstep(v, r, theta, direction) for each transition entry) hold, in
+    every existential one some step does."""
+    atm = v.params.atm
+    parts = []
+    for states, join in ((atm.forall, conj), (atm.exists, disj)):
+        for q in states:
+            for a in atm.symbols:
+                steps = [compstep(v, r, b, d)
+                         for r, b, d in entries_left_then_right(atm, q, a)]
+                parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]),
+                                     join(steps)))
+    return conj(parts)
+
+
+# ---------------------------------------------------------------------------
+# One logic's side of the construction.
+
+class Reduction(NamedTuple):
+    """What a logic supplies to the shared generator and extractor.
+
+    conjuncts lists the machine-encoding formula's conjuncts as
+    (name, builder) pairs in formula order, each builder taking the
+    vocabulary; the extractor checks every one but "computation" at the
+    root.  step_query(v, entry, k, l) gives the (mid, target) formulas of
+    one step, given the live time bit k and position bit l: the step's
+    L-neighbour satisfies mid and its []-successor satisfies target.
+    node_check is (name, builder) for the per-node morphism condition,
+    builder(v, data, nid, parent) giving the formula pi(nid) must satisfy.
+    """
+    frame_class: str
+    catalog: Callable
+    vocab: Callable
+    conjuncts: tuple
+    step_query: Callable
+    node_check: tuple
+    build_model: Callable
+    gen_counter: Callable
+    extract_counter: Callable
+
+
+def gen_formula(red, params):
+    """Formula satisfiable exactly when the machine accepts the input: the
+    conjunction of the logic's named conjuncts."""
+    cat = red.catalog(params)
+    v = red.vocab(params, cat)
+    return conj([build(v) for _, build in red.conjuncts]), cat
+
+
+def _reachable_restriction(model, r0):
+    """Submodel on the points reachable from r0 by breadth-first search
+    over both relations; on validated models this is exactly the part the
+    formula constrains."""
+    seen = {r0}
+    queue = [r0]
+    while queue:
+        w = queue.pop(0)
+        for nxt in sorted(model.l_successors(w)) + sorted(model.d_successors(w)):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    worlds = sorted(seen)
+    keep = set(worlds)
+    rel_d = [(a, b) for a, b in model.rel_d if a in keep and b in keep]
+    rel_l = [(a, b) for a, b in model.rel_l if a in keep and b in keep]
+    val = {atom_id: members & keep for atom_id, members in model.valuation.items()}
+    return BimodalModel(worlds, rel_d, rel_l, val,
+                        frame_class=model.frame_class, designated=r0,
+                        is_product=model.is_product)
+
+
+def tree_size_bound(atm, N):
+    """Largest possible partial tree: branching D, height below 2^N."""
+    D = atm.max_branching()
+    depth = 2 ** N
+    if D == 1:
+        return depth
+    return (D ** depth - 1) // (D - 1)
+
+
+def grow_tree(red, model, r0, params):
+    """Rebuild an accepting tree from any model of the machine-encoding
+    formula, growing a partial tree leaf by leaf and keeping a morphism
+    pi from tree nodes to model points (one per cloud)."""
+    model = _reachable_restriction(model, r0)
+    atm = params.atm
+    N = params.N
+    v = red.vocab(params, red.catalog(params))
+
+    for name, build in red.conjuncts:
+        if name != "computation" and not model.eval(r0, build(v)):
+            raise ExtractionError("witness-not-found", name)
+
+    tree = ComputationTree()
+    tree.add_root(initial_config(atm, params.w))
+    pi = {tree.root: r0}
+    bound = tree_size_bound(atm, N)
+
+    def grow_at(leaf):
+        config = tree.configs[leaf]
+        point = pi[leaf]
+        i = tree.depth(leaf)
+        j = window_pos(N, config.head)
+        free = set(range(N)) - ones(i)
+        if not free:
+            raise ExtractionError("witness-not-found",
+                                  f"computation: node at the time bound ({leaf})")
+        k = min(free)
+        entries = entries_left_then_right(atm, config.state, config.read())
+        universal = config.state in atm.forall
+
+        def find_witness(entry):
+            if entry[2] == RIGHT:
+                l_set = set(range(N + 1)) - ones(j)
+            else:
+                l_set = ones(j)
+            if not l_set:
+                return None
+            found = _l_then_box(model, point,
+                                *red.step_query(v, entry, k, min(l_set)))
+            return None if found is None else found[1]
+
+        added = []
+        seen_configs = set()
+        for entry in entries:
+            y = find_witness(entry)
+            if y is None:
+                if universal:
+                    raise ExtractionError(
+                        "witness-not-found",
+                        f"computation: compstep for {entry} at node {leaf}")
+                continue
+            nxt = apply_entry(config, entry)
+            if nxt.key() in seen_configs:
+                continue
+            seen_configs.add(nxt.key())
+            child = tree.add_child(leaf, nxt)
+            pi[child] = y
+            added.append(child)
+            if not universal:
+                break
+        if not added:
+            raise ExtractionError(
+                "witness-not-found",
+                f"computation: no applicable step at node {leaf}")
+        return added
+
+    pending = [tree.root]
+    while pending:
+        leaf = pending.pop(0)
+        state = tree.configs[leaf].state
+        if state == atm.accept:
+            continue
+        if state == atm.reject:
+            raise ExtractionError("witness-not-found",
+                                  f"no_reject: node {leaf} rejects")
+        pending.extend(grow_at(leaf))
+        if len(tree.configs) > bound:
+            raise ExtractionError("bound-exceeded",
+                                  f"partial tree grew past {bound} nodes")
+
+    report = validate_tree(atm, params.w, tree, mode="accepting")
+    if not report.ok:
+        raise ExtractionError("witness-not-found",
+                              f"extracted tree fails validation: {report.lines()}")
+    morphism_report = check_morphism(red, model, r0, params, tree, pi)
+    if not morphism_report.ok:
+        raise ExtractionError("witness-not-found",
+                              f"morphism check failed: {morphism_report.lines()}")
+    return tree, pi
+
+
+def check_morphism(red, model, r0, params, tree, pi):
+    """The four anchoring conditions tying tree nodes to model clouds:
+    root anchoring, cloud-relation preservation, the logic's per-node
+    condition on every non-root node, and the configuration shared
+    variables."""
+    v = red.vocab(params, red.catalog(params))
+    checks = [Check("root-anchored", pi[tree.root] == r0, pi.get(tree.root))]
+
+    cloud_list = clouds(model)
+    owner = {}
+    for ci, members in enumerate(cloud_list):
+        for w in members:
+            owner[w] = ci
+    induced = set(induced_cloud_relation(model, cloud_list))
+    bad_edge = None
+    for child in tree.nodes():
+        parent = tree.parent[child]
+        if parent is None:
+            continue
+        if (owner[pi[parent]], owner[pi[child]]) not in induced:
+            bad_edge = (parent, child)
+            break
+    checks.append(Check("edges-preserved", bad_edge is None, bad_edge))
+
+    data = _node_window_data(params, tree)
+    name, node_formula = red.node_check
+    bad_node = None
+    for nid in tree.nodes():
+        parent = tree.parent[nid]
+        if parent is None:
+            continue
+        if not model.eval(pi[nid], node_formula(v, data, nid, parent)):
+            bad_node = nid
+            break
+    checks.append(Check(name, bad_node is None, bad_node))
+
+    bad_config = None
+    for nid in tree.nodes():
+        want = _marked(v.marker, [eq_binary(v.alpha_time, data[nid]["time"]),
+                                  eq_binary(v.alpha_pos, data[nid]["pos"]),
+                                  v.alpha_state[data[nid]["state"]],
+                                  v.alpha_read[data[nid]["read"]]])
+        if not model.eval(pi[nid], want):
+            bad_config = nid
+            break
+    checks.append(Check("configurations", bad_config is None, bad_config))
+    return Report(checks)

@@ -41,6 +41,10 @@ class BimodalModel:
 
     def __init__(self, worlds, rel_d, rel_l, valuation,
                  frame_class=None, designated=None, is_product=False):
+        worlds = tuple(worlds)
+        for w in worlds:
+            if not isinstance(w, str):
+                raise ValueError(f"world ids must be strings, got {w!r}")
         self.worlds = tuple(sorted(worlds))
         if len(set(self.worlds)) != len(self.worlds):
             raise ValueError("duplicate world ids")
@@ -204,15 +208,6 @@ def clouds(model):
         raise ValueError(f"rel_l is not an equivalence relation "
                          f"(not {name}: {_named(model, bad)})")
     return [tuple(model._names(block)) for block in blocks]
-
-
-def cloud_of(model, point, cloud_list=None):
-    if cloud_list is None:
-        cloud_list = clouds(model)
-    for c in cloud_list:
-        if point in c:
-            return c
-    raise KeyError(f"unknown world {point!r}")
 
 
 def induced_cloud_relation(model, cloud_list=None):

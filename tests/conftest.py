@@ -26,11 +26,28 @@ def flipped(model, flips):
     persistent along [] stay so and the frame keeps its class."""
     valuation = {a: set(s) for a, s in model.valuation.items()}
     for atom, w in flips:
-        members = valuation[atom]
-        if w in members:
-            members -= {a for a, b in model.rel_d if b == w} | {w}
-        else:
-            members |= set(model.d_successors(w)) | {w}
+        _pin(model, valuation[atom], w, w not in valuation[atom])
+    return _revalued(model, valuation)
+
+
+def pinned(model, atoms, worlds, value):
+    """Copy of model with every atom in atoms set to value at every world
+    in worlds, closed along [] as in `flipped`."""
+    valuation = {a: set(s) for a, s in model.valuation.items()}
+    for atom in atoms:
+        for w in worlds:
+            _pin(model, valuation[atom], w, value)
+    return _revalued(model, valuation)
+
+
+def _pin(model, members, w, value):
+    if value:
+        members |= set(model.d_successors(w)) | {w}
+    else:
+        members -= {a for a, b in model.rel_d if b == w} | {w}
+
+
+def _revalued(model, valuation):
     return BimodalModel(model.worlds, model.rel_d, model.rel_l, valuation,
                         frame_class=model.frame_class,
                         designated=model.designated,

@@ -147,6 +147,21 @@ def test_trees_label_equal(m1):
     assert not trees_label_equal(t1, t3)
 
 
+def test_trees_label_equal_on_a_long_path():
+    def path_tree(length, last_state):
+        tree = am.ComputationTree()
+        v = tree.add_root(am.Configuration("q0", 0, {}))
+        for i in range(1, length):
+            state = last_state if i == length - 1 else "q0"
+            v = tree.add_child(v, am.Configuration(state, i, {}))
+        return tree
+
+    tree = path_tree(5000, "qacc")
+    assert am.trees_label_equal(tree, path_tree(5000, "qacc"))
+    assert not am.trees_label_equal(tree, path_tree(5000, "qrej"))
+    assert not am.trees_label_equal(tree, path_tree(4999, "qacc"))
+
+
 def test_save_load_tree_round_trip(m1):
     tree = find_accepting_tree(m1, "ab", 7)
     text = save_tree(tree)

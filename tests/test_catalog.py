@@ -14,7 +14,7 @@ def test_assign_and_lookup():
     assert cat.atom("B") == 0
     assert cat.atom("A", 1) == 2
     assert cat.formula("A", 0) is fm.Atom(1)
-    assert cat.name_of(2) == ("A", 1)
+    assert ("A", 1, 2) in cat.entries()
     assert len(cat) == 3
 
 

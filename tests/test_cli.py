@@ -147,6 +147,31 @@ def test_atm_run_and_extract_tree(tmp_path, capsys, m1_path):
     assert am.trees_label_equal(extracted, reference)
 
 
+SCANNER = """symbols: # a
+input: a
+states: q0 qacc qrej
+exists: q0
+forall:
+accept: qacc
+reject: qrej
+init: q0
+delta: q0 # -> q0 # R
+delta: q0 a -> q0 a R
+"""
+
+
+def test_atm_run_long_scan_reports_no_acceptance(tmp_path, capsys):
+    # a machine that scans right forever: the search descends once per
+    # unit of fuel
+    machine = tmp_path / "scan.atm"
+    machine.write_text(SCANNER)
+    code, out, err = run(capsys, "atm", "run", "--atm", str(machine),
+                         "--w", "a", "--fuel", "5000")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["accepts: fail", "result: fail"]
+    assert "does not accept" in err
+
+
 def test_extract_trace(tmp_path, capsys):
     model_file = tmp_path / "model.txt"
     from bimodal.red_ssl import build_counter_ssl_model

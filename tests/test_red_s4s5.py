@@ -9,8 +9,9 @@ from bimodal import formula as fm
 from bimodal import atm as am
 from bimodal import red_s4s5
 from bimodal.formula import (And, K, Box, L, Diamond, Implies, conj,
-                             eq_vector, rightmost_zero, rightmost_one)
-from bimodal.semantics import validate, S4S5_PRODUCT, BimodalModel
+                             eq_vector, eq_binary, rightmost_zero,
+                             rightmost_one)
+from bimodal.semantics import validate, clouds, S4S5_PRODUCT, BimodalModel
 from bimodal.red_ssl import ReductionParams, ExtractionError
 from bimodal.red_s4s5 import (counter_catalog_s4s5, gen_counter_s4s5,
                               build_counter_s4s5_model,
@@ -18,7 +19,7 @@ from bimodal.red_s4s5 import (counter_catalog_s4s5, gen_counter_s4s5,
                               gen_f_s4s5, build_f_s4s5_model,
                               extract_accepting_tree_s4s5,
                               check_morphism_s4s5)
-from tests.conftest import M1_PATH, mutants
+from tests.conftest import M1_PATH, mutants, pinned
 
 
 def decode_counter(model, point, cat, n):
@@ -131,6 +132,36 @@ def test_f_s4s5_extraction_flags_wrong_start(s4s5_setup):
     assert err.value.kind == "witness-not-found"
 
 
+def test_f_s4s5_extraction_flags_missing_edge(s4s5_setup):
+    params, f, cat, tree, model, p0 = s4s5_setup
+    # drop every L-edge out of the designated point except the loop
+    rel_l = [(a, b) for a, b in model.rel_l
+             if not (a == p0 and b != p0) and not (b == p0 and a != p0)]
+    broken = BimodalModel(model.worlds, model.rel_d, rel_l, model.valuation,
+                          frame_class=model.frame_class, designated=p0,
+                          is_product=True)
+    with pytest.raises(ExtractionError) as err:
+        extract_accepting_tree_s4s5(broken, p0, params)
+    assert err.value.kind == "witness-not-found"
+    assert err.value.detail == "computation: no applicable step at node 0"
+
+
+def test_f_s4s5_morphism_report_lines(s4s5_setup):
+    params, f, cat, tree, model, p0 = s4s5_setup
+    extracted, pi = extract_accepting_tree_s4s5(model, p0, params)
+    assert check_morphism_s4s5(model, p0, params, extracted, pi).lines() == [
+        "root-anchored: pass", "edges-preserved: pass",
+        "prevpos-and-written: pass", "configurations: pass", "result: pass"]
+    # node 3 is a leaf under node 1; the root's cloud is not below node 1's
+    assert extracted.parent[3] == 1
+    moved = dict(pi)
+    moved[3] = p0
+    assert check_morphism_s4s5(model, p0, params, extracted, moved).lines() == [
+        "root-anchored: pass", "edges-preserved: fail (1, 3)",
+        "prevpos-and-written: fail 3", "configurations: fail 3",
+        "result: fail"]
+
+
 def test_extractions_agree_across_logics(m1_module):
     from bimodal.red_ssl import gen_f_ssl, build_f_ssl_model, \
         extract_accepting_tree_ssl
@@ -190,8 +221,17 @@ def test_step_encoding_matches_cubic_reference(m1_module, monkeypatch, w, poly):
     witness, p0 = build_f_s4s5_model(params, tree)
     # product witness models are small enough to flip every atom singly
     carriers = [a for _, _, a in cat.entries()]
-    models = [witness] + mutants(witness, random.Random(f"{w}/{params.N}"),
-                                 carriers)
+    # every position bit set at one point, or cleared in one whole cloud:
+    # a cloud whose alpha_pos is all ones (all zeros) has no position
+    # guard for a right (left) move
+    pos_bits = [a for fam, _, a in cat.entries() if fam == "A_pos"]
+    extremes = ([pinned(witness, pos_bits, [p], True) for p in witness.worlds]
+                + [pinned(witness, pos_bits, cloud, False)
+                   for cloud in clouds(witness)])
+    for value in (0, 2 ** (params.N + 1) - 1):
+        assert any(m.sat_set(eq_binary(v.alpha_pos, value)) for m in extremes)
+    models = ([witness] + mutants(witness, random.Random(f"{w}/{params.N}"),
+                                  carriers) + extremes)
     step_sets = set()
     for model in models:
         assert validate(model, S4S5_PRODUCT).ok

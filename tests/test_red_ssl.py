@@ -8,9 +8,9 @@ import pytest
 from bimodal import formula as fm
 from bimodal import atm as am
 from bimodal import red_ssl
-from bimodal.formula import (Atom, L, Diamond, Implies, conj, eq_vector,
-                             rightmost_zero, rightmost_one)
-from bimodal.semantics import validate, CROSS_AXIOM
+from bimodal.formula import (Atom, And, L, Diamond, Implies, conj, eq_vector,
+                             eq_binary, rightmost_zero, rightmost_one)
+from bimodal.semantics import validate, clouds, CROSS_AXIOM
 from bimodal.red_ssl import (ReductionParams, ExtractionError,
                              counter_catalog, gen_counter_ssl,
                              build_counter_ssl_model, extract_counter_trace,
@@ -18,7 +18,7 @@ from bimodal.red_ssl import (ReductionParams, ExtractionError,
                              extract_accepting_tree_ssl, check_morphism_ssl,
                              entries_left_then_right, window_offset,
                              window_pos, tree_size_bound)
-from tests.conftest import mutants
+from tests.conftest import mutants, pinned
 
 
 def decode_counter(model, point, cat, n):
@@ -183,6 +183,21 @@ def test_f_ssl_extraction_flags_missing_edge(ssl_setup):
         extract_accepting_tree_ssl(broken, p0, params)
 
 
+def test_f_ssl_morphism_report_lines(ssl_setup):
+    params, f, cat, tree, model, p0 = ssl_setup
+    extracted, pi = extract_accepting_tree_ssl(model, p0, params)
+    assert check_morphism_ssl(model, p0, params, extracted, pi).lines() == [
+        "root-anchored: pass", "edges-preserved: pass",
+        "written-symbols: pass", "configurations: pass", "result: pass"]
+    # node 3 is a leaf under node 1; the root's cloud is not below node 1's
+    assert extracted.parent[3] == 1
+    moved = dict(pi)
+    moved[3] = p0
+    assert check_morphism_ssl(model, p0, params, extracted, moved).lines() == [
+        "root-anchored: pass", "edges-preserved: fail (1, 3)",
+        "written-symbols: fail 3", "configurations: fail 3", "result: fail"]
+
+
 def test_rejecting_word_has_no_witness_tree(m1_module):
     # the machine rejects 'b...' runs that hit qrej; but every input here
     # is accepted, so instead check that the tree search bound matters
@@ -243,8 +258,19 @@ def test_step_encoding_matches_cubic_reference(m1_module, monkeypatch, w, poly):
     witness, p0 = build_f_ssl_model(params, tree)
     # the persistent X vectors are what the step reads inside the L
     carriers = [a for fam, _, a in cat.entries() if fam.startswith("X_")]
-    models = [witness] + mutants(witness, random.Random(f"{w}/{params.N}"),
-                                 carriers)
+    # every position bit set at one B point, or cleared in one whole
+    # cloud: a cloud whose alpha_pos is all ones (all zeros) has no
+    # position guard for a right (left) move
+    pos_bits = [a for fam, _, a in cat.entries() if fam == "A_pos"]
+    extremes = ([pinned(witness, pos_bits, [p], True)
+                 for p in sorted(witness.valuation[cat.atom("B")])]
+                + [pinned(witness, pos_bits, cloud, False)
+                   for cloud in clouds(witness)])
+    for value in (0, 2 ** (params.N + 1) - 1):
+        assert any(m.sat_set(And(v.b, eq_binary(v.alpha_pos, value)))
+                   for m in extremes)
+    models = ([witness] + mutants(witness, random.Random(f"{w}/{params.N}"),
+                                  carriers) + extremes)
     step_sets = set()
     for model in models:
         assert validate(model, CROSS_AXIOM).ok

@@ -5,7 +5,7 @@ import pytest
 
 from bimodal import formula as fm
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond
-from bimodal.semantics import (BimodalModel, validate, clouds, cloud_of,
+from bimodal.semantics import (BimodalModel, validate, clouds,
                                induced_cloud_relation, product_point,
                                product_model, save_model, load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
@@ -116,8 +116,14 @@ def test_clouds_and_induced_relation(two_cloud_model):
     m = two_cloud_model
     cloud_list = clouds(m)
     assert [sorted(c) for c in cloud_list] == [["a0", "a1"], ["b0", "b1"]]
-    assert cloud_of(m, "b1", cloud_list) == ("b0", "b1")
+    assert cloud_list[1] == ("b0", "b1")
     assert induced_cloud_relation(m, cloud_list) == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_world_ids_must_be_strings():
+    # save_model and load_model read and write worlds as names
+    with pytest.raises(ValueError, match="must be strings"):
+        BimodalModel([0, 1], [(0, 0)], [(0, 0)], {0: {0}})
 
 
 def test_product_model_construction():
