@@ -221,6 +221,8 @@ def _sat(args):
     else:
         report.append("verdict: unsat-within-bound")
         report.append(f"max-points: {verdict.max_points}")
+    report.append(f"frames: {verdict.frames}")
+    report.append(f"candidates: {verdict.candidates}")
     _conclude(report, True)
 
 

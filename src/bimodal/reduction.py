@@ -18,6 +18,7 @@ from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
                       disj, eq_vector, eq_binary, rightmost_zero,
                       rightmost_one, ones)
 from .catalog import VariableCatalog
+from . import relations
 from .semantics import BimodalModel, clouds, induced_cloud_relation
 from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
                   initial_config, apply_entry, node_data, validate_tree)
@@ -28,8 +29,9 @@ class ExtractionError(RuntimeError):
     claimed to support.
 
     kind is one of "extraction-failure" (counter traces),
-    "witness-not-found", or "bound-exceeded"; detail names the failing
-    subformula or step.
+    "witness-not-found", "bound-exceeded", or "invalid-frame" (rel_l is
+    not an equivalence); detail names the failing subformula, step, or
+    property and worlds.
     """
 
     def __init__(self, kind, detail):
@@ -354,6 +356,11 @@ def grow_tree(red, model, r0, params):
     formula, growing a partial tree leaf by leaf and keeping a morphism
     pi from tree nodes to model points (one per cloud)."""
     model = _reachable_restriction(model, r0)
+    _, failure = relations.classes(model._succ_l)
+    if failure is not None:
+        name, bad = failure
+        worlds = " ".join(model.worlds[i] for i in bad)
+        raise ExtractionError("invalid-frame", f"l-{name} fails at {worlds}")
     atm = params.atm
     N = params.N
     v = red.vocab(params, red.catalog(params))

@@ -116,14 +116,21 @@ def classes(succ):
     raise AssertionError("relation is an equivalence but failed the class scan")
 
 
-def eval_masks(f, succ_d, succ_l, atom_masks, n, cache):
+def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     """Mask of the points among n where f holds: rel_d (succ_d) interprets
     [], rel_l (succ_l) interprets K, and atom_masks maps atom ids to masks.
     cache maps subformulas to masks; it is filled in place and may be
-    reused across calls on the same relations and valuation."""
+    reused across calls on the same relations and valuation.
+
+    A lane other than 1 packs many valuations of the same frame into each
+    mask: lane has bit v*n set for every valuation v, whose points are
+    bits v*n .. v*n+n-1 of each atom mask and of the result.  A modal step
+    then works on all valuations at once: shifting a mask down by j moves
+    point j's truth value to bit 0 of every lane, and point i keeps the
+    lanes where all its successors hold."""
     if f in cache:
         return cache[f]
-    full = (1 << n) - 1
+    full = lane * ((1 << n) - 1)
     stack = [f]
     while stack:
         t = stack[-1]
@@ -149,11 +156,19 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache):
             cache[t] = full & ~cache[left]
         else:
             succ = succ_l if kind == KMOD else succ_d
-            miss = full & ~cache[left]
+            body = cache[left]
             v = 0
-            for i in range(n):
-                if not succ[i] & miss:
-                    v |= 1 << i
+            if lane == 1:
+                miss = full & ~body
+                for i in range(n):
+                    if not succ[i] & miss:
+                        v |= 1 << i
+            else:
+                for i, row in enumerate(succ):
+                    box = lane
+                    for j in bits(row):
+                        box &= body >> j
+                    v |= box << i
             cache[t] = v
         stack.pop()
     return cache[f]

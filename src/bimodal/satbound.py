@@ -4,16 +4,29 @@ Enumerates every model with up to a fixed number of points over the atoms
 of the query formula, in a fixed canonical order: world count ascending,
 then the L-relation as a set partition (restricted-growth strings in
 lexicographic order), then the []-relation from the cached list of
-transitive relations, then the valuation.  The first satisfying model is
-returned; a negative answer is only "unsatisfiable within the bound".
+transitive relations, then the valuation in itertools.product order over
+the masks an atom may take, the first atom varying slowest.  Products
+run over factor shapes by total size, then preorders on the first factor
+and partitions on the second.  The first satisfying model is returned; a
+negative answer is only "unsatisfiable within the bound".
 
-Candidate evaluation works directly on relation bitmasks, so no model
-object is built until a hit is found; the hit is then rebuilt as a
-validated model.
+All valuations of a frame are evaluated together.  On an m-point frame,
+lane v of a packed mask (bits v*m .. v*m+m-1) holds valuation number v,
+so one relations.eval_masks call over packed atom masks answers every
+valuation at once.  The lowest set bit of the packed result is the first
+valuation in canonical order and its first point, so the order and the
+first hit are those of a one-valuation-at-a-time walk, and the candidate
+ceiling still counts valuations tried.  A frame's valuations come in
+chunks of at most LANES lanes: the fastest-varying atoms fill a chunk and
+the slower ones are fixed per chunk.
+
+No model object is built until a hit is found; the hit is then rebuilt
+as a validated model.
 """
 
 import itertools
 import os
+from functools import lru_cache
 
 from .formula import atoms as formula_atoms
 from . import relations
@@ -26,6 +39,10 @@ DEFAULT_MAX_POINTS = 4
 DEFAULT_MAX_ATOMS = 3
 DEFAULT_MAX_CANDIDATES = 50_000_000
 
+# Most valuations one packed evaluation covers; bounds the width of the
+# packed masks whatever the atom ceiling.
+LANES = 4096
+
 ENV_MAX_POINTS = "SATBOUND_MAX_POINTS"
 ENV_MAX_ATOMS = "SATBOUND_MAX_ATOMS"
 ENV_MAX_CANDIDATES = "SATBOUND_MAX_CANDIDATES"
@@ -37,15 +54,19 @@ class ResourceCapError(RuntimeError):
 
 
 class SatVerdict:
-    """Either Sat(model, point) or UnsatWithinBound(max_points, max_atoms)."""
+    """Either Sat(model, point) or UnsatWithinBound(max_points, max_atoms),
+    with the number of frames visited and valuations tried (up to and
+    including the hit)."""
 
     def __init__(self, satisfiable, model=None, point=None,
-                 max_points=None, max_atoms=None):
+                 max_points=None, max_atoms=None, frames=0, candidates=0):
         self.satisfiable = satisfiable
         self.model = model
         self.point = point
         self.max_points = max_points
         self.max_atoms = max_atoms
+        self.frames = frames
+        self.candidates = candidates
 
     def __repr__(self):
         if self.satisfiable:
@@ -128,26 +149,57 @@ def _preorders(m):
 _frame_cache = {}
 
 
-def _frames(frame_class, m):
-    """Valid (succ_l, succ_d) frame pairs for the class, canonical order."""
+def _frame_groups(frame_class, m):
+    """Valid frames of the class on m points in canonical order, as
+    (succ_l, [succ_d, ...], factors) groups: one group per partition, or
+    for products one per frame with factors its (succ1, succ2) (None for
+    the other classes).  Grouping keeps one reference per frame rather
+    than a pair.  Products come by first factor size, then preorders on
+    the first factor and partitions on the second."""
     key = (frame_class, m)
     if key in _frame_cache:
         return _frame_cache[key]
-    need_reflexive = frame_class in (CROSS_AXIOM, S4S5_COMMUTATOR)
-    need_right = frame_class in (S4S5_COMMUTATOR, K4S5_COMMUTATOR)
-    rel_ds = _preorders(m) if need_reflexive else _transitive_relations(m)
-    out = []
-    for blocks in _set_partitions(m):
-        succ_l = _partition_succ(blocks, m)
-        for succ_d in rel_ds:
-            if relations.commutes(succ_d, succ_l, succ_l, succ_d) is not None:
+    if frame_class == S4S5_PRODUCT:
+        out = []
+        for m1 in range(1, m + 1):
+            if m % m1:
                 continue
-            if need_right and relations.commutes(
-                    succ_l, succ_d, succ_d, succ_l) is not None:
-                continue
-            out.append((succ_l, succ_d))
+            for succ1 in _preorders(m1):
+                m2 = m // m1
+                for blocks in _set_partitions(m2):
+                    succ2 = _partition_succ(blocks, m2)
+                    # product point (v, x) -> index v * m2 + x
+                    succ_d = [0] * m
+                    succ_l = [0] * m
+                    for v in range(m1):
+                        for x in range(m2):
+                            i = v * m2 + x
+                            for j in bits(succ1[v]):
+                                succ_d[i] |= 1 << (j * m2 + x)
+                            for j in bits(succ2[x]):
+                                succ_l[i] |= 1 << (v * m2 + j)
+                    out.append((succ_l, [succ_d], (succ1, succ2)))
+    else:
+        need_reflexive = frame_class in (CROSS_AXIOM, S4S5_COMMUTATOR)
+        need_right = frame_class in (S4S5_COMMUTATOR, K4S5_COMMUTATOR)
+        rel_ds = _preorders(m) if need_reflexive else _transitive_relations(m)
+        out = []
+        for blocks in _set_partitions(m):
+            succ_l = _partition_succ(blocks, m)
+            out.append((succ_l, [
+                succ_d for succ_d in rel_ds
+                if relations.commutes(succ_d, succ_l, succ_l, succ_d) is None
+                and not (need_right and relations.commutes(
+                    succ_l, succ_d, succ_d, succ_l) is not None)], None))
     _frame_cache[key] = out
     return out
+
+
+def _frames(frame_class, m):
+    """Valid (succ_l, succ_d) frame pairs for the class, canonical order."""
+    return [(succ_l, succ_d)
+            for succ_l, succ_ds, _ in _frame_groups(frame_class, m)
+            for succ_d in succ_ds]
 
 
 _persistent_cache = {}
@@ -157,8 +209,9 @@ def _persistent_masks(succ_d):
     """Valuation masks closed under the []-relation (atom persistence)."""
     key = tuple(succ_d)
     if key not in _persistent_cache:
-        _persistent_cache[key] = [mask for mask in range(1 << len(succ_d))
-                                  if relations.closed(succ_d, mask) is None]
+        _persistent_cache[key] = tuple(
+            mask for mask in range(1 << len(succ_d))
+            if relations.closed(succ_d, mask) is None)
     return _persistent_cache[key]
 
 
@@ -175,6 +228,102 @@ def _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index):
                  for a, mask in atom_masks.items()}
     return BimodalModel(names, rel_d, rel_l, valuation,
                         frame_class=frame_class, designated=names[point_index])
+
+
+def _build_product(succ1, succ2, atom_masks, point_index):
+    """The candidate as the product of its factors."""
+    m2 = len(succ2)
+    frame1 = (list(range(len(succ1))), _pairs(succ1))
+    frame2 = (list(range(m2)), _pairs(succ2))
+    valuation = {a: {divmod(i, m2) for i in bits(mask)}
+                 for a, mask in atom_masks.items()}
+    return product_model(frame1, frame2, valuation,
+                         designated=divmod(point_index, m2))
+
+
+def _hit_model(frame_class, succ_l, succ_d, factors, atom_masks, point_index):
+    """The hit as a validated model."""
+    if factors is None:
+        model = _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index)
+    else:
+        model = _build_product(*factors, atom_masks, point_index)
+    report = validate(model, frame_class)
+    if not report.ok:
+        raise AssertionError(
+            f"enumerated frame failed validation: {report.lines()}")
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Valuations packed into lanes.
+
+def _repeat(x, width, count):
+    """x copied into count consecutive fields of width bits."""
+    return x * (((1 << width * count) - 1) // ((1 << width) - 1))
+
+
+# Bounded: there is an entry per distinct atom range, and cross-axiom
+# frames have one per preorder.
+@lru_cache(maxsize=2048)
+def _lanes(allowed, k, m):
+    """(lane, fast) for the valuations of k atoms over allowed on m
+    points.  The last len(fast) atoms vary fastest and fill one chunk of
+    len(allowed) ** len(fast) <= LANES lanes: lane has bit v*m set for
+    each lane v, and fast holds those atoms' packed masks."""
+    b = len(allowed)
+    j = 0
+    while j < k and b ** (j + 1) <= LANES:
+        j += 1
+    fast = []
+    for t in range(j):
+        run = b ** (j - 1 - t)
+        block = 0
+        for d, mask in enumerate(allowed):
+            block |= _repeat(mask, m, run) << (d * run * m)
+        fast.append(_repeat(block, b * run * m, b ** t))
+    return _repeat(1, m, b ** j), fast
+
+
+def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
+    """The one search loop: the first (frame, valuation, point) in
+    canonical order where f holds, counting the valuations tried against
+    max_candidates exactly as a one-at-a-time walk would."""
+    k = len(atom_ids)
+    frames = candidates = 0
+    for m in range(1, max_points + 1):
+        every = range(1 << m)
+        for succ_l, succ_ds, factors in _frame_groups(frame_class, m):
+            for succ_d in succ_ds:
+                frames += 1
+                allowed = (_persistent_masks(succ_d)
+                           if frame_class == CROSS_AXIOM else every)
+                lane, fast = _lanes(allowed, k, m)
+                width = len(allowed) ** len(fast)
+                for slow in itertools.product(allowed, repeat=k - len(fast)):
+                    masks = [mask * lane for mask in slow] + fast
+                    atom_masks = dict(zip(atom_ids, masks))
+                    hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {},
+                                     lane)
+                    left = max_candidates - candidates
+                    if width > left:
+                        hit &= (1 << max(left, 0) * m) - 1
+                    if hit:
+                        v, point = divmod((hit & -hit).bit_length() - 1, m)
+                        valuation = {a: mask >> v * m & (1 << m) - 1
+                                     for a, mask in atom_masks.items()}
+                        model = _hit_model(frame_class, succ_l, succ_d,
+                                           factors, valuation, point)
+                        return SatVerdict(True, model=model,
+                                          point=model.designated,
+                                          frames=frames,
+                                          candidates=candidates + v + 1)
+                    if width > left:
+                        raise ResourceCapError(
+                            f"exceeded the enumeration ceiling of "
+                            f"{max_candidates} candidates")
+                    candidates += width
+    return SatVerdict(False, max_points=max_points, max_atoms=max_atoms,
+                      frames=frames, candidates=candidates)
 
 
 def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
@@ -196,81 +345,5 @@ def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
     if len(atom_ids) > max_atoms:
         raise ResourceCapError(
             f"formula has {len(atom_ids)} atoms, ceiling is {max_atoms}")
-
-    if frame_class == S4S5_PRODUCT:
-        return _bounded_sat_product(f, atom_ids, max_points, max_atoms,
-                                    max_candidates)
-
-    budget = max_candidates
-    for m in range(1, max_points + 1):
-        all_masks = list(range(1 << m))
-        for succ_l, succ_d in _frames(frame_class, m):
-            if frame_class == CROSS_AXIOM:
-                allowed = _persistent_masks(succ_d)
-            else:
-                allowed = all_masks
-            for combo in itertools.product(allowed, repeat=len(atom_ids)):
-                budget -= 1
-                if budget < 0:
-                    raise ResourceCapError(
-                        f"exceeded the enumeration ceiling of {max_candidates} candidates")
-                atom_masks = dict(zip(atom_ids, combo))
-                hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {})
-                if hit:
-                    point = bits(hit)[0]
-                    model = _build_hit(frame_class, succ_l, succ_d,
-                                       atom_masks, point)
-                    report = validate(model, frame_class)
-                    if not report.ok:
-                        raise AssertionError(
-                            f"enumerated frame failed validation: {report.lines()}")
-                    return SatVerdict(True, model=model, point=model.designated)
-    return SatVerdict(False, max_points=max_points, max_atoms=max_atoms)
-
-
-def _bounded_sat_product(f, atom_ids, max_points, max_atoms, max_candidates):
-    """Product-class search over factor pairs: preorders on the first
-    factor, partitions on the second, ordered by total size."""
-    shapes = sorted((m1 * m2, m1, m2)
-                    for m1 in range(1, max_points + 1)
-                    for m2 in range(1, max_points + 1)
-                    if m1 * m2 <= max_points)
-    budget = max_candidates
-    for m, m1, m2 in shapes:
-        for succ1 in _preorders(m1):
-            for blocks in _set_partitions(m2):
-                succ2 = _partition_succ(blocks, m2)
-                # product point (v, x) -> index v * m2 + x
-                succ_d = [0] * m
-                succ_l = [0] * m
-                for v in range(m1):
-                    for x in range(m2):
-                        i = v * m2 + x
-                        for j in bits(succ1[v]):
-                            succ_d[i] |= 1 << (j * m2 + x)
-                        for j in bits(succ2[x]):
-                            succ_l[i] |= 1 << (v * m2 + j)
-                for combo in itertools.product(range(1 << m),
-                                               repeat=len(atom_ids)):
-                    budget -= 1
-                    if budget < 0:
-                        raise ResourceCapError(
-                            f"exceeded the enumeration ceiling of {max_candidates} candidates")
-                    atom_masks = dict(zip(atom_ids, combo))
-                    hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {})
-                    if hit:
-                        point = bits(hit)[0]
-                        v, x = divmod(point, m2)
-                        frame1 = (list(range(m1)), _pairs(succ1))
-                        frame2 = (list(range(m2)), _pairs(succ2))
-                        valuation = {a: {divmod(i, m2) for i in bits(mask)}
-                                     for a, mask in atom_masks.items()}
-                        model = product_model(frame1, frame2, valuation,
-                                              designated=(v, x))
-                        report = validate(model, S4S5_PRODUCT)
-                        if not report.ok:
-                            raise AssertionError(
-                                f"enumerated product failed validation: {report.lines()}")
-                        return SatVerdict(True, model=model,
-                                          point=model.designated)
-    return SatVerdict(False, max_points=max_points, max_atoms=max_atoms)
+    return _search(f, frame_class, atom_ids, max_points, max_atoms,
+                   max_candidates)

@@ -109,6 +109,20 @@ def test_sat_reports_verdict(tmp_path, capsys):
     assert report_dict(out)["verdict"] == "unsat-within-bound"
 
 
+def test_sat_reports_frames_and_candidates(tmp_path, capsys):
+    # products on at most two points: one frame on one point, two with
+    # a two-point second factor and four with a two-point first factor;
+    # one atom has 2 valuations on one point and 4 on two
+    formula_file = tmp_path / "f.txt"
+    formula_file.write_text("(x0 & !x0)\n")
+    code, out, _ = run(capsys, "sat", "--formula", str(formula_file),
+                       "--class", "s4s5-product", "--bound", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "command: sat", "class: s4s5-product", "verdict: unsat-within-bound",
+        "max-points: 2", "frames: 7", "candidates: 26", "result: pass"]
+
+
 @pytest.mark.parametrize("frame_class", ["cross-axiom", "k4s5-commutator"])
 def test_sat_model_file_checks_in_its_class(tmp_path, capsys, frame_class):
     formula_file = tmp_path / "f.txt"

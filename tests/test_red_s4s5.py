@@ -146,6 +146,21 @@ def test_f_s4s5_extraction_flags_missing_edge(s4s5_setup):
     assert err.value.detail == "computation: no applicable step at node 0"
 
 
+def test_f_s4s5_extraction_names_a_broken_l_relation(s4s5_setup):
+    params, f, cat, tree, model, p0 = s4s5_setup
+    # without one L pair the relation is no longer symmetric; extraction
+    # stops before growing the tree and names the pair left behind
+    a, b = min((x, y) for x, y in model.rel_l if x != y)
+    broken = BimodalModel(model.worlds, model.rel_d, model.rel_l - {(a, b)},
+                          model.valuation, frame_class=model.frame_class,
+                          designated=p0,
+                          is_product=True)
+    with pytest.raises(ExtractionError) as err:
+        extract_accepting_tree_s4s5(broken, p0, params)
+    assert err.value.kind == "invalid-frame"
+    assert err.value.detail == f"l-symmetric fails at {b} {a}"
+
+
 def test_f_s4s5_morphism_report_lines(s4s5_setup):
     params, f, cat, tree, model, p0 = s4s5_setup
     extracted, pi = extract_accepting_tree_s4s5(model, p0, params)

@@ -183,6 +183,21 @@ def test_f_ssl_extraction_flags_missing_edge(ssl_setup):
         extract_accepting_tree_ssl(broken, p0, params)
 
 
+def test_f_ssl_extraction_names_a_broken_l_relation(ssl_setup):
+    params, f, cat, tree, model, p0 = ssl_setup
+    from bimodal.semantics import BimodalModel
+    # without one L pair the relation is no longer symmetric; extraction
+    # stops before growing the tree and names the pair left behind
+    a, b = min((x, y) for x, y in model.rel_l if x != y)
+    broken = BimodalModel(model.worlds, model.rel_d, model.rel_l - {(a, b)},
+                          model.valuation, frame_class=model.frame_class,
+                          designated=p0)
+    with pytest.raises(ExtractionError) as err:
+        extract_accepting_tree_ssl(broken, p0, params)
+    assert err.value.kind == "invalid-frame"
+    assert err.value.detail == f"l-symmetric fails at {b} {a}"
+
+
 def test_f_ssl_morphism_report_lines(ssl_setup):
     params, f, cat, tree, model, p0 = ssl_setup
     extracted, pi = extract_accepting_tree_ssl(model, p0, params)

@@ -282,3 +282,25 @@ def test_sat_set_matches_reference_evaluator():
             expected = sorted(model.worlds[i]
                               for i in ref_sat_set(f, n, rel_d, rel_l, valuation))
             assert model.sat_set(f) == expected
+
+
+def test_packed_lanes_match_reference_evaluator():
+    # lane v of each packed mask holds valuation v; every lane of the
+    # result is the sat set of f under that valuation
+    rng = random.Random(8)
+    for _ in range(60):
+        n, rel_d, rel_l, _ = random_model(rng)
+        succ_d = [sum(1 << j for j in range(n) if (i, j) in rel_d) for i in range(n)]
+        succ_l = [sum(1 << j for j in range(n) if (i, j) in rel_l) for i in range(n)]
+        valuations = [{a: {i for i in range(n) if rng.random() < 0.5}
+                       for a in range(3)} for _ in range(rng.randint(2, 9))]
+        lane = sum(1 << v * n for v in range(len(valuations)))
+        packed = {a: sum(sum(1 << v * n + i for i in val[a])
+                         for v, val in enumerate(valuations))
+                  for a in range(3)}
+        for _ in range(5):
+            f = random_formula(rng, 4)
+            got = relations.eval_masks(f, succ_d, succ_l, packed, n, {}, lane)
+            for v, val in enumerate(valuations):
+                assert ({i for i in range(n) if got >> v * n + i & 1}
+                        == ref_sat_set(f, n, rel_d, rel_l, val))
