@@ -78,8 +78,9 @@ def build_counter_ssl_model(n):
     u_points = [(i, k) for i in range(top + 1) for k in range(n)]
     s_points = [(i, k) for i in range(top) for k in ones(i)]
 
-    worlds = ([_p(i, j) for i, j in p_points] + [_u(i, k) for i, k in u_points]
-              + [_s(i, k) for i, k in s_points])
+    worlds, bit = _sorted_bits(
+        [_p(i, j) for i, j in p_points] + [_u(i, k) for i, k in u_points]
+        + [_s(i, k) for i, k in s_points])
 
     cloud_members = {i: [] for i in range(top + 1)}
     for i, j in p_points:
@@ -89,21 +90,24 @@ def build_counter_ssl_model(n):
     for i, k in s_points:
         cloud_members[i].append(_s(i, k))
 
-    rel_l = [(a, b) for members in cloud_members.values()
-             for a in members for b in members]
-
-    rel_d = []
-    for i, j in p_points:
-        for i2 in range(i, j + 1):
-            rel_d.append((_p(i, j), _p(i2, j)))
-    for i, k in u_points:
-        for i2 in range(i, top + 1):
-            rel_d.append((_u(i, k), _u(i2, k)))
-        for i2 in range(i, top):
-            if k in ones(i2):
-                rel_d.append((_u(i, k), _s(i2, k)))
+    # p_i_j sees p_i'_j for i <= i' <= j; u_i_k sees u_i'_k for i' >= i
+    # and s_i'_k where bit k of i' is set; each row is the next one's plus
+    # its own point, so the rows build up from the top
+    succ_d = {}
+    for j in range(top):
+        row = 0
+        for i in range(j, -1, -1):
+            row |= bit[_p(i, j)]
+            succ_d[_p(i, j)] = row
+    for k in range(n):
+        row = 0
+        for i in range(top, -1, -1):
+            if i < top and k in ones(i):
+                row |= bit[_s(i, k)]
+            row |= bit[_u(i, k)]
+            succ_d[_u(i, k)] = row
     for i, k in s_points:
-        rel_d.append((_s(i, k), _s(i, k)))
+        succ_d[_s(i, k)] = bit[_s(i, k)]
 
     cat = counter_catalog(n)
     valuation = {cat.atom("B"): {_p(i, j) for i, j in p_points}}
@@ -112,9 +116,36 @@ def build_counter_ssl_model(n):
                                        | {_s(i, k2) for i, k2 in s_points if k2 == k})
         valuation[cat.atom("X", k)] = {_p(i, j) for i, j in p_points if k in ones(j)}
 
-    model = BimodalModel(worlds, rel_d, rel_l, valuation,
-                         frame_class=CROSS_AXIOM, designated=_p(0, 0))
-    return model, _p(0, 0)
+    return _witness(worlds, bit, cloud_members.values(), succ_d, valuation,
+                    _p(0, 0))
+
+
+def _sorted_bits(names):
+    """The sorted worlds of names and the bit of each name among them."""
+    worlds = tuple(sorted(names))
+    return worlds, {w: 1 << i for i, w in enumerate(worlds)}
+
+
+def _union(bit, names):
+    mask = 0
+    for w in names:
+        mask |= bit[w]
+    return mask
+
+
+def _witness(worlds, bit, clouds, succ_d, valuation, designated):
+    """The cross-axiom witness on worlds whose L-classes are clouds, given
+    each world's []-row and each atom's worlds by name, and the designated
+    world."""
+    succ_l = {}
+    for members in clouds:
+        row = _union(bit, members)
+        succ_l.update((w, row) for w in members)
+    model = BimodalModel.from_rows(
+        worlds, [succ_d[w] for w in worlds], [succ_l[w] for w in worlds],
+        {a: _union(bit, members) for a, members in valuation.items()},
+        frame_class=CROSS_AXIOM, designated=designated)
+    return model, designated
 
 
 def extract_counter_trace(model, p0, n):
@@ -326,8 +357,9 @@ def build_f_ssl_model(params, tree):
     u_points = [(v, i) for v in nodes + [TOPV] for i in idx_set]
     s_points = [(v, i) for v in nodes for i in s_indices(v)]
 
-    worlds = ([_pw(v, x) for v, x in p_points] + [_uw(v, i) for v, i in u_points]
-              + [_sw(v, i) for v, i in s_points])
+    worlds, bit = _sorted_bits(
+        [_pw(v, x) for v, x in p_points] + [_uw(v, i) for v, i in u_points]
+        + [_sw(v, i) for v, i in s_points])
 
     cloud = {v: [] for v in nodes + [TOPV]}
     for v, x in p_points:
@@ -336,26 +368,30 @@ def build_f_ssl_model(params, tree):
         cloud[v].append(_uw(v, i))
     for v, i in s_points:
         cloud[v].append(_sw(v, i))
-    rel_l = [(a, b) for members in cloud.values() for a in members for b in members]
 
-    desc = {v: [y for y in nodes if v in ancestors[y]] for v in nodes}
+    # p_v_x sees p_v'_x for v' between v and x on x's path; u_v_i sees
+    # u_v'_i and s_v'_i for every descendant v' of v, and the final
+    # cloud's u_T_i.  Rows build up from x towards the root, and from the
+    # leaves (larger node ids) up.
     s_present = set(s_points)
-    rel_d = []
-    for v, x in p_points:
-        for v2 in ancestors[x]:
-            if v in ancestors[v2]:
-                rel_d.append((_pw(v, x), _pw(v2, x)))
-    for v, i in u_points:
-        if v == TOPV:
-            rel_d.append((_uw(v, i), _uw(v, i)))
-            continue
-        for v2 in desc[v]:
-            rel_d.append((_uw(v, i), _uw(v2, i)))
-            if (v2, i) in s_present:
-                rel_d.append((_uw(v, i), _sw(v2, i)))
-        rel_d.append((_uw(v, i), _uw(TOPV, i)))
+    succ_d = {}
+    for x in nodes:
+        row = 0
+        for v in reversed(ancestors[x]):
+            row |= bit[_pw(v, x)]
+            succ_d[_pw(v, x)] = row
+    for i in idx_set:
+        top = _uw(TOPV, i)
+        succ_d[top] = bit[top]
+        for v in reversed(nodes):
+            row = bit[_uw(v, i)] | bit[top]
+            if (v, i) in s_present:
+                row |= bit[_sw(v, i)]
+            for child in tree.children[v]:
+                row |= succ_d[_uw(child, i)]
+            succ_d[_uw(v, i)] = row
     for v, i in s_points:
-        rel_d.append((_sw(v, i), _sw(v, i)))
+        succ_d[_sw(v, i)] = bit[_sw(v, i)]
 
     valuation = {cat.atom("B"): {_pw(v, x) for v, x in p_points}}
     for fam, key in idx_set:
@@ -375,11 +411,8 @@ def build_f_ssl_model(params, tree):
         valuation[cat.atom("X_read", a)] = {
             _pw(v, x) for v, x in p_points if data[x]["read"] == a}
 
-    root = tree.root
-    designated = _pw(root, root)
-    model = BimodalModel(worlds, rel_d, rel_l, valuation,
-                         frame_class=CROSS_AXIOM, designated=designated)
-    return model, designated
+    return _witness(worlds, bit, cloud.values(), succ_d, valuation,
+                    _pw(tree.root, tree.root))
 
 
 # ---------------------------------------------------------------------------

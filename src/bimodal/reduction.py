@@ -19,7 +19,9 @@ from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
                       rightmost_one, ones)
 from .catalog import VariableCatalog
 from . import relations
-from .semantics import BimodalModel, clouds, induced_cloud_relation
+from .relations import bits
+from .semantics import (BimodalModel, clouds, induced_cloud_relation,
+                        submodel_rows)
 from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
                   initial_config, apply_entry, node_data, validate_tree)
 
@@ -321,25 +323,20 @@ def gen_formula(red, params):
 
 
 def _reachable_restriction(model, r0):
-    """Submodel on the points reachable from r0 by breadth-first search
-    over both relations; on validated models this is exactly the part the
-    formula constrains."""
-    seen = {r0}
-    queue = [r0]
-    while queue:
-        w = queue.pop(0)
-        for nxt in sorted(model.l_successors(w)) + sorted(model.d_successors(w)):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    worlds = sorted(seen)
-    keep = set(worlds)
-    rel_d = [(a, b) for a, b in model.rel_d if a in keep and b in keep]
-    rel_l = [(a, b) for a, b in model.rel_l if a in keep and b in keep]
-    val = {atom_id: members & keep for atom_id, members in model.valuation.items()}
-    return BimodalModel(worlds, rel_d, rel_l, val,
-                        frame_class=model.frame_class, designated=r0,
-                        is_product=model.is_product)
+    """Submodel on the points reachable from r0 over both relations; on
+    validated models this is exactly the part the formula constrains."""
+    seen = frontier = 1 << model.index[r0]
+    while frontier:
+        reach = 0
+        for i in bits(frontier):
+            reach |= model._succ_l[i] | model._succ_d[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    worlds, succ_d, succ_l, move = submodel_rows(model, seen)
+    atom_masks = {a: move(mask) for a, mask in model._atom_masks.items()}
+    return BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
+                                  frame_class=model.frame_class, designated=r0,
+                                  is_product=model.is_product)
 
 
 def tree_size_bound(atm, N):

@@ -88,6 +88,60 @@ def closed(succ, mask):
     return None
 
 
+def constant(succ, masks):
+    """First (k, i, j) with i -> j and masks[k] holding at exactly one of
+    i and j: k is the first such mask and (i, j) its first such pair.
+
+    Every mask is constant along succ exactly when each row lies inside
+    the set of points holding the same masks as its own point, so for many
+    masks one pass over the rows decides them all; the masks are scanned
+    one by one only when there is a counterexample to name."""
+    if len(masks) > 1:
+        column = [0] * len(succ)
+        for k, mask in enumerate(masks):
+            for i in bits(mask):
+                column[i] |= 1 << k
+        alike = {}
+        for i, c in enumerate(column):
+            alike[c] = alike.get(c, 0) | 1 << i
+        if all(not row & ~alike[column[i]] for i, row in enumerate(succ)):
+            return None
+    full = (1 << len(succ)) - 1
+    for k, mask in enumerate(masks):
+        lost = closed(succ, mask)
+        gained = closed(succ, full & ~mask)
+        if lost or gained:
+            return (k,) + min(b for b in (lost, gained) if b)
+    return None
+
+
+def index_runs(targets):
+    """A partial injective map of point indices, given as each point's
+    target or None, as runs (lo, ones, dest) for `remap`: the points lo,
+    lo + 1, ... (the set bits of ones, shifted up by lo) go to dest,
+    dest + 1, ...  A map that keeps the order of long stretches of points,
+    such as adding or dropping a few points of a sorted world list, has
+    few runs."""
+    runs = []
+    start = shift = None
+    for i, t in enumerate(list(targets) + [None]):
+        if start is not None and t is not None and t - i == shift:
+            continue
+        if start is not None:
+            runs.append((start, (1 << (i - start)) - 1, start + shift))
+        start, shift = (None, None) if t is None else (i, t - i)
+    return runs
+
+
+def remap(mask, runs):
+    """mask with every point carried to its target under `index_runs`;
+    points without a target are dropped."""
+    out = 0
+    for lo, ones, dest in runs:
+        out |= (mask >> lo & ones) << dest
+    return out
+
+
 def classes(succ):
     """Equivalence classes of succ as masks, in order of their smallest
     member, paired with None; or None paired with the first failing

@@ -33,7 +33,7 @@ from . import relations
 from .relations import bits, eval_masks
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
                         K4S5_COMMUTATOR, S4S5_PRODUCT, FRAME_CLASSES,
-                        validate, product_model)
+                        validate, product_from_rows)
 
 DEFAULT_MAX_POINTS = 4
 DEFAULT_MAX_ATOMS = 3
@@ -206,39 +206,43 @@ _persistent_cache = {}
 
 
 def _persistent_masks(succ_d):
-    """Valuation masks closed under the []-relation (atom persistence)."""
+    """Valuation masks constant along the []-relation (atom persistence:
+    an atom keeps its value both ways along every []-step), that is the
+    masks closed under it whose complement is closed too."""
     key = tuple(succ_d)
     if key not in _persistent_cache:
+        full = (1 << len(succ_d)) - 1
+        closed = {mask for mask in range(full + 1)
+                  if relations.closed(succ_d, mask) is None}
         _persistent_cache[key] = tuple(
-            mask for mask in range(1 << len(succ_d))
-            if relations.closed(succ_d, mask) is None)
+            mask for mask in range(full + 1)
+            if mask in closed and full ^ mask in closed)
     return _persistent_cache[key]
 
 
-def _pairs(succ):
-    return [(i, j) for i, row in enumerate(succ) for j in bits(row)]
-
-
 def _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index):
-    """The candidate as a model whose worlds are named "0", "1", ..."""
-    names = [str(i) for i in range(len(succ_d))]
-    rel_d = [(names[i], names[j]) for i, j in _pairs(succ_d)]
-    rel_l = [(names[i], names[j]) for i, j in _pairs(succ_l)]
-    valuation = {a: {names[i] for i in bits(mask)}
-                 for a, mask in atom_masks.items()}
-    return BimodalModel(names, rel_d, rel_l, valuation,
-                        frame_class=frame_class, designated=names[point_index])
+    """The candidate as a model whose worlds are named "0", "1", ...;
+    from 11 points on, the sorted names are not in index order."""
+    m = len(succ_d)
+    names = [str(i) for i in range(m)]
+    order = sorted(range(m), key=names.__getitem__)
+    targets = [0] * m
+    for pos, i in enumerate(order):
+        targets[i] = pos
+    runs = relations.index_runs(targets)
+    return BimodalModel.from_rows(
+        [names[i] for i in order],
+        [relations.remap(succ_d[i], runs) for i in order],
+        [relations.remap(succ_l[i], runs) for i in order],
+        {a: relations.remap(mask, runs) for a, mask in atom_masks.items()},
+        frame_class=frame_class, designated=names[point_index])
 
 
 def _build_product(succ1, succ2, atom_masks, point_index):
     """The candidate as the product of its factors."""
-    m2 = len(succ2)
-    frame1 = (list(range(len(succ1))), _pairs(succ1))
-    frame2 = (list(range(m2)), _pairs(succ2))
-    valuation = {a: {divmod(i, m2) for i in bits(mask)}
-                 for a, mask in atom_masks.items()}
-    return product_model(frame1, frame2, valuation,
-                         designated=divmod(point_index, m2))
+    return product_from_rows(range(len(succ1)), succ1, range(len(succ2)), succ2,
+                             {a: bits(mask) for a, mask in atom_masks.items()},
+                             point_index)
 
 
 def _hit_model(frame_class, succ_l, succ_d, factors, atom_masks, point_index):

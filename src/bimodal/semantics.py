@@ -1,15 +1,23 @@
 """Finite bimodal Kripke models, frame-class validation, and model checking.
 
-A model carries a finite world set, two binary relations (rel_d for the
-[]-modality, rel_l for the K-modality), and a valuation.  Relations are
-stored as explicit pair sets; reflexive pairs are stored explicitly, with
-no implicit closure, so validators observe exactly the raw data.
+A model is its sorted world list, two relations as row bitmasks over it
+(`_succ_d` interprets [], `_succ_l` interprets K; bit j of row i means
+world i -> world j) and one bitmask of worlds per atom.  The rows are the
+model: every producer in the package builds them directly and hands them
+to `BimodalModel.from_rows`.  Pairs are a derived view: `rel_d`, `rel_l`
+and `valuation` are read-only sets and maps computed from the rows on
+demand, and the pair-set constructor is a thin entry for callers holding
+pairs, which converts them to rows once.  Reflexive pairs are stored
+explicitly, with no implicit closure, so validators observe exactly the
+raw data.
 
 Evaluation computes, per distinct subformula, the set of worlds where it
 holds as a bitmask over the sorted world list.  The per-model cache is
 keyed by subformula identity, so repeated checks are cheap even for very
 large generated formulas.
 """
+
+from collections.abc import Mapping, Set
 
 from .formula import Formula
 from . import relations
@@ -28,54 +36,166 @@ _RIGHT_COMMUTATIVE = {S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT}
 _PERSISTENT_ATOMS = {CROSS_AXIOM}
 
 
-def _rows(index, pairs):
-    """Row bitmasks of a relation given as pairs of indexed worlds."""
-    succ = [0] * len(index)
-    for a, b in pairs:
-        succ[index[a]] |= 1 << index[b]
-    return succ
+class PairView(Set):
+    """Read-only set of the (world, world) pairs of one relation, derived
+    from its rows: len is a popcount, membership an index lookup, and
+    iteration runs in sorted pair order.  Set operators return
+    frozensets."""
+
+    __slots__ = ("_worlds", "_index", "_rows")
+
+    def __init__(self, worlds, index, rows):
+        self._worlds = worlds
+        self._index = index
+        self._rows = rows
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self):
+        return sum(row.bit_count() for row in self._rows)
+
+    def __contains__(self, pair):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        try:
+            i, j = self._index[pair[0]], self._index[pair[1]]
+        except (TypeError, KeyError):
+            return False
+        return bool(self._rows[i] >> j & 1)
+
+    def __iter__(self):
+        worlds = self._worlds
+        for i, row in enumerate(self._rows):
+            a = worlds[i]
+            for j in bits(row):
+                yield a, worlds[j]
+
+    def __repr__(self):
+        return f"PairView({list(self)!r})"
+
+
+class ValuationView(Mapping):
+    """Read-only map from atom ids to the frozenset of worlds where each
+    holds, derived from the atom masks."""
+
+    __slots__ = ("_worlds", "_masks")
+
+    def __init__(self, worlds, masks):
+        self._worlds = worlds
+        self._masks = masks
+
+    def __getitem__(self, atom_id):
+        worlds = self._worlds
+        return frozenset(worlds[j] for j in bits(self._masks[atom_id]))
+
+    def __iter__(self):
+        return iter(self._masks)
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __repr__(self):
+        return f"ValuationView({dict(self)!r})"
+
+
+def _world_id(w):
+    if not isinstance(w, str):
+        raise ValueError(f"world ids must be strings, got {w!r}")
+    return w
+
+
+def _named_rows(worlds, rel_d, rel_l, valuation):
+    """Sorted worlds, rows and atom masks of a model given by world names,
+    pairs of names and sets of names."""
+    worlds = tuple(sorted(worlds, key=_world_id))
+    index = {w: i for i, w in enumerate(worlds)}
+    rows = []
+    for rel in (rel_d, rel_l):
+        succ = [0] * len(worlds)
+        for a, b in rel:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown world")
+            succ[i] |= 1 << j
+        rows.append(succ)
+    atom_masks = {}
+    for atom_id, members in valuation.items():
+        mask = 0
+        for w in members:
+            if w not in index:
+                raise ValueError(f"valuation of atom {atom_id} mentions unknown world {w!r}")
+            mask |= 1 << index[w]
+        atom_masks[atom_id] = mask
+    return worlds, rows[0], rows[1], atom_masks
 
 
 class BimodalModel:
-    """Immutable finite bimodal model."""
+    """Immutable finite bimodal model: relation rows and atom masks over
+    the sorted worlds."""
 
     def __init__(self, worlds, rel_d, rel_l, valuation,
                  frame_class=None, designated=None, is_product=False):
-        worlds = tuple(worlds)
-        for w in worlds:
-            if not isinstance(w, str):
-                raise ValueError(f"world ids must be strings, got {w!r}")
-        self.worlds = tuple(sorted(worlds))
-        if len(set(self.worlds)) != len(self.worlds):
-            raise ValueError("duplicate world ids")
-        self.index = {w: i for i, w in enumerate(self.worlds)}
-        for a, b in list(rel_d) + list(rel_l):
-            if a not in self.index or b not in self.index:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown world")
-        self.rel_d = frozenset(rel_d)
-        self.rel_l = frozenset(rel_l)
-        self.valuation = {}
-        for atom_id, members in valuation.items():
-            members = frozenset(members)
-            for w in members:
-                if w not in self.index:
-                    raise ValueError(f"valuation of atom {atom_id} mentions unknown world {w!r}")
-            self.valuation[atom_id] = members
+        """The model given by world names, relation pairs of names and a
+        map from atom ids to sets of names; the pairs are converted to
+        rows once."""
+        self._init(*_named_rows(worlds, rel_d, rel_l, valuation),
+                   frame_class, designated, is_product)
+
+    @classmethod
+    def from_rows(cls, worlds, succ_d, succ_l, atom_masks,
+                  frame_class=None, designated=None, is_product=False):
+        """The model on worlds, distinct strings in ascending order, with
+        relation rows succ_d and succ_l (bit j of row i: world i -> world
+        j) and atom_masks mapping atom ids to masks of worlds.  Every
+        model the package builds is built here."""
+        model = cls.__new__(cls)
+        model._init(worlds, succ_d, succ_l, atom_masks,
+                    frame_class, designated, is_product)
+        return model
+
+    def _init(self, worlds, succ_d, succ_l, atom_masks,
+              frame_class, designated, is_product):
+        worlds = tuple(map(_world_id, worlds))
+        for a, b in zip(worlds, worlds[1:]):
+            if a >= b:
+                raise ValueError("duplicate world ids" if a == b
+                                 else "worlds are not in ascending order")
+        limit = 1 << len(worlds)
+        succ_d, succ_l = tuple(succ_d), tuple(succ_l)
+        for name, rows in (("d", succ_d), ("l", succ_l)):
+            if len(rows) != len(worlds) or not all(0 <= r < limit for r in rows):
+                raise ValueError(f"{name} rows do not fit {len(worlds)} worlds")
+        atom_masks = dict(atom_masks)
+        for atom_id, mask in atom_masks.items():
+            if not 0 <= mask < limit:
+                raise ValueError(f"mask of atom {atom_id} does not fit {len(worlds)} worlds")
+        self.worlds = worlds
+        self.index = {w: i for i, w in enumerate(worlds)}
         if designated is not None and designated not in self.index:
             raise ValueError(f"designated world {designated!r} unknown")
+        self._succ_d = succ_d
+        self._succ_l = succ_l
+        self._atom_masks = atom_masks
         self.frame_class = frame_class
         self.designated = designated
         self.is_product = is_product
-
-        self._succ_d = _rows(self.index, self.rel_d)
-        self._succ_l = _rows(self.index, self.rel_l)
-        self._atom_masks = {}
-        for atom_id, members in self.valuation.items():
-            m = 0
-            for w in members:
-                m |= 1 << self.index[w]
-            self._atom_masks[atom_id] = m
         self._mask_cache = {}
+
+    # -- pair views --------------------------------------------------------
+
+    @property
+    def rel_d(self):
+        return PairView(self.worlds, self.index, self._succ_d)
+
+    @property
+    def rel_l(self):
+        return PairView(self.worlds, self.index, self._succ_l)
+
+    @property
+    def valuation(self):
+        return ValuationView(self.worlds, self._atom_masks)
 
     # -- evaluation --------------------------------------------------------
 
@@ -99,13 +219,30 @@ class BimodalModel:
         """Sorted list of worlds satisfying f."""
         return self._names(self._mask(f))
 
-    # -- relation views ----------------------------------------------------
+    # -- successors --------------------------------------------------------
 
     def d_successors(self, w):
         return self._names(self._succ_d[self.index[w]])
 
     def l_successors(self, w):
         return self._names(self._succ_l[self.index[w]])
+
+
+def submodel_rows(model, keep):
+    """Worlds and relation rows of the submodel on the worlds in the mask
+    keep, with a function carrying masks of the model to it."""
+    kept = bits(keep)
+    targets = [None] * len(model.worlds)
+    for new, old in enumerate(kept):
+        targets[old] = new
+    runs = relations.index_runs(targets)
+
+    def move(mask):
+        return relations.remap(mask, runs)
+
+    return (tuple(model.worlds[i] for i in kept),
+            [move(model._succ_d[i]) for i in kept],
+            [move(model._succ_l[i]) for i in kept], move)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +321,15 @@ def validate(model, frame_class):
 
 
 def _persistence(model):
-    """First (atom, w, v) with the atom true at w and false at its
-    []-successor v, over the atoms in the valuation."""
-    for atom_id in sorted(model._atom_masks):
-        bad = relations.closed(model._succ_d, model._atom_masks[atom_id])
-        if bad is not None:
-            return (atom_id,) + _named(model, bad)
-    return None
+    """First (atom, w, v) with w -[]-> v and the atom true at exactly one
+    of them, over the atoms in the valuation, in sorted (w, v) order.  An
+    atom is a property of the point alone and [] only shrinks the
+    neighbourhood, so atoms are constant along [] both ways: one that is
+    lost and one that is gained both fail."""
+    atom_ids = sorted(model._atom_masks)
+    bad = relations.constant(model._succ_d,
+                             [model._atom_masks[a] for a in atom_ids])
+    return None if bad is None else (atom_ids[bad[0]],) + _named(model, bad[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +341,49 @@ def clouds(model):
     Classes are sorted tuples, listed in order of their smallest member.
     Raises ValueError when rel_l is not an equivalence relation.
     """
+    return [tuple(model._names(block)) for block in _cloud_masks(model)]
+
+
+def _cloud_masks(model):
     blocks, failure = relations.classes(model._succ_l)
     if failure is not None:
         name, bad = failure
         raise ValueError(f"rel_l is not an equivalence relation "
                          f"(not {name}: {_named(model, bad)})")
-    return [tuple(model._names(block)) for block in blocks]
+    return blocks
+
+
+def cloud_steps(succ_d, blocks):
+    """For each cloud mask in blocks, the ascending indices of the clouds
+    some member reaches in one []-step."""
+    owner = {}
+    for c, block in enumerate(blocks):
+        for i in bits(block):
+            owner[i] = c
+    out = []
+    for block in blocks:
+        reach = 0
+        for i in bits(block):
+            reach |= succ_d[i]
+        found = []
+        while reach:
+            c = owner[(reach & -reach).bit_length() - 1]
+            found.append(c)
+            reach &= ~blocks[c]
+        out.append(sorted(found))
+    return out
 
 
 def induced_cloud_relation(model, cloud_list=None):
     """Pairs (i, j) of cloud indices such that some member of cloud i has a
     rel_d successor in cloud j."""
     if cloud_list is None:
-        cloud_list = clouds(model)
-    owner = {}
-    for ci, members in enumerate(cloud_list):
-        for w in members:
-            owner[w] = ci
-    pairs = set()
-    for a, b in model.rel_d:
-        pairs.add((owner[a], owner[b]))
-    return sorted(pairs)
+        blocks = _cloud_masks(model)
+    else:
+        blocks = [sum(1 << model.index[w] for w in members)
+                  for members in cloud_list]
+    return [(i, j) for i, steps in enumerate(cloud_steps(model._succ_d, blocks))
+            for j in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +400,39 @@ def product_model(frame1, frame2, valuation, designated=None):
     explicitly.  Worlds of the product are "v|x" strings.  The valuation
     maps atom ids to sets of (v, x) pairs.
     """
-    worlds1, rel1 = frame1
-    worlds2, rel2 = frame2
-    worlds1 = sorted(worlds1)
-    worlds2 = sorted(worlds2)
-    rel1 = set(rel1)
-    rel2 = set(rel2)
-    for which, names, rel, checks in (
-            ("first", worlds1, rel1, (relations.reflexive, relations.transitive)),
-            ("second", worlds2, rel2, (relations.reflexive, relations.symmetric,
-                                       relations.transitive))):
-        succ = _rows({w: i for i, w in enumerate(names)}, rel)
+    factors = []
+    for worlds, rel in (frame1, frame2):
+        worlds = sorted(worlds)
+        index = {w: i for i, w in enumerate(worlds)}
+        succ = [0] * len(worlds)
+        for a, b in rel:
+            succ[index[a]] |= 1 << index[b]
+        factors.append((worlds, index, succ))
+    (worlds1, index1, succ1), (worlds2, index2, succ2) = factors
+    m2 = len(worlds2)
+
+    def cell(v, x, error):
+        if v in index1 and x in index2:
+            return index1[v] * m2 + index2[x]
+        raise ValueError(error.format(product_point(v, x)))
+
+    cells = {atom_id: [cell(v, x, f"valuation of atom {atom_id} mentions "
+                                  "unknown world {!r}") for v, x in members]
+             for atom_id, members in valuation.items()}
+    des = (None if designated is None
+           else cell(*designated, "designated world {!r} unknown"))
+    return product_from_rows(worlds1, succ1, worlds2, succ2, cells, des)
+
+
+def product_from_rows(worlds1, succ1, worlds2, succ2, cells, designated=None):
+    """Product of a preorder succ1 on the sorted worlds1 with an
+    equivalence succ2 on the sorted worlds2.  Cell v * len(worlds2) + x is
+    the point "v|x" of the v-th and x-th factor worlds; cells maps atom ids
+    to the cells where they hold and designated is a cell or None."""
+    for which, names, succ, checks in (
+            ("first", worlds1, succ1, (relations.reflexive, relations.transitive)),
+            ("second", worlds2, succ2, (relations.reflexive, relations.symmetric,
+                                        relations.transitive))):
         for check in checks:
             bad = check(succ)
             if bad is not None:
@@ -257,35 +440,62 @@ def product_model(frame1, frame2, valuation, designated=None):
                 raise ValueError(f"{which} frame is not {check.__name__} at "
                                  f"{at[0] if len(at) == 1 else at!r}")
 
-    worlds = [product_point(v, x) for v in worlds1 for x in worlds2]
-    rel_d = [(product_point(a, x), product_point(b, x))
-             for a, b in rel1 for x in worlds2]
-    rel_l = [(product_point(v, a), product_point(v, b))
-             for v in worlds1 for a, b in rel2]
-    val = {atom_id: {product_point(v, x) for v, x in members}
-           for atom_id, members in valuation.items()}
-    des = product_point(*designated) if designated is not None else None
-    return BimodalModel(worlds, rel_d, rel_l, val,
-                        frame_class=S4S5_PRODUCT, designated=des, is_product=True)
+    m2 = len(worlds2)
+    names = [product_point(v, x) for v in worlds1 for x in worlds2]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    where = [0] * len(names)
+    for pos, c in enumerate(order):
+        where[c] = pos
+    bit = [1 << where[c] for c in range(len(names))]
+    succ_d = [0] * len(names)
+    succ_l = [0] * len(names)
+    for v, row1 in enumerate(succ1):
+        above = [u * m2 for u in bits(row1)]
+        base = v * m2
+        cloud = {}
+        for x, row2 in enumerate(succ2):
+            row = 0
+            for u in above:
+                row |= bit[u + x]
+            succ_d[where[base + x]] = row
+            # an equivalence has one row per class
+            if row2 not in cloud:
+                row = 0
+                for y in bits(row2):
+                    row |= bit[base + y]
+                cloud[row2] = row
+            succ_l[where[base + x]] = cloud[row2]
+    atom_masks = {}
+    for atom_id, members in cells.items():
+        mask = 0
+        for c in members:
+            mask |= bit[c]
+        atom_masks[atom_id] = mask
+    return BimodalModel.from_rows(
+        [names[c] for c in order], succ_d, succ_l, atom_masks,
+        frame_class=S4S5_PRODUCT, is_product=True,
+        designated=None if designated is None else names[designated])
 
 
 # ---------------------------------------------------------------------------
 # Line-based model dump with bit-exact round trip.
 
 def save_model(model):
+    """The model as text: header lines, then worlds, relation pairs and
+    atoms in sorted order (rows in index order are the sorted pairs)."""
     lines = []
     if model.frame_class is not None:
         lines.append(f"class {model.frame_class}")
     if model.designated is not None:
         lines.append(f"designated {model.designated}")
-    for w in model.worlds:
-        lines.append(f"world {w}")
-    for a, b in sorted(model.rel_d):
-        lines.append(f"d {a} {b}")
-    for a, b in sorted(model.rel_l):
-        lines.append(f"l {a} {b}")
-    for atom_id in sorted(model.valuation):
-        members = " ".join(sorted(model.valuation[atom_id]))
+    worlds = model.worlds
+    lines.extend(f"world {w}" for w in worlds)
+    for head, rows in (("d", model._succ_d), ("l", model._succ_l)):
+        for i, row in enumerate(rows):
+            prefix = f"{head} {worlds[i]} "
+            lines.extend([prefix + worlds[j] for j in bits(row)])
+    for atom_id in sorted(model._atom_masks):
+        members = " ".join(worlds[j] for j in bits(model._atom_masks[atom_id]))
         lines.append(f"val {atom_id} {members}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -298,25 +508,25 @@ def load_model(text):
     frame_class = None
     designated = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         head = parts[0]
-        if head == "class" and len(parts) == 2:
-            frame_class = parts[1]
-        elif head == "designated" and len(parts) == 2:
-            designated = parts[1]
-        elif head == "world" and len(parts) == 2:
-            worlds.append(parts[1])
-        elif head == "d" and len(parts) == 3:
+        if head == "d" and len(parts) == 3:
             rel_d.append((parts[1], parts[2]))
         elif head == "l" and len(parts) == 3:
             rel_l.append((parts[1], parts[2]))
+        elif head == "world" and len(parts) == 2:
+            worlds.append(parts[1])
         elif head == "val" and len(parts) >= 2:
             valuation[int(parts[1])] = set(parts[2:])
+        elif head == "class" and len(parts) == 2:
+            frame_class = parts[1]
+        elif head == "designated" and len(parts) == 2:
+            designated = parts[1]
         else:
             raise ValueError(f"bad model line {lineno}: {raw!r}")
-    return BimodalModel(worlds, rel_d, rel_l, valuation,
-                        frame_class=frame_class, designated=designated,
-                        is_product=(frame_class == S4S5_PRODUCT))
+    return BimodalModel.from_rows(
+        *_named_rows(worlds, rel_d, rel_l, valuation),
+        frame_class=frame_class, designated=designated,
+        is_product=(frame_class == S4S5_PRODUCT))

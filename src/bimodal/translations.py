@@ -12,9 +12,10 @@ reflexive loops on the reachable part.
 
 from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, subformulas,
                       conj, render, BOXMOD, ATOM, NOT, AND, KMOD)
+from . import relations
+from .relations import bits
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
-                        K4S5_COMMUTATOR, validate, clouds,
-                        induced_cloud_relation)
+                        K4S5_COMMUTATOR, validate, cloud_steps, submodel_rows)
 
 
 class TranslationResult:
@@ -92,8 +93,7 @@ def lift_model_ssl_to_s4s5(model, w, main_atom):
     report = validate(model, CROSS_AXIOM)
     if not report.ok:
         raise ValueError(f"input is not a valid cross-axiom model: {report.lines()}")
-    cloud_list = clouds(model)
-    induced = induced_cloud_relation(model, cloud_list)
+    blocks, _ = relations.classes(model._succ_l)
 
     def new_name(i):
         name = f"newpoint_{i}"
@@ -101,37 +101,35 @@ def lift_model_ssl_to_s4s5(model, w, main_atom):
             name = "_" + name
         return name
 
-    new_points = [new_name(i) for i in range(len(cloud_list))]
-    worlds = list(model.worlds) + new_points
+    new_points = [new_name(i) for i in range(len(blocks))]
+    worlds = tuple(sorted(model.worlds + tuple(new_points)))
+    where = {name: i for i, name in enumerate(worlds)}
+    targets = [where[name] for name in model.worlds]
+    runs = relations.index_runs(targets)
+    new_bits = [1 << where[name] for name in new_points]
 
-    rel_l = set(model.rel_l)
-    for i, members in enumerate(cloud_list):
-        extended = list(members) + [new_points[i]]
-        for a in extended:
-            rel_l.add((a, new_points[i]))
-            rel_l.add((new_points[i], a))
-
-    rel_d = set(model.rel_d)
-    succ_clouds = {}
-    for i, j in induced:
-        succ_clouds.setdefault(i, set()).add(j)
-    for i in range(len(cloud_list)):
+    succ_d = [0] * len(worlds)
+    succ_l = [0] * len(worlds)
+    for c, steps in enumerate(cloud_steps(model._succ_d, blocks)):
         # the induced relation is reflexive on inhabited clouds; keep the
         # new point inside its own cloud's successor set explicitly
-        succ_clouds.setdefault(i, set()).add(i)
-    for i, members in enumerate(cloud_list):
-        extended = list(members) + [new_points[i]]
-        for j in succ_clouds[i]:
-            for p in extended:
-                rel_d.add((p, new_points[j]))
+        reach = new_bits[c]
+        for j in steps:
+            reach |= new_bits[j]
+        cloud = relations.remap(blocks[c], runs) | new_bits[c]
+        for i in bits(blocks[c]):
+            succ_d[targets[i]] = relations.remap(model._succ_d[i], runs) | reach
+            succ_l[targets[i]] = cloud
+        succ_d[where[new_points[c]]] = reach
+        succ_l[where[new_points[c]]] = cloud
 
-    valuation = {a: set(members) for a, members in model.valuation.items()}
-    if main_atom in valuation and valuation[main_atom] != set(model.worlds):
+    atom_masks = {a: relations.remap(mask, runs)
+                  for a, mask in model._atom_masks.items()}
+    base = relations.remap((1 << len(model.worlds)) - 1, runs)
+    if atom_masks.setdefault(main_atom, base) != base:
         raise ValueError(f"atom {main_atom} is already in use and cannot mark the base")
-    valuation[main_atom] = set(model.worlds)
-
-    lifted = BimodalModel(worlds, rel_d, rel_l, valuation,
-                          frame_class=S4S5_COMMUTATOR, designated=w)
+    lifted = BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
+                                    frame_class=S4S5_COMMUTATOR, designated=w)
     return lifted, w
 
 
@@ -143,20 +141,16 @@ def restrict_model_s4s5_to_ssl(model, w, f):
     if not model.eval(w, result.formula):
         raise ValueError("the translated formula does not hold at the given point")
     main_atom = result.main_atom
-    main_set = model.valuation.get(main_atom, frozenset())
-    keep = set()
-    for w2 in model.l_successors(w):
-        for v in model.d_successors(w2):
-            if v in main_set:
-                keep.add(v)
-    worlds = sorted(keep)
-    rel_d = [(a, b) for a, b in model.rel_d if a in keep and b in keep]
-    rel_l = [(a, b) for a, b in model.rel_l if a in keep and b in keep]
+    keep = 0
+    for i in bits(model._succ_l[model.index[w]]):
+        keep |= model._succ_d[i]
+    keep &= model._atom_masks.get(main_atom, 0)
+    worlds, succ_d, succ_l, move = submodel_rows(model, keep)
     wanted = atoms(f) | {main_atom}
-    valuation = {a: model.valuation[a] & keep
-                 for a in sorted(wanted) if a in model.valuation}
-    restricted = BimodalModel(worlds, rel_d, rel_l, valuation,
-                              frame_class=CROSS_AXIOM, designated=w)
+    atom_masks = {a: move(model._atom_masks[a])
+                  for a in sorted(wanted) if a in model._atom_masks}
+    restricted = BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
+                                        frame_class=CROSS_AXIOM, designated=w)
     return restricted, w
 
 
@@ -182,14 +176,12 @@ def k4_to_s4_model(model, w, f):
     report = validate(model, K4S5_COMMUTATOR)
     if not report.ok:
         raise ValueError(f"input is not a valid K4xS5 commutator model: {report.lines()}")
-    keep = set(model.l_successors(w))
-    for w2 in model.l_successors(w):
-        keep.update(model.d_successors(w2))
-    worlds = sorted(keep)
-    rel_d = {(a, b) for a, b in model.rel_d if a in keep and b in keep}
-    rel_d.update((v, v) for v in keep)
-    rel_l = [(a, b) for a, b in model.rel_l if a in keep and b in keep]
-    valuation = {a: members & keep for a, members in model.valuation.items()}
-    out = BimodalModel(worlds, rel_d, rel_l, valuation,
-                       frame_class=S4S5_COMMUTATOR, designated=w)
+    keep = model._succ_l[model.index[w]]
+    for i in bits(keep):
+        keep |= model._succ_d[i]
+    worlds, succ_d, succ_l, move = submodel_rows(model, keep)
+    succ_d = [row | 1 << i for i, row in enumerate(succ_d)]
+    atom_masks = {a: move(mask) for a, mask in model._atom_masks.items()}
+    out = BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
+                                 frame_class=S4S5_COMMUTATOR, designated=w)
     return out, w

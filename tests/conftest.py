@@ -1,9 +1,10 @@
+import functools
 import pathlib
 
 import pytest
 
 from bimodal import atm as atm_mod
-from bimodal.semantics import BimodalModel
+from bimodal.semantics import BimodalModel, CROSS_AXIOM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 M1_PATH = ROOT / "fixtures" / "m1.atm"
@@ -22,8 +23,10 @@ def m1_path():
 def flipped(model, flips):
     """Copy of model with each (atom, world) in flips flipped.  An atom set
     true at a world is set true at all its []-successors too, and one set
-    false is set false at all its []-predecessors, so atoms that were
-    persistent along [] stay so and the frame keeps its class."""
+    false is set false at all its []-predecessors; on cross-axiom models,
+    where atoms are constant along [] both ways, the value is set on the
+    world's whole []-component instead.  Atoms that were persistent along
+    [] stay so and the frame keeps its class."""
     valuation = {a: set(s) for a, s in model.valuation.items()}
     for atom, w in flips:
         _pin(model, valuation[atom], w, w not in valuation[atom])
@@ -41,17 +44,49 @@ def pinned(model, atoms, worlds, value):
 
 
 def _pin(model, members, w, value):
-    if value:
+    if model.frame_class == CROSS_AXIOM:
+        component = _d_component(model, w)
+        if value:
+            members |= component
+        else:
+            members -= component
+    elif value:
         members |= set(model.d_successors(w)) | {w}
     else:
         members -= {a for a, b in model.rel_d if b == w} | {w}
 
 
+@functools.lru_cache(maxsize=4)
+def _d_links(model):
+    """Each world's []-successors and []-predecessors."""
+    linked = {}
+    for a, b in model.rel_d:
+        linked.setdefault(a, set()).add(b)
+        linked.setdefault(b, set()).add(a)
+    return linked
+
+
+def _d_component(model, w):
+    """The worlds joined to w by []-steps taken either way."""
+    linked = _d_links(model)
+    component = {w}
+    todo = [w]
+    while todo:
+        for b in linked.get(todo.pop(), ()):
+            if b not in component:
+                component.add(b)
+                todo.append(b)
+    return component
+
+
 def _revalued(model, valuation):
-    return BimodalModel(model.worlds, model.rel_d, model.rel_l, valuation,
-                        frame_class=model.frame_class,
-                        designated=model.designated,
-                        is_product=model.is_product)
+    """model's frame with another valuation, given by world names."""
+    masks = {a: sum(1 << model.index[w] for w in members)
+             for a, members in valuation.items()}
+    return BimodalModel.from_rows(model.worlds, model._succ_d, model._succ_l,
+                                  masks, frame_class=model.frame_class,
+                                  designated=model.designated,
+                                  is_product=model.is_product)
 
 
 def mutants(model, rng, carriers, count=12):

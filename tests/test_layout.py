@@ -1,5 +1,6 @@
 """Package layout: the library imports nothing but the standard library
-and itself, so it runs with no third-party package installed."""
+and itself, so it runs with no third-party package installed, and builds
+every model through one rows constructor."""
 
 import ast
 import pathlib
@@ -32,3 +33,25 @@ def test_imports_are_stdlib_or_bimodal(path):
     foreign = sorted({name for name in imported_roots(path)
                       if name != "bimodal" and name not in sys.stdlib_module_names})
     assert foreign == []
+
+
+def model_constructor_calls(path):
+    """Line numbers of the calls in a module that build a model through
+    the pairs constructor, `BimodalModel(...)`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "BimodalModel":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_models_are_built_from_rows(path):
+    """Inside the package a model is built only by
+    `BimodalModel.from_rows`; the pairs constructor is an entry for
+    callers outside it, so no pair path creeps back in."""
+    assert list(model_constructor_calls(path)) == []
+

@@ -48,10 +48,12 @@ def ref_commutes(a, b, c, d, n):
 
 
 def ref_persistence(rel_d, valuation, n):
+    """Atoms are constant along [] both ways: the first step that loses
+    or gains one."""
     for atom_id in sorted(valuation):
         members = valuation[atom_id]
         for i, j in sorted(rel_d):
-            if i in members and j not in members:
+            if (i in members) != (j in members):
                 return (atom_id, i, j)
     return None
 

@@ -65,6 +65,14 @@ def test_atom_persistence_constrains_cross_axiom():
     assert bounded_sat(f, S4S5_PRODUCT, max_points=4).satisfiable
 
 
+def test_atoms_cannot_turn_true_along_box_on_cross_axiom():
+    # atoms are constant along [] both ways: gaining one is as impossible
+    # as losing one
+    f = fm.parse("(!x0 & <>x0)")
+    assert not bounded_sat(f, CROSS_AXIOM, max_points=4).satisfiable
+    assert bounded_sat(f, S4S5_PRODUCT, max_points=4).satisfiable
+
+
 def test_unsat_verdict_reports_bounds():
     verdict = bounded_sat(And(Atom(0), Not(Atom(0))), CROSS_AXIOM,
                           max_points=2)

@@ -102,6 +102,17 @@ def test_validate_catches_broken_persistence(two_cloud_model):
     assert "atom-persistence" in failed
 
 
+def test_validate_names_a_gained_atom():
+    # atom 1 is false at a and true at its []-successor b
+    worlds = ["a", "b"]
+    rel_d = refl(worlds) | {("a", "b")}
+    m = BimodalModel(worlds, rel_d, refl(worlds), {0: {"a", "b"}, 1: {"b"}},
+                     frame_class=CROSS_AXIOM)
+    lines = validate(m, CROSS_AXIOM).lines()
+    assert "atom-persistence: fail 1 a b" in lines
+    assert lines[-1] == "result: fail"
+
+
 def test_validate_catches_broken_left_commutativity():
     # d-step first, then an l-move with no matching l-then-d path
     worlds = ["w", "v", "u"]

@@ -16,15 +16,18 @@ from bimodal.satbound import bounded_sat
 from bimodal.red_ssl import gen_counter_ssl, build_counter_ssl_model
 
 
-def random_formula(rng, max_atoms=2, depth=3):
+UNARY = {"not": Not, "K": K, "box": Box, "dia": Diamond, "L": L}
+
+
+def random_formula(rng, max_atoms=2, depth=3, ops=("not", "and", "K", "box")):
     if depth == 0 or rng.random() < 0.3:
         return Atom(rng.randrange(max_atoms))
-    op = rng.choice(["not", "and", "K", "box"])
+    op = rng.choice(list(ops))
     if op == "and":
-        return And(random_formula(rng, max_atoms, depth - 1),
-                   random_formula(rng, max_atoms, depth - 1))
-    child = random_formula(rng, max_atoms, depth - 1)
-    return {"not": Not, "K": K, "box": Box}[op](child)
+        return And(random_formula(rng, max_atoms, depth - 1, ops),
+                   random_formula(rng, max_atoms, depth - 1, ops))
+    child = random_formula(rng, max_atoms, depth - 1, ops)
+    return UNARY[op](child)
 
 
 def test_main_var_picks_first_unused():
@@ -110,6 +113,27 @@ def test_random_round_trips_through_oracle(seed):
         back, bp = restrict_model_s4s5_to_ssl(lifted, lp, f)
         assert validate(back, CROSS_AXIOM).ok
         assert back.eval(bp, f)
+
+
+def test_every_cross_axiom_hit_lifts_to_a_model_of_the_translation():
+    # g & <>h asks for a []-step, where an atom that changes value along
+    # [] would make the lifted model miss the translated formula
+    rng = random.Random(2026)
+    ops = ("and",) + tuple(UNARY)
+    hits = 0
+    for _ in range(150):
+        f = And(random_formula(rng, depth=2, ops=ops),
+                Diamond(random_formula(rng, depth=2, ops=ops)))
+        verdict = bounded_sat(f, CROSS_AXIOM, max_points=3)
+        if not verdict.satisfiable:
+            continue
+        hits += 1
+        result = t_ssl_to_s4s5(f)
+        lifted, lp = lift_model_ssl_to_s4s5(verdict.model, verdict.point,
+                                            result.main_atom)
+        assert validate(lifted, S4S5_COMMUTATOR).ok
+        assert lifted.eval(lp, result.formula), fm.render(f)
+    assert hits > 50
 
 
 def test_box_free_formula_translates_unchanged():
