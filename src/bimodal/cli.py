@@ -354,8 +354,8 @@ def build_parser():
     p.add_argument("--formula", required=True)
     p.add_argument("--class", dest="frame_class", choices=FRAME_CLASSES,
                    required=True)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--max-atoms", type=int)
+    p.add_argument("--bound", type=int, default=satbound.DEFAULT_MAX_POINTS)
+    p.add_argument("--max-atoms", type=int, default=satbound.DEFAULT_MAX_ATOMS)
     p.add_argument("--out")
     p.set_defaults(func=_sat)
 

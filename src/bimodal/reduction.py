@@ -20,8 +20,7 @@ from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
 from .catalog import VariableCatalog
 from . import relations
 from .relations import bits
-from .semantics import (BimodalModel, clouds, induced_cloud_relation,
-                        submodel_rows)
+from .semantics import clouds, induced_cloud_relation, submodel
 from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
                   initial_config, apply_entry, node_data, validate_tree)
 
@@ -332,11 +331,7 @@ def _reachable_restriction(model, r0):
             reach |= model._succ_l[i] | model._succ_d[i]
         frontier = reach & ~seen
         seen |= frontier
-    worlds, succ_d, succ_l, move = submodel_rows(model, seen)
-    atom_masks = {a: move(mask) for a, mask in model._atom_masks.items()}
-    return BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
-                                  frame_class=model.frame_class, designated=r0,
-                                  is_product=model.is_product)
+    return submodel(model, seen, model.frame_class, r0)
 
 
 def tree_size_bound(atm, N):

@@ -25,15 +25,14 @@ as a validated model.
 """
 
 import itertools
-import os
 from functools import lru_cache
 
 from .formula import atoms as formula_atoms
 from . import relations
 from .relations import bits, eval_masks
-from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
-                        K4S5_COMMUTATOR, S4S5_PRODUCT, FRAME_CLASSES,
-                        validate, product_from_rows)
+from .semantics import (BimodalModel, S4S5_PRODUCT, FRAME_CLASSES,
+                        D_REFLEXIVE, RIGHT_COMMUTATIVE, PERSISTENT_ATOMS,
+                        validate, product_point, product_rows)
 
 DEFAULT_MAX_POINTS = 4
 DEFAULT_MAX_ATOMS = 3
@@ -42,10 +41,6 @@ DEFAULT_MAX_CANDIDATES = 50_000_000
 # Most valuations one packed evaluation covers; bounds the width of the
 # packed masks whatever the atom ceiling.
 LANES = 4096
-
-ENV_MAX_POINTS = "SATBOUND_MAX_POINTS"
-ENV_MAX_ATOMS = "SATBOUND_MAX_ATOMS"
-ENV_MAX_CANDIDATES = "SATBOUND_MAX_CANDIDATES"
 
 
 class ResourceCapError(RuntimeError):
@@ -72,11 +67,6 @@ class SatVerdict:
         if self.satisfiable:
             return f"Sat(point={self.point}, worlds={len(self.model.worlds)})"
         return f"UnsatWithinBound(max_points={self.max_points}, max_atoms={self.max_atoms})"
-
-
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
-    return fallback if raw is None else int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -151,55 +141,42 @@ _frame_cache = {}
 
 def _frame_groups(frame_class, m):
     """Valid frames of the class on m points in canonical order, as
-    (succ_l, [succ_d, ...], factors) groups: one group per partition, or
-    for products one per frame with factors its (succ1, succ2) (None for
-    the other classes).  Grouping keeps one reference per frame rather
-    than a pair.  Products come by first factor size, then preorders on
-    the first factor and partitions on the second."""
+    (succ_l, [succ_d, ...], names) groups, names naming the points of the
+    group's frames: one group per partition with the points named "0",
+    "1", ..., or for products one per frame with point v * m2 + x of an
+    m1 x m2 product named "v|x".  Grouping keeps one reference per frame
+    rather than a pair.  Products come by first factor size, then
+    preorders on the first factor and partitions on the second."""
     key = (frame_class, m)
     if key in _frame_cache:
         return _frame_cache[key]
+    out = []
     if frame_class == S4S5_PRODUCT:
-        out = []
         for m1 in range(1, m + 1):
             if m % m1:
                 continue
+            m2 = m // m1
+            names = tuple(product_point(v, x)
+                          for v in range(m1) for x in range(m2))
             for succ1 in _preorders(m1):
-                m2 = m // m1
                 for blocks in _set_partitions(m2):
-                    succ2 = _partition_succ(blocks, m2)
-                    # product point (v, x) -> index v * m2 + x
-                    succ_d = [0] * m
-                    succ_l = [0] * m
-                    for v in range(m1):
-                        for x in range(m2):
-                            i = v * m2 + x
-                            for j in bits(succ1[v]):
-                                succ_d[i] |= 1 << (j * m2 + x)
-                            for j in bits(succ2[x]):
-                                succ_l[i] |= 1 << (v * m2 + j)
-                    out.append((succ_l, [succ_d], (succ1, succ2)))
+                    succ_d, succ_l = product_rows(
+                        succ1, _partition_succ(blocks, m2))
+                    out.append((succ_l, [succ_d], names))
     else:
-        need_reflexive = frame_class in (CROSS_AXIOM, S4S5_COMMUTATOR)
-        need_right = frame_class in (S4S5_COMMUTATOR, K4S5_COMMUTATOR)
-        rel_ds = _preorders(m) if need_reflexive else _transitive_relations(m)
-        out = []
+        need_right = frame_class in RIGHT_COMMUTATIVE
+        rel_ds = (_preorders(m) if frame_class in D_REFLEXIVE
+                  else _transitive_relations(m))
+        names = tuple(map(str, range(m)))
         for blocks in _set_partitions(m):
             succ_l = _partition_succ(blocks, m)
             out.append((succ_l, [
                 succ_d for succ_d in rel_ds
                 if relations.commutes(succ_d, succ_l, succ_l, succ_d) is None
                 and not (need_right and relations.commutes(
-                    succ_l, succ_d, succ_d, succ_l) is not None)], None))
+                    succ_l, succ_d, succ_d, succ_l) is not None)], names))
     _frame_cache[key] = out
     return out
-
-
-def _frames(frame_class, m):
-    """Valid (succ_l, succ_d) frame pairs for the class, canonical order."""
-    return [(succ_l, succ_d)
-            for succ_l, succ_ds, _ in _frame_groups(frame_class, m)
-            for succ_d in succ_ds]
 
 
 _persistent_cache = {}
@@ -220,11 +197,11 @@ def _persistent_masks(succ_d):
     return _persistent_cache[key]
 
 
-def _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index):
-    """The candidate as a model whose worlds are named "0", "1", ...;
-    from 11 points on, the sorted names are not in index order."""
+def _build_hit(frame_class, names, succ_l, succ_d, atom_masks, point_index):
+    """The candidate as a model whose point i is named names[i]; the
+    sorted names need not be in index order (from 11 points on, "10"
+    comes before "2")."""
     m = len(succ_d)
-    names = [str(i) for i in range(m)]
     order = sorted(range(m), key=names.__getitem__)
     targets = [0] * m
     for pos, i in enumerate(order):
@@ -238,19 +215,10 @@ def _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index):
         frame_class=frame_class, designated=names[point_index])
 
 
-def _build_product(succ1, succ2, atom_masks, point_index):
-    """The candidate as the product of its factors."""
-    return product_from_rows(range(len(succ1)), succ1, range(len(succ2)), succ2,
-                             {a: bits(mask) for a, mask in atom_masks.items()},
-                             point_index)
-
-
-def _hit_model(frame_class, succ_l, succ_d, factors, atom_masks, point_index):
+def _hit_model(frame_class, names, succ_l, succ_d, atom_masks, point_index):
     """The hit as a validated model."""
-    if factors is None:
-        model = _build_hit(frame_class, succ_l, succ_d, atom_masks, point_index)
-    else:
-        model = _build_product(*factors, atom_masks, point_index)
+    model = _build_hit(frame_class, names, succ_l, succ_d, atom_masks,
+                       point_index)
     report = validate(model, frame_class)
     if not report.ok:
         raise AssertionError(
@@ -296,11 +264,11 @@ def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
     frames = candidates = 0
     for m in range(1, max_points + 1):
         every = range(1 << m)
-        for succ_l, succ_ds, factors in _frame_groups(frame_class, m):
+        for succ_l, succ_ds, names in _frame_groups(frame_class, m):
             for succ_d in succ_ds:
                 frames += 1
                 allowed = (_persistent_masks(succ_d)
-                           if frame_class == CROSS_AXIOM else every)
+                           if frame_class in PERSISTENT_ATOMS else every)
                 lane, fast = _lanes(allowed, k, m)
                 width = len(allowed) ** len(fast)
                 for slow in itertools.product(allowed, repeat=k - len(fast)):
@@ -315,8 +283,8 @@ def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
                         v, point = divmod((hit & -hit).bit_length() - 1, m)
                         valuation = {a: mask >> v * m & (1 << m) - 1
                                      for a, mask in atom_masks.items()}
-                        model = _hit_model(frame_class, succ_l, succ_d,
-                                           factors, valuation, point)
+                        model = _hit_model(frame_class, names, succ_l, succ_d,
+                                           valuation, point)
                         return SatVerdict(True, model=model,
                                           point=model.designated,
                                           frames=frames,
@@ -330,19 +298,14 @@ def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
                       frames=frames, candidates=candidates)
 
 
-def bounded_sat(f, frame_class, max_points=None, max_atoms=None,
-                max_candidates=None):
+def bounded_sat(f, frame_class, max_points=DEFAULT_MAX_POINTS,
+                max_atoms=DEFAULT_MAX_ATOMS,
+                max_candidates=DEFAULT_MAX_CANDIDATES):
     """Search for a model of f in the given frame class with at most
     max_points worlds.  A Sat verdict carries a validated model; an
     UnsatWithinBound verdict is one-sided."""
     if frame_class not in FRAME_CLASSES:
         raise ValueError(f"unknown frame class {frame_class!r}")
-    if max_points is None:
-        max_points = _env_int(ENV_MAX_POINTS, DEFAULT_MAX_POINTS)
-    if max_atoms is None:
-        max_atoms = _env_int(ENV_MAX_ATOMS, DEFAULT_MAX_ATOMS)
-    if max_candidates is None:
-        max_candidates = _env_int(ENV_MAX_CANDIDATES, DEFAULT_MAX_CANDIDATES)
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
     atom_ids = sorted(formula_atoms(f))

@@ -15,6 +15,11 @@ Evaluation computes, per distinct subformula, the set of worlds where it
 holds as a bitmask over the sorted world list.  The per-model cache is
 keyed by subformula identity, so repeated checks are cheap even for very
 large generated formulas.
+
+A product model is recognised by its world names, not by how it was
+built: every product the package builds names its worlds "v|x", and the
+s4s5-product class checks that the names form a full grid and that both
+relations are the products of the factor relations read off that grid.
 """
 
 from collections.abc import Mapping, Set
@@ -30,10 +35,11 @@ S4S5_PRODUCT = "s4s5-product"
 
 FRAME_CLASSES = (CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT)
 
-# Which classes require []-reflexivity, right commutativity, atom persistence.
-_D_REFLEXIVE = {CROSS_AXIOM, S4S5_COMMUTATOR, S4S5_PRODUCT}
-_RIGHT_COMMUTATIVE = {S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT}
-_PERSISTENT_ATOMS = {CROSS_AXIOM}
+# Which classes require []-reflexivity, right commutativity, atom
+# persistence; the validator and the oracle's frame lists both read this.
+D_REFLEXIVE = frozenset({CROSS_AXIOM, S4S5_COMMUTATOR, S4S5_PRODUCT})
+RIGHT_COMMUTATIVE = frozenset({S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT})
+PERSISTENT_ATOMS = frozenset({CROSS_AXIOM})
 
 
 class PairView(Set):
@@ -136,27 +142,27 @@ class BimodalModel:
     the sorted worlds."""
 
     def __init__(self, worlds, rel_d, rel_l, valuation,
-                 frame_class=None, designated=None, is_product=False):
+                 frame_class=None, designated=None):
         """The model given by world names, relation pairs of names and a
         map from atom ids to sets of names; the pairs are converted to
         rows once."""
         self._init(*_named_rows(worlds, rel_d, rel_l, valuation),
-                   frame_class, designated, is_product)
+                   frame_class, designated)
 
     @classmethod
     def from_rows(cls, worlds, succ_d, succ_l, atom_masks,
-                  frame_class=None, designated=None, is_product=False):
+                  frame_class=None, designated=None):
         """The model on worlds, distinct strings in ascending order, with
         relation rows succ_d and succ_l (bit j of row i: world i -> world
         j) and atom_masks mapping atom ids to masks of worlds.  Every
         model the package builds is built here."""
         model = cls.__new__(cls)
         model._init(worlds, succ_d, succ_l, atom_masks,
-                    frame_class, designated, is_product)
+                    frame_class, designated)
         return model
 
     def _init(self, worlds, succ_d, succ_l, atom_masks,
-              frame_class, designated, is_product):
+              frame_class, designated):
         worlds = tuple(map(_world_id, worlds))
         for a, b in zip(worlds, worlds[1:]):
             if a >= b:
@@ -180,7 +186,6 @@ class BimodalModel:
         self._atom_masks = atom_masks
         self.frame_class = frame_class
         self.designated = designated
-        self.is_product = is_product
         self._mask_cache = {}
 
     # -- pair views --------------------------------------------------------
@@ -228,21 +233,26 @@ class BimodalModel:
         return self._names(self._succ_l[self.index[w]])
 
 
-def submodel_rows(model, keep):
-    """Worlds and relation rows of the submodel on the worlds in the mask
-    keep, with a function carrying masks of the model to it."""
+def submodel(model, keep, frame_class, designated, atom_ids=None,
+             d_loops=False):
+    """The submodel on the worlds in the mask keep, with the atoms in
+    atom_ids (all of them by default); d_loops adds a []-loop at every
+    kept world."""
     kept = bits(keep)
     targets = [None] * len(model.worlds)
     for new, old in enumerate(kept):
         targets[old] = new
     runs = relations.index_runs(targets)
-
-    def move(mask):
-        return relations.remap(mask, runs)
-
-    return (tuple(model.worlds[i] for i in kept),
-            [move(model._succ_d[i]) for i in kept],
-            [move(model._succ_l[i]) for i in kept], move)
+    succ_d = [relations.remap(model._succ_d[i], runs) for i in kept]
+    if d_loops:
+        succ_d = [row | 1 << i for i, row in enumerate(succ_d)]
+    masks = model._atom_masks
+    return BimodalModel.from_rows(
+        [model.worlds[i] for i in kept], succ_d,
+        [relations.remap(model._succ_l[i], runs) for i in kept],
+        {a: relations.remap(masks[a], runs)
+         for a in (masks if atom_ids is None else atom_ids)},
+        frame_class=frame_class, designated=designated)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +316,17 @@ def validate(model, frame_class):
     add("l-symmetric", _named(model, relations.symmetric(succ_l)))
     add("l-transitive", _named(model, relations.transitive(succ_l)))
     add("d-transitive", _named(model, relations.transitive(succ_d)))
-    if frame_class in _D_REFLEXIVE:
+    if frame_class in D_REFLEXIVE:
         add("d-reflexive", _named(model, relations.reflexive(succ_d)))
     add("left-commutativity",
         _named(model, relations.commutes(succ_d, succ_l, succ_l, succ_d)))
-    if frame_class in _RIGHT_COMMUTATIVE:
+    if frame_class in RIGHT_COMMUTATIVE:
         add("right-commutativity",
             _named(model, relations.commutes(succ_l, succ_d, succ_d, succ_l)))
-    if frame_class in _PERSISTENT_ATOMS:
+    if frame_class in PERSISTENT_ATOMS:
         add("atom-persistence", _persistence(model))
     if frame_class == S4S5_PRODUCT:
-        add("product-provenance", None if model.is_product else ("not built as a product",))
+        add("product-provenance", _provenance(model))
     return ValidationReport(frame_class, checks)
 
 
@@ -330,6 +340,43 @@ def _persistence(model):
     bad = relations.constant(model._succ_d,
                              [model._atom_masks[a] for a in atom_ids])
     return None if bad is None else (atom_ids[bad[0]],) + _named(model, bad[1:])
+
+
+def _provenance(model):
+    """The first world whose name has no "|"; else, splitting each name
+    after its first "|", the first cell of the grid of first and second
+    parts that is not a world; else the first world whose []- or K-row is
+    not that of the product of the factor relations read off the grid,
+    the first along its first column and the second along its first
+    row."""
+    worlds = model.worlds
+    firsts, seconds = set(), set()
+    for w in worlds:
+        cut = w.find("|") + 1
+        if not cut:
+            return (w,)
+        firsts.add(w[:cut])
+        seconds.add(w[cut:])
+    # A first part is kept with the "|" that ends it and occurs nowhere
+    # else in it, so names compare on first parts before the rest and the
+    # cells row by row are in sorted order; of the first n + 1 cells one
+    # is missing if any is.
+    m1, m2 = len(firsts), len(seconds)
+    if m1 * m2 != len(worlds):
+        seconds = sorted(seconds)
+        return next((v + x,) for v in sorted(firsts) for x in seconds
+                    if v + x not in model.index)
+    # The worlds are the whole grid, so point v * m2 + x is cell (v, x).
+    succ_d, succ_l = model._succ_d, model._succ_l
+    succ1 = [sum(1 << u for u in range(m1) if succ_d[v * m2] >> u * m2 & 1)
+             for v in range(m1)]
+    succ2 = [row & (1 << m2) - 1 for row in succ_l[:m2]]
+    want_d, want_l = product_rows(succ1, succ2)
+    if tuple(want_d) == succ_d and tuple(want_l) == succ_l:
+        return None
+    return next((w,) for w, d, l, wd, wl
+                in zip(worlds, succ_d, succ_l, want_d, want_l)
+                if d != wd or l != wl)
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +440,48 @@ def product_point(v, x):
     return f"{v}|{x}"
 
 
+def product_rows(succ1, succ2):
+    """[] and K rows of the product of the relations succ1 and succ2, in
+    cell order: cell v * len(succ2) + x is the point (v, x), which moves
+    along succ1 in v under [] and along succ2 in x under K."""
+    m2 = len(succ2)
+    succ_d, succ_l = [], []
+    for v, row1 in enumerate(succ1):
+        column = sum(1 << u * m2 for u in bits(row1))
+        for x, row2 in enumerate(succ2):
+            succ_d.append(column << x)
+            succ_l.append(row2 << v * m2)
+    return succ_d, succ_l
+
+
 def product_model(frame1, frame2, valuation, designated=None):
     """Product of a preordered frame with an equivalence frame.
 
     frame1 and frame2 are (worlds, relation_pairs) with relation given
-    explicitly.  Worlds of the product are "v|x" strings.  The valuation
-    maps atom ids to sets of (v, x) pairs.
+    explicitly.  Worlds of the product are "v|x" strings, so no factor
+    world may contain "|".  The valuation maps atom ids to sets of (v, x)
+    pairs.
     """
     factors = []
-    for worlds, rel in (frame1, frame2):
-        worlds = sorted(worlds)
+    for which, (worlds, rel), key, checks in (
+            ("first", frame1, lambda v: f"{v}|",
+             (relations.reflexive, relations.transitive)),
+            ("second", frame2, str,
+             (relations.reflexive, relations.symmetric, relations.transitive))):
+        for w in worlds:
+            if "|" in str(w):
+                raise ValueError(f"{which} frame world {w!r} contains '|'")
+        worlds = sorted(worlds, key=key)
         index = {w: i for i, w in enumerate(worlds)}
         succ = [0] * len(worlds)
         for a, b in rel:
             succ[index[a]] |= 1 << index[b]
+        for check in checks:
+            bad = check(succ)
+            if bad is not None:
+                at = tuple(worlds[i] for i in bad)
+                raise ValueError(f"{which} frame is not {check.__name__} at "
+                                 f"{at[0] if len(at) == 1 else at!r}")
         factors.append((worlds, index, succ))
     (worlds1, index1, succ1), (worlds2, index2, succ2) = factors
     m2 = len(worlds2)
@@ -416,65 +491,21 @@ def product_model(frame1, frame2, valuation, designated=None):
             return index1[v] * m2 + index2[x]
         raise ValueError(error.format(product_point(v, x)))
 
-    cells = {atom_id: [cell(v, x, f"valuation of atom {atom_id} mentions "
-                                  "unknown world {!r}") for v, x in members]
-             for atom_id, members in valuation.items()}
-    des = (None if designated is None
-           else cell(*designated, "designated world {!r} unknown"))
-    return product_from_rows(worlds1, succ1, worlds2, succ2, cells, des)
-
-
-def product_from_rows(worlds1, succ1, worlds2, succ2, cells, designated=None):
-    """Product of a preorder succ1 on the sorted worlds1 with an
-    equivalence succ2 on the sorted worlds2.  Cell v * len(worlds2) + x is
-    the point "v|x" of the v-th and x-th factor worlds; cells maps atom ids
-    to the cells where they hold and designated is a cell or None."""
-    for which, names, succ, checks in (
-            ("first", worlds1, succ1, (relations.reflexive, relations.transitive)),
-            ("second", worlds2, succ2, (relations.reflexive, relations.symmetric,
-                                        relations.transitive))):
-        for check in checks:
-            bad = check(succ)
-            if bad is not None:
-                at = tuple(names[i] for i in bad)
-                raise ValueError(f"{which} frame is not {check.__name__} at "
-                                 f"{at[0] if len(at) == 1 else at!r}")
-
-    m2 = len(worlds2)
-    names = [product_point(v, x) for v in worlds1 for x in worlds2]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    where = [0] * len(names)
-    for pos, c in enumerate(order):
-        where[c] = pos
-    bit = [1 << where[c] for c in range(len(names))]
-    succ_d = [0] * len(names)
-    succ_l = [0] * len(names)
-    for v, row1 in enumerate(succ1):
-        above = [u * m2 for u in bits(row1)]
-        base = v * m2
-        cloud = {}
-        for x, row2 in enumerate(succ2):
-            row = 0
-            for u in above:
-                row |= bit[u + x]
-            succ_d[where[base + x]] = row
-            # an equivalence has one row per class
-            if row2 not in cloud:
-                row = 0
-                for y in bits(row2):
-                    row |= bit[base + y]
-                cloud[row2] = row
-            succ_l[where[base + x]] = cloud[row2]
     atom_masks = {}
-    for atom_id, members in cells.items():
+    for atom_id, members in valuation.items():
         mask = 0
-        for c in members:
-            mask |= bit[c]
+        for v, x in members:
+            mask |= 1 << cell(v, x, f"valuation of atom {atom_id} mentions "
+                                    "unknown world {!r}")
         atom_masks[atom_id] = mask
+    # with the first factor sorted as the "v|" that begins its names, the
+    # cells row by row are in the sorted order of their names
+    names = [product_point(v, x) for v in worlds1 for x in worlds2]
     return BimodalModel.from_rows(
-        [names[c] for c in order], succ_d, succ_l, atom_masks,
-        frame_class=S4S5_PRODUCT, is_product=True,
-        designated=None if designated is None else names[designated])
+        names, *product_rows(succ1, succ2), atom_masks,
+        frame_class=S4S5_PRODUCT,
+        designated=None if designated is None
+        else names[cell(*designated, "designated world {!r} unknown")])
 
 
 # ---------------------------------------------------------------------------
@@ -528,5 +559,4 @@ def load_model(text):
             raise ValueError(f"bad model line {lineno}: {raw!r}")
     return BimodalModel.from_rows(
         *_named_rows(worlds, rel_d, rel_l, valuation),
-        frame_class=frame_class, designated=designated,
-        is_product=(frame_class == S4S5_PRODUCT))
+        frame_class=frame_class, designated=designated)

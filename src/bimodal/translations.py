@@ -15,7 +15,7 @@ from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, subformulas,
 from . import relations
 from .relations import bits
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
-                        K4S5_COMMUTATOR, validate, cloud_steps, submodel_rows)
+                        K4S5_COMMUTATOR, validate, cloud_steps, submodel)
 
 
 class TranslationResult:
@@ -145,13 +145,8 @@ def restrict_model_s4s5_to_ssl(model, w, f):
     for i in bits(model._succ_l[model.index[w]]):
         keep |= model._succ_d[i]
     keep &= model._atom_masks.get(main_atom, 0)
-    worlds, succ_d, succ_l, move = submodel_rows(model, keep)
-    wanted = atoms(f) | {main_atom}
-    atom_masks = {a: move(model._atom_masks[a])
-                  for a in sorted(wanted) if a in model._atom_masks}
-    restricted = BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
-                                        frame_class=CROSS_AXIOM, designated=w)
-    return restricted, w
+    wanted = (atoms(f) | {main_atom}) & model._atom_masks.keys()
+    return submodel(model, keep, CROSS_AXIOM, w, atom_ids=wanted), w
 
 
 def t_s4s5_to_k4s5(f):
@@ -179,9 +174,4 @@ def k4_to_s4_model(model, w, f):
     keep = model._succ_l[model.index[w]]
     for i in bits(keep):
         keep |= model._succ_d[i]
-    worlds, succ_d, succ_l, move = submodel_rows(model, keep)
-    succ_d = [row | 1 << i for i, row in enumerate(succ_d)]
-    atom_masks = {a: move(mask) for a, mask in model._atom_masks.items()}
-    out = BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
-                                 frame_class=S4S5_COMMUTATOR, designated=w)
-    return out, w
+    return submodel(model, keep, S4S5_COMMUTATOR, w, d_loops=True), w

@@ -85,8 +85,7 @@ def _revalued(model, valuation):
              for a, members in valuation.items()}
     return BimodalModel.from_rows(model.worlds, model._succ_d, model._succ_l,
                                   masks, frame_class=model.frame_class,
-                                  designated=model.designated,
-                                  is_product=model.is_product)
+                                  designated=model.designated)
 
 
 def mutants(model, rng, carriers, count=12):

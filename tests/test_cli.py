@@ -94,6 +94,23 @@ def test_check_failure_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_check_rejects_a_file_that_only_claims_a_product(tmp_path, capsys):
+    # three worlds factor only as 1x3 or 3x1, so [] or K would have to be
+    # the identity; the class line alone does not make a product
+    model_file = tmp_path / "model.txt"
+    formula_file = tmp_path / "f.txt"
+    formula_file.write_text("(x0 | !x0)\n")
+    model_file.write_text(
+        "class s4s5-product\nworld a\nworld b\nworld c\n"
+        "d a a\nd a c\nd b b\nd b c\nd c c\n"
+        "l a a\nl a b\nl b a\nl b b\nl c c\n")
+    code, out, _ = run(capsys, "check", "--model", str(model_file),
+                       "--formula", str(formula_file), "--point", "a",
+                       "--class", "s4s5-product")
+    assert code == 1
+    assert "product-provenance: fail a" in out.splitlines()
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])
@@ -123,7 +140,8 @@ def test_sat_reports_frames_and_candidates(tmp_path, capsys):
         "max-points: 2", "frames: 7", "candidates: 26", "result: pass"]
 
 
-@pytest.mark.parametrize("frame_class", ["cross-axiom", "k4s5-commutator"])
+@pytest.mark.parametrize("frame_class", ["cross-axiom", "k4s5-commutator",
+                                         "s4s5-product"])
 def test_sat_model_file_checks_in_its_class(tmp_path, capsys, frame_class):
     formula_file = tmp_path / "f.txt"
     model_file = tmp_path / "m.txt"

@@ -1,10 +1,11 @@
 """Package layout: the library imports nothing but the standard library
-and itself, so it runs with no third-party package installed, and builds
-every model through one rows constructor."""
+and itself, so it runs with no third-party package installed, builds
+every model through one rows constructor, and keeps no product flag."""
 
 import ast
 import pathlib
 import sys
+import tokenize
 
 import pytest
 
@@ -55,3 +56,13 @@ def test_models_are_built_from_rows(path):
     callers outside it, so no pair path creeps back in."""
     assert list(model_constructor_calls(path)) == []
 
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_product_flag(path):
+    """A product is recognised by its world names; no flag stands in for
+    the structural check."""
+    with path.open("rb") as handle:
+        names = {tok.string for tok in tokenize.tokenize(handle.readline)
+                 if tok.type == tokenize.NAME}
+    assert "is_product" not in names

@@ -65,8 +65,7 @@ def from_pairs(model):
     return BimodalModel(model.worlds, set(model.rel_d), set(model.rel_l),
                         {a: set(s) for a, s in model.valuation.items()},
                         frame_class=model.frame_class,
-                        designated=model.designated,
-                        is_product=model.is_product)
+                        designated=model.designated)
 
 
 def rows(model):
@@ -149,8 +148,8 @@ def ref_k4_to_s4(model, w):
 def test_random_models_agree_through_pairs_and_rows(seed):
     rng = random.Random(300 + seed)
     for _ in range(100):
-        n, rel_d, rel_l, valuation = random_model(rng)
-        names = "abcdefghij"[:n]
+        names, rel_d, rel_l, valuation = random_model(rng)
+        n = len(names)
         pairs_model = BimodalModel(
             names, [(names[i], names[j]) for i, j in rel_d],
             [(names[i], names[j]) for i, j in rel_l],

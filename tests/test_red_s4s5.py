@@ -51,7 +51,7 @@ def s4s5_setup(params_ab):
 def test_counter_product_model(n):
     f, cat = gen_counter_s4s5(n)
     model, p0 = build_counter_s4s5_model(n)
-    assert model.is_product
+    assert "product-provenance: pass" in validate(model, S4S5_PRODUCT).lines()
     assert len(model.worlds) == 4 ** n
     assert validate(model, S4S5_PRODUCT).ok
     assert model.eval(p0, f)
@@ -105,7 +105,7 @@ def test_f_s4s5_is_deterministic(params_ab):
 
 def test_f_s4s5_witness_model(s4s5_setup):
     params, f, cat, tree, model, p0 = s4s5_setup
-    assert model.is_product
+    assert "product-provenance: pass" in validate(model, S4S5_PRODUCT).lines()
     assert validate(model, S4S5_PRODUCT).ok
     assert model.eval(p0, f)
 
@@ -125,8 +125,7 @@ def test_f_s4s5_extraction_flags_wrong_start(s4s5_setup):
     valuation[atom] = {w for w in valuation[atom]
                        if not w.startswith(p0.split("|")[0] + "|")}
     broken = BimodalModel(model.worlds, model.rel_d, model.rel_l, valuation,
-                          frame_class=model.frame_class, designated=p0,
-                          is_product=True)
+                          frame_class=model.frame_class, designated=p0)
     with pytest.raises(ExtractionError) as err:
         extract_accepting_tree_s4s5(broken, p0, params)
     assert err.value.kind == "witness-not-found"
@@ -138,8 +137,7 @@ def test_f_s4s5_extraction_flags_missing_edge(s4s5_setup):
     rel_l = [(a, b) for a, b in model.rel_l
              if not (a == p0 and b != p0) and not (b == p0 and a != p0)]
     broken = BimodalModel(model.worlds, model.rel_d, rel_l, model.valuation,
-                          frame_class=model.frame_class, designated=p0,
-                          is_product=True)
+                          frame_class=model.frame_class, designated=p0)
     with pytest.raises(ExtractionError) as err:
         extract_accepting_tree_s4s5(broken, p0, params)
     assert err.value.kind == "witness-not-found"
@@ -153,8 +151,7 @@ def test_f_s4s5_extraction_names_a_broken_l_relation(s4s5_setup):
     a, b = min((x, y) for x, y in model.rel_l if x != y)
     broken = BimodalModel(model.worlds, model.rel_d, model.rel_l - {(a, b)},
                           model.valuation, frame_class=model.frame_class,
-                          designated=p0,
-                          is_product=True)
+                          designated=p0)
     with pytest.raises(ExtractionError) as err:
         extract_accepting_tree_s4s5(broken, p0, params)
     assert err.value.kind == "invalid-frame"

@@ -58,7 +58,40 @@ def ref_persistence(rel_d, valuation, n):
     return None
 
 
-def ref_lines(frame_class, n, rel_d, rel_l, valuation, is_product):
+def ref_provenance(names, rel_d, rel_l):
+    """The worlds, point i named names[i], as a product: the first name
+    without a "|", else the first missing cell of the grid of the parts
+    (split at the first "|"), else the first world whose []- or K-row is
+    not the product's, the factors read off the grid's first column and
+    first row."""
+    n = len(names)
+    for w in names:
+        if "|" not in w:
+            return (w,)
+    parts = [w.split("|", 1) for w in names]
+    at = {w: i for i, w in enumerate(names)}
+    firsts = {v for v, _ in parts}
+    seconds = {x for _, x in parts}
+    for cell in sorted(f"{v}|{x}" for v in firsts for x in seconds):
+        if cell not in at:
+            return (cell,)
+    v0, x0 = min(names).split("|", 1)
+    r1 = {(v, u) for v in firsts for u in firsts
+          if (at[f"{v}|{x0}"], at[f"{u}|{x0}"]) in rel_d}
+    r2 = {(x, y) for x in seconds for y in seconds
+          if (at[f"{v0}|{x}"], at[f"{v0}|{y}"]) in rel_l}
+    for i in sorted(range(n), key=names.__getitem__):
+        v, x = parts[i]
+        row_d = {j for j in range(n) if (i, j) in rel_d}
+        row_l = {j for j in range(n) if (i, j) in rel_l}
+        if (row_d != {at[f"{u}|{x}"] for u in firsts if (v, u) in r1}
+                or row_l != {at[f"{v}|{y}"] for y in seconds if (x, y) in r2}):
+            return (names[i],)
+    return None
+
+
+def ref_lines(frame_class, names, rel_d, rel_l, valuation):
+    n = len(names)
     checks = [("l-reflexive", ref_reflexive(rel_l, n)),
               ("l-symmetric", ref_symmetric(rel_l, n)),
               ("l-transitive", ref_transitive(rel_l, n)),
@@ -72,8 +105,7 @@ def ref_lines(frame_class, n, rel_d, rel_l, valuation, is_product):
     if frame_class == CROSS_AXIOM:
         checks.append(("atom-persistence", ref_persistence(rel_d, valuation, n)))
     if frame_class == S4S5_PRODUCT:
-        checks.append(("product-provenance",
-                       None if is_product else ("not built as a product",)))
+        checks.append(("product-provenance", ref_provenance(names, rel_d, rel_l)))
     lines = [f"class: {frame_class}"]
     for name, bad in checks:
         lines.append(f"{name}: pass" if bad is None
@@ -96,9 +128,51 @@ def closure(rel, n, reflexive=False, symmetric=False):
     return rel
 
 
+def random_grid(rng):
+    """A product of a random relation with a random equivalence on worlds
+    named "v|x", as (names, rel_d, rel_l), or a mutant of one with a
+    pair dropped or added or a world deleted.  Parts of unequal length
+    make the sorted names differ from the grid read row by row."""
+    firsts = rng.sample(["a", "ab", "b"], rng.randint(1, 2))
+    seconds = rng.sample(["x", "xy", "y"], rng.randint(1, 3))
+    m1, m2 = len(firsts), len(seconds)
+    r1 = closure({(v, u) for v in range(m1) for u in range(m1) if rng.random() < 0.4},
+                 m1, reflexive=rng.random() < 0.8)
+    r2 = closure({(x, y) for x in range(m2) for y in range(m2) if rng.random() < 0.3},
+                 m2, reflexive=True, symmetric=True)
+    names = sorted(f"{v}|{x}" for v in firsts for x in seconds)
+    at = {(v, x): names.index(f"{firsts[v]}|{seconds[x]}")
+          for v in range(m1) for x in range(m2)}
+    rel_d = {(at[v, x], at[u, x]) for v, u in r1 for x in range(m2)}
+    rel_l = {(at[v, x], at[v, y]) for v in range(m1) for x, y in r2}
+    n = len(names)
+    mutation = rng.randrange(4)  # 0 keeps the product
+    if mutation == 1:
+        rel = rng.choice([rel_d, rel_l])
+        if rel:
+            rel.remove(rng.choice(sorted(rel)))
+    elif mutation == 2:
+        rng.choice([rel_d, rel_l]).add((rng.randrange(n), rng.randrange(n)))
+    elif mutation == 3 and n > 1:
+        gone = rng.randrange(n)
+        names.pop(gone)
+
+        def without(rel):
+            return {(i - (i > gone), j - (j > gone)) for i, j in rel
+                    if gone not in (i, j)}
+        rel_d, rel_l = without(rel_d), without(rel_l)
+    return names, rel_d, rel_l
+
+
 def random_model(rng):
-    """At most 5 worlds; each relation is random or closed to the shape a
-    class asks for, so that every check both passes and fails often."""
+    """At most 6 worlds, as (names, rel_d, rel_l, valuation) over the
+    points 0..n-1, point i named names[i] and the names ascending.  Each
+    relation is random or closed to the shape a class asks for, and one
+    model in four is a product on "v|x"-named worlds or a one-step mutant
+    of one, so that every check both passes and fails often."""
+    if rng.random() < 0.25:
+        names, rel_d, rel_l = random_grid(rng)
+        return names, rel_d, rel_l, random_valuation(rng, len(names), rel_d)
     n = rng.randint(1, 5)
     density = rng.random()
     rel_d = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
@@ -109,35 +183,35 @@ def random_model(rng):
         rel_l = closure(rel_l, n, reflexive=True, symmetric=True)
     if rng.random() < 0.3:  # commute by giving every point the same d-row
         rel_d = {(i, j) for i in range(n) for j in range(n)}
+    return list("abcde"[:n]), rel_d, rel_l, random_valuation(rng, n, rel_d)
+
+
+def random_valuation(rng, n, rel_d):
     valuation = {}
     for atom_id in rng.sample(range(4), rng.randint(0, 2)):
         members = {i for i in range(n) if rng.random() < 0.5}
         if rng.random() < 0.5:
             members |= {j for i, j in rel_d if i in members}
         valuation[atom_id] = members
-    return n, rel_d, rel_l, valuation
+    return valuation
 
 
-def as_model(n, rel_d, rel_l, valuation, is_product=False):
-    # single-character names keep the sorted world order equal to index order
-    name = "abcdefghij"
-    return BimodalModel([name[i] for i in range(n)],
-                        [(name[i], name[j]) for i, j in rel_d],
-                        [(name[i], name[j]) for i, j in rel_l],
-                        {a: {name[i] for i in s} for a, s in valuation.items()},
-                        is_product=is_product)
+def as_model(names, rel_d, rel_l, valuation):
+    return BimodalModel(names, [(names[i], names[j]) for i, j in rel_d],
+                        [(names[i], names[j]) for i, j in rel_l],
+                        {a: {names[i] for i in s} for a, s in valuation.items()})
 
 
-def named(lines):
-    """Reference lines use indices; the model's worlds are letters."""
+def named(lines, names):
+    """Reference lines use indices, apart from the provenance line."""
     out = []
     for line in lines:
         head, sep, tail = line.partition(": fail ")
         if sep and not head.startswith(("atom-", "product-")):
-            tail = " ".join("abcdefghij"[int(x)] for x in tail.split())
+            tail = " ".join(names[int(x)] for x in tail.split())
         elif sep and head == "atom-persistence":
             atom_id, *points = tail.split()
-            tail = " ".join([atom_id] + ["abcdefghij"[int(x)] for x in points])
+            tail = " ".join([atom_id] + [names[int(x)] for x in points])
         out.append(head + sep + tail)
     return out
 
@@ -150,13 +224,12 @@ def test_validate_matches_pair_set_reference(seed):
     rng = random.Random(seed)
     seen = set()
     for _ in range(150):
-        n, rel_d, rel_l, valuation = random_model(rng)
-        is_product = rng.random() < 0.5
-        model = as_model(n, rel_d, rel_l, valuation, is_product)
+        names, rel_d, rel_l, valuation = random_model(rng)
+        model = as_model(names, rel_d, rel_l, valuation)
         for frame_class in FRAME_CLASSES:
             report = validate(model, frame_class)
-            assert report.lines() == named(ref_lines(frame_class, n, rel_d, rel_l,
-                                                     valuation, is_product))
+            assert report.lines() == named(ref_lines(frame_class, names, rel_d,
+                                                     rel_l, valuation), names)
             seen.update((c.name, c.passed) for c in report.checks)
     # every check was seen both passing and failing
     assert seen == {(name, ok) for name, _ in seen for ok in (True, False)}
@@ -166,8 +239,9 @@ def test_validate_matches_pair_set_reference(seed):
 def test_clouds_match_reference_or_name_the_failing_property(seed):
     rng = random.Random(50 + seed)
     for _ in range(200):
-        n, rel_d, rel_l, valuation = random_model(rng)
-        model = as_model(n, rel_d, rel_l, valuation)
+        names, rel_d, rel_l, valuation = random_model(rng)
+        n = len(names)
+        model = as_model(names, rel_d, rel_l, valuation)
         failure = next(((name, bad) for name, bad in (
             ("reflexive", ref_reflexive(rel_l, n)),
             ("symmetric", ref_symmetric(rel_l, n)),
@@ -238,7 +312,9 @@ def ref_frames(frame_class, m):
 @pytest.mark.parametrize("frame_class", [CROSS_AXIOM, S4S5_COMMUTATOR,
                                          K4S5_COMMUTATOR])
 def test_oracle_frames_match_pair_set_reference(frame_class, m):
-    assert satbound._frames(frame_class, m) == ref_frames(frame_class, m)
+    assert [(succ_l, succ_d)
+            for succ_l, succ_ds, _ in satbound._frame_groups(frame_class, m)
+            for succ_d in succ_ds] == ref_frames(frame_class, m)
 
 
 def test_relation_counts_match_oeis():
@@ -277,8 +353,9 @@ def random_formula(rng, depth):
 def test_sat_set_matches_reference_evaluator():
     rng = random.Random(7)
     for _ in range(150):
-        n, rel_d, rel_l, valuation = random_model(rng)
-        model = as_model(n, rel_d, rel_l, valuation)
+        names, rel_d, rel_l, valuation = random_model(rng)
+        n = len(names)
+        model = as_model(names, rel_d, rel_l, valuation)
         for _ in range(5):
             f = random_formula(rng, 4)
             expected = sorted(model.worlds[i]
@@ -291,7 +368,8 @@ def test_packed_lanes_match_reference_evaluator():
     # result is the sat set of f under that valuation
     rng = random.Random(8)
     for _ in range(60):
-        n, rel_d, rel_l, _ = random_model(rng)
+        names, rel_d, rel_l, _ = random_model(rng)
+        n = len(names)
         succ_d = [sum(1 << j for j in range(n) if (i, j) in rel_d) for i in range(n)]
         succ_l = [sum(1 << j for j in range(n) if (i, j) in rel_l) for i in range(n)]
         valuations = [{a: {i for i in range(n) if rng.random() < 0.5}

@@ -10,8 +10,7 @@ from bimodal import formula as fm, relations, satbound
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond, Implies
 from bimodal.semantics import (validate, CROSS_AXIOM, S4S5_COMMUTATOR,
                                K4S5_COMMUTATOR, S4S5_PRODUCT)
-from bimodal.satbound import (bounded_sat, ResourceCapError,
-                              DEFAULT_MAX_ATOMS, ENV_MAX_POINTS)
+from bimodal.satbound import bounded_sat, ResourceCapError, DEFAULT_MAX_ATOMS
 
 
 ALL_CLASSES = [CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR, S4S5_PRODUCT]
@@ -94,20 +93,13 @@ def test_candidate_budget_enforced():
         bounded_sat(f, S4S5_COMMUTATOR, max_points=4, max_candidates=10)
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_MAX_POINTS, "1")
-    f = And(Atom(0), L(Not(Atom(0))))  # needs two points
-    assert not bounded_sat(f, CROSS_AXIOM).satisfiable
-    monkeypatch.setenv(ENV_MAX_POINTS, "2")
-    assert bounded_sat(f, CROSS_AXIOM).satisfiable
-
-
 def test_product_hits_are_products():
     f = And(Diamond(L(Atom(0))), K(Not(Atom(0))))
     verdict = bounded_sat(f, S4S5_PRODUCT, max_points=4)
     assert verdict.satisfiable
-    assert verdict.model.is_product
-    assert validate(verdict.model, S4S5_PRODUCT).ok
+    report = validate(verdict.model, S4S5_PRODUCT)
+    assert "product-provenance: pass" in report.lines()
+    assert report.ok
 
 
 def test_k_box_interaction_on_commutators():
@@ -146,8 +138,10 @@ def product_frames(max_points):
                             succ_d[i] |= 1 << (j * m2 + x)
                         for j in relations.bits(succ2[x]):
                             succ_l[i] |= 1 << (v * m2 + j)
+                names = [f"{v}|{x}" for v in range(m1) for x in range(m2)]
                 yield (m, succ_l, succ_d, range(1 << m),
-                       partial(satbound._build_product, succ1, succ2))
+                       partial(satbound._build_hit, S4S5_PRODUCT, names,
+                               succ_l, succ_d))
 
 
 def walk_candidates(f, frame_class, max_points):
@@ -162,9 +156,10 @@ def walk_candidates(f, frame_class, max_points):
         frames = ((m, succ_l, succ_d,
                    satbound._persistent_masks(succ_d)
                    if frame_class == CROSS_AXIOM else range(1 << m),
-                   partial(satbound._build_hit, frame_class, succ_l, succ_d))
+                   partial(satbound._build_hit, frame_class, names, succ_l, succ_d))
                   for m in range(1, max_points + 1)
-                  for succ_l, succ_d in satbound._frames(frame_class, m))
+                  for succ_l, succ_ds, names in satbound._frame_groups(frame_class, m)
+                  for succ_d in succ_ds)
     for number, (m, succ_l, succ_d, allowed, build) in enumerate(frames, 1):
         for combo in itertools.product(allowed, repeat=len(atom_ids)):
             atom_masks = dict(zip(atom_ids, combo))

@@ -10,6 +10,8 @@ from bimodal.semantics import (BimodalModel, validate, clouds,
                                product_model, save_model, load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
                                S4S5_PRODUCT)
+from bimodal.red_s4s5 import build_counter_s4s5_model
+from bimodal.reduction import _reachable_restriction
 
 
 def refl(worlds):
@@ -142,8 +144,9 @@ def test_product_model_construction():
     frame2 = (["s", "t"], [("s", "s"), ("s", "t"), ("t", "s"), ("t", "t")])
     valuation = {0: {("1", "t")}}
     m = product_model(frame1, frame2, valuation, designated=("0", "s"))
-    assert m.is_product and len(m.worlds) == 4
+    assert len(m.worlds) == 4
     report = validate(m, S4S5_PRODUCT)
+    assert "product-provenance: pass" in report.lines()
     assert report.ok
     assert m.eval("0|s", Diamond(L(Atom(0))))
     assert m.eval("0|s", L(Diamond(Atom(0))))
@@ -165,6 +168,11 @@ def test_product_rejects_bad_factors():
      "first frame is not transitive at ('0', '1', '2')"),
     ((["0"], [("0", "0")]), (["s", "t"], [("s", "s"), ("t", "t"), ("s", "t")]),
      "second frame is not symmetric at ('s', 't')"),
+    # "0|s" and "t" would name the point ("0", "s|t") as well
+    ((["0", "0|s"], [("0", "0"), ("0|s", "0|s")]), (["s"], [("s", "s")]),
+     "first frame world '0|s' contains '|'"),
+    ((["0"], [("0", "0")]), (["s|t"], [("s|t", "s|t")]),
+     "second frame world 's|t' contains '|'"),
 ])
 def test_product_rejection_names_the_worlds(frame1, frame2, message):
     with pytest.raises(ValueError) as excinfo:
@@ -176,6 +184,33 @@ def test_product_provenance_check(two_cloud_model):
     report = validate(two_cloud_model, S4S5_PRODUCT)
     failed = {c.name for c in report.checks if not c.passed}
     assert "product-provenance" in failed
+
+
+def provenance_line(model):
+    return next(line for line in validate(model, S4S5_PRODUCT).lines()
+                if line.startswith("product-provenance"))
+
+
+def test_product_provenance_is_read_from_the_names():
+    model, _ = build_counter_s4s5_model(2)
+    reloaded = load_model(save_model(model))
+    assert provenance_line(reloaded) == "product-provenance: pass"
+    assert validate(reloaded, S4S5_PRODUCT).ok
+    # the part reachable from a point is the product of the factors' parts
+    part = _reachable_restriction(model, "1|2")
+    assert len(part.worlds) == 12 and validate(part, S4S5_PRODUCT).ok
+    # without one []-pair the world it leaves has a row no product has
+    dropped = BimodalModel(model.worlds, model.rel_d - {("1|2", "3|2")},
+                           model.rel_l, model.valuation)
+    assert provenance_line(dropped) == "product-provenance: fail 1|2"
+    # without one world the names no longer fill the grid
+    kept = [w for w in model.worlds if w != "1|2"]
+    deleted = BimodalModel(
+        kept, [(a, b) for a, b in model.rel_d if "1|2" not in (a, b)],
+        [(a, b) for a, b in model.rel_l if "1|2" not in (a, b)],
+        {a: s - {"1|2"} for a, s in model.valuation.items()})
+    assert provenance_line(deleted) == "product-provenance: fail 1|2"
+    assert "1|2" not in deleted.index
 
 
 def test_k4_class_drops_d_reflexivity():
