@@ -333,7 +333,8 @@ def find_accepting_tree(atm, w, time_bound):
 
 
 def accepts(atm, w, time_bound):
-    """Recursive acceptance predicate, independent of the tree builder."""
+    """Whether the machine accepts w within time_bound steps: the same
+    iterative search `find_accepting_tree` runs first, with a fresh memo."""
     return _accepts(atm, initial_config(atm, w), time_bound, {})
 
 

@@ -6,20 +6,21 @@ extractor in `bimodal.reduction`.
 
 The encoding's shared variables are LA over carrier atoms A
 (`shared_s4s5`); persistent X vectors carry values across []-steps, and
-the activity flag B_active guards the read-symbol transport.
+the activity flag B_active guards the read-symbol transport.  One
+builder, `_product_witness`, makes both witnesses: the counter's is the
+machine witness's product over the path of counter values.
 """
 
 from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       conj, disj, eq_vector, eq_binary, rightmost_zero,
-                      rightmost_one, unique, lt, leq, leq_binary, gt_binary,
+                      rightmost_one, unique, lt, leq, gt_binary,
                       persistent_macro, shared_s4s5, ones)
 from .catalog import VariableCatalog
 from .semantics import product_model, S4S5_PRODUCT
-from .atm import BLANK
 from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
-                        everywhere, computation, gen_formula, grow_tree,
-                        check_morphism, counter_steps, _staircase,
-                        _pos_guard, _pos_move)
+                        everywhere, computation, fresh_cell_symbols,
+                        no_reject, gen_formula, grow_tree, check_morphism,
+                        counter_steps, _staircase, _pos_guard, _pos_move)
 # The shared engine's public names stay importable from here.
 from .reduction import (ExtractionError, ReductionParams, window_pos,  # noqa: F401
                         entries_left_then_right, tree_size_bound)
@@ -58,23 +59,18 @@ def gen_counter_s4s5(n):
 
 
 def build_counter_s4s5_model(n):
-    """Product witness model on {0..2^n-1} x {0..2^n-1}: the first factor
-    carries the counter value (<=-ordered), the second the persistent X."""
+    """Product witness model on {0..2^n-1} x {0..2^n-1}: the machine
+    witness's construction over the path of counter values, so the first
+    factor carries the counter value (<=-ordered), the second the
+    persistent X."""
     if n < 1:
         raise ValueError("counter width must be at least 1")
     top = 2 ** n
-    values = list(range(top))
-    frame1 = (values, [(i, j) for i in values for j in values if i <= j])
-    frame2 = (values, [(i, j) for i in values for j in values])
     cat = counter_catalog_s4s5(n)
-    valuation = {}
-    for k in range(n):
-        valuation[cat.atom("A", k)] = {(i, j) for i in values for j in values
-                                       if k in ones(i)}
-        valuation[cat.atom("X", k)] = {(i, j) for i in values for j in values
-                                       if k in ones(j)}
-    model = product_model(frame1, frame2, valuation, designated=(0, 0))
-    return model, model.designated
+    return _product_witness(
+        range(top), [None, *range(top - 1)], [atom for _, _, atom in cat.entries()],
+        lambda i: [cat.atom("A", k) for k in ones(i)],
+        lambda j: [cat.atom("X", k) for k in ones(j)])
 
 
 def extract_counter_trace_s4s5(model, p0, n):
@@ -130,15 +126,7 @@ def _start_s4s5(v):
 
 
 def _initial_symbols(v):
-    params = v.params
-    N = params.N
-    base = 2 ** N - 1
-    parts = []
-    for i, a in enumerate(params.w, start=1):
-        parts.append(Implies(eq_binary(v.x_pos, base + i), v.x_read[a]))
-    outside = disj([leq_binary(v.x_pos, base), gt_binary(v.x_pos, base + params.n)])
-    parts.append(Implies(outside, v.x_read[BLANK]))
-    return Implies(eq_binary(v.x_tapv, 0), conj(parts))
+    return Implies(eq_binary(v.x_tapv, 0), fresh_cell_symbols(v))
 
 
 def _written_symbols(v):
@@ -236,10 +224,6 @@ def _computation_s4s5(v):
     return computation(v, _compstep_s4s5)
 
 
-def _no_reject_s4s5(v):
-    return Not(v.alpha_state[v.params.atm.reject])
-
-
 # The machine-encoding formula's conjuncts, named, in formula order.
 _CONJUNCTS = (
     ("persistence", _persistence),
@@ -249,7 +233,7 @@ _CONJUNCTS = (
     ("written_symbols", everywhere(_written_symbols)),
     ("read_a_symbol", everywhere(_read_a_symbol)),
     ("computation", everywhere(_computation_s4s5)),
-    ("no_reject", everywhere(_no_reject_s4s5)),
+    ("no_reject", everywhere(no_reject)),
 )
 
 
@@ -281,58 +265,59 @@ def _tapv_s4s5(tree, data, x):
 def build_f_s4s5_model(params, tree):
     """Product witness model over the accepting tree: the first factor is
     the tree under ancestry, the second indexes the persistent carriers."""
-    atm = params.atm
-    N = params.N
     data = witness_data(params, tree)
-    nodes = tree.nodes()
+    cat = f_s4s5_catalog(params)
     root = tree.root
 
+    def bits(fam, value):
+        return [cat.atom(fam, k) for k in ones(value)]
+
+    def first(v):
+        d = data[v]
+        out = (bits("A_time", d["time"]) + bits("A_pos", d["pos"])
+               + [cat.atom("A_state", d["state"]), cat.atom("A_read", d["read"]),
+                  cat.atom("A_written", d["written"])])
+        if v != root:
+            out += bits("A_prevpos", data[tree.parent[v]]["pos"])
+        return out
+
+    def second(x):
+        d = data[x]
+        out = (bits("X_tapv", _tapv_s4s5(tree, data, x)) + bits("X_pos", d["pos"])
+               + [cat.atom("X_read", d["read"])])
+        if x != root:
+            out += (bits("X_prevtime", d["time"] - 1)
+                    + bits("X_prevpos", data[tree.parent[x]]["pos"]))
+        return out
+
+    return _product_witness(tree.nodes(), tree.parent,
+                            [atom for _, _, atom in cat.entries()], first,
+                            second, active=cat.atom("B_active"))
+
+
+def _product_witness(nodes, parent, atoms, first, second, active=None):
+    """The product witness over a tree whose nodes come parents first,
+    with parent links (None at the root): the first factor is the tree
+    under ancestry, the second the same nodes under the full relation.
+    Of the atoms, first(v) hold on v's row (v, *), second(x) on x's column
+    (*, x), and active, if given, on the ancestry cells (v, x) with v on
+    x's root path.  The designated world is (root, root)."""
+    path = {}
     ancestry = []
     for x in nodes:
-        for v in tree.path_from_root(x):
-            ancestry.append((v, x))
-    ancestry_set = set(ancestry)
-
-    frame1 = (nodes, ancestry)
-    frame2 = (nodes, [(a, b) for a in nodes for b in nodes])
-
-    pairs = [(v, x) for v in nodes for x in nodes]
-    cat = f_s4s5_catalog(params)
-    valuation = {}
-    for k in range(N):
-        valuation[cat.atom("A_time", k)] = {
-            (v, x) for v, x in pairs if k in ones(data[v]["time"])}
-        valuation[cat.atom("X_prevtime", k)] = {
-            (v, x) for v, x in pairs
-            if x != root and k in ones(data[x]["time"] - 1)}
-        valuation[cat.atom("X_tapv", k)] = {
-            (v, x) for v, x in pairs
-            if k in ones(_tapv_s4s5(tree, data, x))}
-    for k in range(N + 1):
-        valuation[cat.atom("A_pos", k)] = {
-            (v, x) for v, x in pairs if k in ones(data[v]["pos"])}
-        valuation[cat.atom("X_pos", k)] = {
-            (v, x) for v, x in pairs if k in ones(data[x]["pos"])}
-        valuation[cat.atom("A_prevpos", k)] = {
-            (v, x) for v, x in pairs
-            if v != root and k in ones(data[tree.parent[v]]["pos"])}
-        valuation[cat.atom("X_prevpos", k)] = {
-            (v, x) for v, x in pairs
-            if x != root and k in ones(data[tree.parent[x]]["pos"])}
-    for q in atm.states:
-        valuation[cat.atom("A_state", q)] = {
-            (v, x) for v, x in pairs if data[v]["state"] == q}
-    for a in atm.symbols:
-        valuation[cat.atom("A_read", a)] = {
-            (v, x) for v, x in pairs if data[v]["read"] == a}
-        valuation[cat.atom("A_written", a)] = {
-            (v, x) for v, x in pairs if data[v]["written"] == a}
-        valuation[cat.atom("X_read", a)] = {
-            (v, x) for v, x in pairs if data[x]["read"] == a}
-    valuation[cat.atom("B_active")] = {
-        (v, x) for v, x in pairs if (v, x) in ancestry_set}
-
-    model = product_model(frame1, frame2, valuation, designated=(root, root))
+        path[x] = path.get(parent[x], []) + [x]
+        ancestry += [(v, x) for v in path[x]]
+    valuation = {atom: set() for atom in atoms}
+    for w in nodes:
+        for atom in first(w):
+            valuation[atom].update((w, x) for x in nodes)
+        for atom in second(w):
+            valuation[atom].update((v, w) for v in nodes)
+    if active is not None:
+        valuation[active].update(ancestry)
+    model = product_model((nodes, ancestry),
+                          (nodes, [(v, x) for v in nodes for x in nodes]),
+                          valuation, designated=(nodes[0], nodes[0]))
     return model, model.designated
 
 

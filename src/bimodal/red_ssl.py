@@ -5,20 +5,22 @@ them to the shared generator and extractor in `bimodal.reduction`.
 
 The encoding's shared variables are L(A & []LB) over carrier atoms A and
 the class marker B (`shared_ssl`); the witness model has one cloud per
-tree node plus a final cloud of carrier points.
+tree node plus a final cloud of carrier points.  One builder,
+`_cloud_witness`, makes both witnesses: the counter's is the machine
+witness's construction over the path of counter values.
 """
 
-from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
-                      conj, disj, eq_vector, eq_binary, rightmost_zero,
+from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
+                      disj, eq_vector, eq_binary, rightmost_zero,
                       rightmost_one, unique, neq, lt, leq, neq_plus1,
-                      leq_binary, gt_binary, shared_ssl, ones)
+                      gt_binary, shared_ssl, ones)
 from .catalog import VariableCatalog
 from .semantics import BimodalModel, CROSS_AXIOM
 from .atm import BLANK
 from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
-                        everywhere, computation, gen_formula, grow_tree,
-                        check_morphism, counter_steps, _staircase,
-                        _pos_guard, _pos_move)
+                        everywhere, computation, fresh_cell_symbols,
+                        no_reject, gen_formula, grow_tree, check_morphism,
+                        counter_steps, _staircase, _pos_guard, _pos_move)
 # The shared engine's public names stay importable from here.
 from .reduction import (ExtractionError, ReductionParams, window_offset,  # noqa: F401
                         window_pos, entries_left_then_right, tree_size_bound)
@@ -56,96 +58,19 @@ def gen_counter_ssl(n):
     return f, cat
 
 
-def _p(i, j):
-    return f"p_{i}_{j}"
-
-
-def _u(i, k):
-    return f"u_{i}_{k}"
-
-
-def _s(i, k):
-    return f"s_{i}_{k}"
-
-
 def build_counter_ssl_model(n):
-    """Witness model of the counter formula: one cloud per counter value
-    plus a final cloud with no class-marker points."""
+    """Witness model of the counter formula: the machine witness's
+    construction over the path of counter values 0..2^n-1, with carrier k
+    for bit k of the value and the final cloud 2^n."""
     if n < 1:
         raise ValueError("counter width must be at least 1")
     top = 2 ** n
-    p_points = [(i, j) for i in range(top) for j in range(i, top)]
-    u_points = [(i, k) for i in range(top + 1) for k in range(n)]
-    s_points = [(i, k) for i in range(top) for k in ones(i)]
-
-    worlds, bit = _sorted_bits(
-        [_p(i, j) for i, j in p_points] + [_u(i, k) for i, k in u_points]
-        + [_s(i, k) for i, k in s_points])
-
-    cloud_members = {i: [] for i in range(top + 1)}
-    for i, j in p_points:
-        cloud_members[i].append(_p(i, j))
-    for i, k in u_points:
-        cloud_members[i].append(_u(i, k))
-    for i, k in s_points:
-        cloud_members[i].append(_s(i, k))
-
-    # p_i_j sees p_i'_j for i <= i' <= j; u_i_k sees u_i'_k for i' >= i
-    # and s_i'_k where bit k of i' is set; each row is the next one's plus
-    # its own point, so the rows build up from the top
-    succ_d = {}
-    for j in range(top):
-        row = 0
-        for i in range(j, -1, -1):
-            row |= bit[_p(i, j)]
-            succ_d[_p(i, j)] = row
-    for k in range(n):
-        row = 0
-        for i in range(top, -1, -1):
-            if i < top and k in ones(i):
-                row |= bit[_s(i, k)]
-            row |= bit[_u(i, k)]
-            succ_d[_u(i, k)] = row
-    for i, k in s_points:
-        succ_d[_s(i, k)] = bit[_s(i, k)]
-
     cat = counter_catalog(n)
-    valuation = {cat.atom("B"): {_p(i, j) for i, j in p_points}}
-    for k in range(n):
-        valuation[cat.atom("A", k)] = ({_u(i, k2) for i, k2 in u_points if k2 == k}
-                                       | {_s(i, k2) for i, k2 in s_points if k2 == k})
-        valuation[cat.atom("X", k)] = {_p(i, j) for i, j in p_points if k in ones(j)}
-
-    return _witness(worlds, bit, cloud_members.values(), succ_d, valuation,
-                    _p(0, 0))
-
-
-def _sorted_bits(names):
-    """The sorted worlds of names and the bit of each name among them."""
-    worlds = tuple(sorted(names))
-    return worlds, {w: 1 << i for i, w in enumerate(worlds)}
-
-
-def _union(bit, names):
-    mask = 0
-    for w in names:
-        mask |= bit[w]
-    return mask
-
-
-def _witness(worlds, bit, clouds, succ_d, valuation, designated):
-    """The cross-axiom witness on worlds whose L-classes are clouds, given
-    each world's []-row and each atom's worlds by name, and the designated
-    world."""
-    succ_l = {}
-    for members in clouds:
-        row = _union(bit, members)
-        succ_l.update((w, row) for w in members)
-    model = BimodalModel.from_rows(
-        worlds, [succ_d[w] for w in worlds], [succ_l[w] for w in worlds],
-        {a: _union(bit, members) for a, members in valuation.items()},
-        frame_class=CROSS_AXIOM, designated=designated)
-    return model, designated
+    x_atoms = [cat.atom("X", k) for k in range(n)]
+    return _cloud_witness(
+        cat.atom("B"), range(top), [None, *range(top - 1)], top,
+        [(k, cat.atom("A", k)) for k in range(n)], ones, x_atoms,
+        lambda j: [x_atoms[k] for k in ones(j)])
 
 
 def extract_counter_trace(model, p0, n):
@@ -203,15 +128,7 @@ def _time_after_previous_visit(v):
 
 
 def _get_the_right_symbol(v):
-    params = v.params
-    N = params.N
-    base = 2 ** N - 1
-    fresh_parts = []
-    for i, a in enumerate(params.w, start=1):
-        fresh_parts.append(Implies(eq_binary(v.x_pos, base + i), v.x_read[a]))
-    outside = disj([leq_binary(v.x_pos, base), gt_binary(v.x_pos, base + params.n)])
-    fresh_parts.append(Implies(outside, v.x_read[BLANK]))
-    fresh = Implies(And(v.b, eq_binary(v.x_tapv, 0)), conj(fresh_parts))
+    fresh = Implies(And(v.b, eq_binary(v.x_tapv, 0)), fresh_cell_symbols(v))
     revisit = Implies(conj([v.b, gt_binary(v.x_tapv, 0),
                             eq_vector(v.alpha_time, v.x_tapv, -1)]),
                       eq_vector(v.x_read_vec, v.alpha_written_vec, -1))
@@ -277,10 +194,6 @@ def _computation_ssl(v):
     return computation(v, _compstep_ssl)
 
 
-def _no_reject_ssl(v):
-    return Not(v.alpha_state[v.params.atm.reject])
-
-
 # The machine-encoding formula's conjuncts, named, in formula order.
 _CONJUNCTS = (
     ("uniqueness", everywhere(_uniqueness_ssl)),
@@ -288,7 +201,7 @@ _CONJUNCTS = (
     ("time_after_previous_visit", everywhere(_time_after_previous_visit)),
     ("get_the_right_symbol", everywhere(_get_the_right_symbol)),
     ("computation", everywhere(_computation_ssl)),
-    ("no_reject", everywhere(_no_reject_ssl)),
+    ("no_reject", everywhere(no_reject)),
 )
 
 
@@ -314,105 +227,95 @@ def _tapv_value(tree, data, x):
     return 0 if last is None else data[last]["time"] + 1
 
 
-def _pw(v, x):
-    return f"p_{v}_{x}"
-
-
-def _uw(v, idx):
-    fam, key = idx
-    return f"u_{v}_{fam}_{key}"
-
-
-def _sw(v, idx):
-    fam, key = idx
-    return f"s_{v}_{fam}_{key}"
-
-
 def build_f_ssl_model(params, tree):
     """Witness model built from an accepting tree: one cloud per tree node
     (descendant points, carrier points, stopper points) plus a final cloud
-    holding only carrier points."""
-    atm = params.atm
+    "T" holding only carrier points."""
     data = witness_data(params, tree)
     cat = f_ssl_catalog(params)
-    # per-cloud carrier point index: one entry per shared-variable atom
-    idx_set = [(fam, key) for fam, key, _ in cat.entries()
-               if fam.startswith("A_")]
-    nodes = tree.nodes()
-    TOPV = "T"  # sentinel cloud label
+    carriers = [(f"{fam}_{key}", atom) for fam, key, atom in cat.entries()
+                if fam.startswith("A_")]
 
-    ancestors = {}  # node -> list of (ancestor-or-self)
+    def bits(fam, value):
+        return [cat.atom(fam, k) for k in ones(value)]
+
+    def stoppers(v):
+        d = data[v]
+        return ([f"A_time_{k}" for k in ones(d["time"])]
+                + [f"A_pos_{k}" for k in ones(d["pos"])]
+                + [f"A_state_{d['state']}", f"A_written_{d['written']}",
+                   f"A_read_{d['read']}"])
+
+    def x_true(x):
+        d = data[x]
+        return (bits("X_time", d["time"])
+                + bits("X_tapv", _tapv_value(tree, data, x))
+                + bits("X_pos", d["pos"]) + [cat.atom("X_read", d["read"])])
+
+    return _cloud_witness(
+        cat.atom("B"), tree.nodes(), tree.parent, "T", carriers, stoppers,
+        [atom for fam, _, atom in cat.entries() if fam.startswith("X_")],
+        x_true)
+
+
+def _cloud_witness(marker, nodes, parent, top, carriers, stoppers, x_atoms,
+                   x_true):
+    """The cross-axiom witness over a tree whose nodes come parents first,
+    with parent links (None at the root).  carriers are (label, atom)
+    pairs, stoppers(v) the carrier labels stopped at node v.
+
+    Node v's cloud holds p_v_x for each descendant-or-self x, u_v_c for
+    each carrier label c and s_v_c for each stopper c of v; the final
+    cloud top holds only the u_top_c.  p_v_x sees p_v'_x for each v' from
+    v down to x; u_v_c sees u_v'_c and s_v'_c for each descendant-or-self
+    v', and u_top_c; an s-point sees itself.  The marker holds at every
+    p-point, a carrier's atom at its u- and s-points, and x_true(x), a
+    list drawn from x_atoms, at the p-points p_v_x.  The designated world
+    is p_root_root."""
+    path = {}
     for x in nodes:
-        ancestors[x] = tree.path_from_root(x)
+        path[x] = path.get(parent[x], []) + [x]
+    clouds = {v: [f"u_{v}_{c}" for c, _ in carriers] for v in [*nodes, top]}
+    for v in nodes:
+        clouds[v] += [f"s_{v}_{c}" for c in stoppers(v)]
+    for x in nodes:
+        for v in path[x]:
+            clouds[v].append(f"p_{v}_{x}")
+    worlds = sorted(w for members in clouds.values() for w in members)
+    bit = {w: 1 << i for i, w in enumerate(worlds)}
 
-    def s_indices(v):
-        out = [("A_time", k) for k in ones(data[v]["time"])]
-        out += [("A_pos", k) for k in ones(data[v]["pos"])]
-        out.append(("A_state", data[v]["state"]))
-        out.append(("A_written", data[v]["written"]))
-        out.append(("A_read", data[v]["read"]))
-        return out
-
-    p_points = [(v, x) for x in nodes for v in ancestors[x]]
-    u_points = [(v, i) for v in nodes + [TOPV] for i in idx_set]
-    s_points = [(v, i) for v in nodes for i in s_indices(v)]
-
-    worlds, bit = _sorted_bits(
-        [_pw(v, x) for v, x in p_points] + [_uw(v, i) for v, i in u_points]
-        + [_sw(v, i) for v, i in s_points])
-
-    cloud = {v: [] for v in nodes + [TOPV]}
-    for v, x in p_points:
-        cloud[v].append(_pw(v, x))
-    for v, i in u_points:
-        cloud[v].append(_uw(v, i))
-    for v, i in s_points:
-        cloud[v].append(_sw(v, i))
-
-    # p_v_x sees p_v'_x for v' between v and x on x's path; u_v_i sees
-    # u_v'_i and s_v'_i for every descendant v' of v, and the final
-    # cloud's u_T_i.  Rows build up from x towards the root, and from the
-    # leaves (larger node ids) up.
-    s_present = set(s_points)
-    succ_d = {}
+    succ_d = dict(bit)  # the rows of the s-points and of the final cloud
+    masks = dict.fromkeys([marker, *(atom for _, atom in carriers), *x_atoms], 0)
+    # each row is the next one's plus its own point, so p rows build up
+    # from x towards the root and u rows from the leaves up
     for x in nodes:
         row = 0
-        for v in reversed(ancestors[x]):
-            row |= bit[_pw(v, x)]
-            succ_d[_pw(v, x)] = row
-    for i in idx_set:
-        top = _uw(TOPV, i)
-        succ_d[top] = bit[top]
+        for v in reversed(path[x]):
+            row |= bit[f"p_{v}_{x}"]
+            succ_d[f"p_{v}_{x}"] = row
+        # row now holds every p_v_x
+        masks[marker] |= row
+        for atom in x_true(x):
+            masks[atom] |= row
+    for c, atom in carriers:
+        below = dict.fromkeys(nodes, bit[f"u_{top}_{c}"])
         for v in reversed(nodes):
-            row = bit[_uw(v, i)] | bit[top]
-            if (v, i) in s_present:
-                row |= bit[_sw(v, i)]
-            for child in tree.children[v]:
-                row |= succ_d[_uw(child, i)]
-            succ_d[_uw(v, i)] = row
-    for v, i in s_points:
-        succ_d[_sw(v, i)] = bit[_sw(v, i)]
+            row = below[v] | bit[f"u_{v}_{c}"] | bit.get(f"s_{v}_{c}", 0)
+            succ_d[f"u_{v}_{c}"] = row
+            if parent[v] is not None:
+                below[parent[v]] |= row
+        # the root's u-point sees every point of its carrier
+        masks[atom] = row
 
-    valuation = {cat.atom("B"): {_pw(v, x) for v, x in p_points}}
-    for fam, key in idx_set:
-        valuation[cat.atom(fam, key)] = (
-            {_uw(v, i) for v, i in u_points if i == (fam, key)}
-            | {_sw(v, i) for v, i in s_points if i == (fam, key)})
-    N = params.N
-    for k in range(N):
-        valuation[cat.atom("X_time", k)] = {
-            _pw(v, x) for v, x in p_points if k in ones(data[x]["time"])}
-        valuation[cat.atom("X_tapv", k)] = {
-            _pw(v, x) for v, x in p_points if k in ones(_tapv_value(tree, data, x))}
-    for k in range(N + 1):
-        valuation[cat.atom("X_pos", k)] = {
-            _pw(v, x) for v, x in p_points if k in ones(data[x]["pos"])}
-    for a in atm.symbols:
-        valuation[cat.atom("X_read", a)] = {
-            _pw(v, x) for v, x in p_points if data[x]["read"] == a}
-
-    return _witness(worlds, bit, cloud.values(), succ_d, valuation,
-                    _pw(tree.root, tree.root))
+    succ_l = {}
+    for members in clouds.values():
+        row = sum(bit[w] for w in members)
+        succ_l.update(dict.fromkeys(members, row))
+    designated = f"p_{nodes[0]}_{nodes[0]}"
+    model = BimodalModel.from_rows(
+        worlds, [succ_d[w] for w in worlds], [succ_l[w] for w in worlds],
+        masks, frame_class=CROSS_AXIOM, designated=designated)
+    return model, designated
 
 
 # ---------------------------------------------------------------------------

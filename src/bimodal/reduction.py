@@ -14,9 +14,9 @@ configurations keep the head-at-0 convention; `window_pos` converts.
 
 from typing import Callable, NamedTuple
 
-from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
-                      disj, eq_vector, eq_binary, rightmost_zero,
-                      rightmost_one, ones)
+from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
+                      conj, disj, eq_vector, eq_binary, leq_binary,
+                      gt_binary, rightmost_zero, rightmost_one, ones)
 from .catalog import VariableCatalog
 from . import relations
 from .relations import bits
@@ -285,6 +285,24 @@ def computation(v, compstep):
                 parts.append(Implies(And(v.alpha_state[q], v.alpha_read[a]),
                                      join(steps)))
     return conj(parts)
+
+
+def fresh_cell_symbols(v):
+    """The symbol a fresh cell reads: input cell i, at window position
+    2^N - 1 + i, reads the word's i-th symbol, and every cell outside the
+    input reads the blank."""
+    params = v.params
+    base = window_offset(params.N)
+    parts = [Implies(eq_binary(v.x_pos, base + i), v.x_read[a])
+             for i, a in enumerate(params.w, start=1)]
+    outside = disj([leq_binary(v.x_pos, base), gt_binary(v.x_pos, base + params.n)])
+    parts.append(Implies(outside, v.x_read[BLANK]))
+    return conj(parts)
+
+
+def no_reject(v):
+    """No configuration is in the rejecting state."""
+    return Not(v.alpha_state[v.params.atm.reject])
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,12 @@ def product_model(frame1, frame2, valuation, designated=None):
         worlds = sorted(worlds, key=key)
         index = {w: i for i, w in enumerate(worlds)}
         succ = [0] * len(worlds)
-        for a, b in rel:
-            succ[index[a]] |= 1 << index[b]
+        try:
+            for a, b in rel:
+                succ[index[a]] |= 1 << index[b]
+        except KeyError as err:
+            raise ValueError(f"{which} frame pair {(a, b)!r} mentions unknown "
+                             f"world {err.args[0]!r}") from None
         for check in checks:
             bad = check(succ)
             if bad is not None:

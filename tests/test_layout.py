@@ -1,6 +1,7 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
-every model through one rows constructor, and keeps no product flag."""
+every model through one rows constructor, builds each logic's witnesses
+in one place, and keeps no product flag."""
 
 import ast
 import pathlib
@@ -36,16 +37,16 @@ def test_imports_are_stdlib_or_bimodal(path):
     assert foreign == []
 
 
-def model_constructor_calls(path):
-    """Line numbers of the calls in a module that build a model through
-    the pairs constructor, `BimodalModel(...)`."""
+def calls_to(path, callee):
+    """Line numbers of the calls in a module to a function or method
+    named callee."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute) else None)
-            if name == "BimodalModel":
+            if name == callee:
                 yield node.lineno
 
 
@@ -54,8 +55,15 @@ def test_models_are_built_from_rows(path):
     """Inside the package a model is built only by
     `BimodalModel.from_rows`; the pairs constructor is an entry for
     callers outside it, so no pair path creeps back in."""
-    assert list(model_constructor_calls(path)) == []
+    assert list(calls_to(path, "BimodalModel")) == []
 
+
+@pytest.mark.parametrize("module, constructor", [("red_ssl.py", "from_rows"),
+                                                 ("red_s4s5.py", "product_model")])
+def test_one_witness_builder_per_logic(module, constructor):
+    """Each logic builds its counter and machine witnesses through one
+    builder, so its model constructor is called in exactly one place."""
+    assert len(list(calls_to(PACKAGE / module, constructor))) == 1
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -23,7 +23,9 @@ from tests.conftest import M1_PATH
 from tests.test_relations import random_model
 
 # SHA-256 prefixes of the saved witnesses, as written when relations were
-# still stored as pair sets: the files must not change.
+# still stored as pair sets (counter n=4 and m1 on "b" and "aba": as
+# written when each logic had separate counter and machine builders): the
+# files must not change.
 SAVED_DIGESTS = {
     "counter-ssl-1": "1ff92164aa9c483800b36f9d03eb5123",
     "counter-s4s5-1": "e0d39d753a8ed2265e521d49768daa65",
@@ -31,23 +33,29 @@ SAVED_DIGESTS = {
     "counter-s4s5-2": "4315b0412fc7ad812387c045006e5b47",
     "counter-ssl-3": "ee2131af16abc8caec05291f3342a305",
     "counter-s4s5-3": "2e3123900e85d7f0c07773513ad27854",
+    "counter-ssl-4": "a9a5c6869a9f5faa79acc0a4e606a5a6",
+    "counter-s4s5-4": "d6c2d439903e77cb2087c6b363c13749",
     "m1-a-ssl": "030a5b3465c6763b867d31929b042bed",
     "m1-a-s4s5": "07c023f6eca9d901ec17b41a8951bf63",
     "m1-ab-ssl": "a0336775f97c0754ca66d86938cd935d",
     "m1-ab-s4s5": "4fdf06d4724a1fe94a38197b881a2497",
+    "m1-b-ssl": "31fe70c48d06b3f990c2b84b42782230",
+    "m1-b-s4s5": "e9a34a16f39270fe8dbcdaba8f9caad9",
+    "m1-aba-ssl": "84c87d85320803f303b397a949d86a67",
+    "m1-aba-s4s5": "3746a8641579f1e86811444d0442ce1e",
 }
 
 
 def witnesses():
     """(name, logic, model, point, formula) for every pinned witness."""
     out = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         out.append((f"counter-ssl-{n}", "ssl", *build_counter_ssl_model(n),
                     gen_counter_ssl(n)[0]))
         out.append((f"counter-s4s5-{n}", "s4s5", *build_counter_s4s5_model(n),
                     gen_counter_s4s5(n)[0]))
     m1 = am.parse_atm(M1_PATH.read_text())
-    for w in ("a", "ab"):
+    for w in ("a", "ab", "b", "aba"):
         params = ReductionParams(m1, [2, 1], w)
         tree = am.find_accepting_tree(m1, w, 2 ** params.N - 1)
         out.append((f"m1-{w}-ssl", "ssl", *build_f_ssl_model(params, tree),

@@ -173,6 +173,8 @@ def test_product_rejects_bad_factors():
      "first frame world '0|s' contains '|'"),
     ((["0"], [("0", "0")]), (["s|t"], [("s|t", "s|t")]),
      "second frame world 's|t' contains '|'"),
+    ((["0"], [("0", "0"), ("0", "9")]), (["s"], [("s", "s")]),
+     "first frame pair ('0', '9') mentions unknown world '9'"),
 ])
 def test_product_rejection_names_the_worlds(frame1, frame2, message):
     with pytest.raises(ValueError) as excinfo:
