@@ -203,13 +203,6 @@ class ComputationTree:
             d += 1
         return d
 
-    def path_from_root(self, v):
-        path = []
-        while v is not None:
-            path.append(v)
-            v = self.parent[v]
-        return list(reversed(path))
-
     def height(self):
         return max(self.depth(v) for v in self.nodes())
 

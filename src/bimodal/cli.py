@@ -112,12 +112,19 @@ def _build(args):
     _conclude(report, holds, "generated formula is false on its witness model")
 
 
-def _check(args):
+def _model_and_point(args):
+    """The model file and the point to work at: --point, else the model's
+    designated world."""
     model = load_model(_read(args.model))
-    f = fm.parse(_read(args.formula))
     point = args.point if args.point is not None else model.designated
     if point is None:
         raise CheckFailure("no --point given and the model has no designated world")
+    return model, point
+
+
+def _check(args):
+    model, point = _model_and_point(args)
+    f = fm.parse(_read(args.formula))
     report = [f"command: check"]
     if args.frame_class:
         vr = validate(model, args.frame_class)
@@ -131,8 +138,7 @@ def _check(args):
 
 
 def _extract(args):
-    model = load_model(_read(args.model))
-    point = args.point if args.point is not None else model.designated
+    model, point = _model_and_point(args)
     red = REDUCTIONS[args.logic]
     if args.kind == "trace":
         if args.n is None:
@@ -176,8 +182,7 @@ def _translate(args):
 
 
 def _lift(args):
-    model = load_model(_read(args.model))
-    point = args.point if args.point is not None else model.designated
+    model, point = _model_and_point(args)
     f = fm.parse(_read(args.formula))
     result = translations.t_ssl_to_s4s5(f)
     lifted, point = translations.lift_model_ssl_to_s4s5(model, point,
@@ -192,8 +197,7 @@ def _lift(args):
 
 
 def _restrict(args):
-    model = load_model(_read(args.model))
-    point = args.point if args.point is not None else model.designated
+    model, point = _model_and_point(args)
     f = fm.parse(_read(args.formula))
     restricted, point = translations.restrict_model_s4s5_to_ssl(model, point, f)
     holds = restricted.eval(point, f)

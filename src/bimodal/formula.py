@@ -8,7 +8,13 @@ core shapes.
 
 Nodes are interned: structurally equal formulas are the same object, which
 makes equality and hashing O(1) even for very large generated formulas.
+
+Text is scanned by one compiled regular expression, one match per token;
+whitespace between tokens is skipped.  The whole text is scanned before the
+grammar runs, so a lexical error is reported ahead of any grammar error.
 """
+
+import re
 
 ATOM = "atom"
 NOT = "not"
@@ -179,54 +185,29 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_SINGLE = {"(", ")", "&", "|", "!", "K", "L", "T", "F"}
-
-
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            toks.append(("<->", None, i))
-            i += 3
-        elif text.startswith("->", i):
-            toks.append(("->", None, i))
-            i += 2
-        elif text.startswith("[]", i):
-            toks.append(("[]", None, i))
-            i += 2
-        elif text.startswith("<>", i):
-            toks.append(("<>", None, i))
-            i += 2
-        elif c == "x":
-            j = i + 1
-            while j < n and text[j] in "01":
-                j += 1
-            if j == i + 1:
-                raise ParseError("atom symbol x must be followed by a binary numeral", i)
-            toks.append(("atom", int(text[i + 1:j], 2), i))
-            i = j
-        elif c in _SINGLE:
-            toks.append((c, None, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    return toks
-
-
+# One match per token, after any whitespace: a token of the syntax (an atom
+# or a symbol), a bare x, or any other character; the last two are errors.
+_TOKEN = re.compile(r"\s*(?:(x[01]+|<->|->|\[\]|<>|[()&|!KLTF])|(x)|(\S))")
+_CONSTANTS = {"T": true_formula, "F": false_formula}
 _PREFIX_BUILDERS = {"!": Not, "K": K, "[]": Box, "L": L, "<>": Diamond}
 _BINOP_BUILDERS = {"&": And, "|": Or, "->": Implies, "<->": Iff}
 
 
+def _tokens(text):
+    """Each token of text with its offset; raises at the first lexical error."""
+    for m in _TOKEN.finditer(text):
+        tok, bare_x, other = m.groups()
+        if bare_x:
+            raise ParseError("atom symbol x must be followed by a binary numeral",
+                             m.start(2))
+        if other:
+            raise ParseError(f"unexpected character {other!r}", m.start(3))
+        yield tok, m.start(1)
+
+
 def parse(text):
     """Parse canonical text (plus sugar L, <>, |, ->, <->, T, F) into a Formula."""
-    toks = _tokenize(text)
-    end = len(text)
+    tokens = list(_tokens(text))
     # Frame: [left, op, right, pending_prefixes, open_offset]
     frames = [[None, None, None, [], 0]]
 
@@ -237,30 +218,14 @@ def parse(text):
         fr[3] = []
         if fr[0] is None:
             fr[0] = value
-        elif fr[1] is None:
-            raise ParseError("expected an operator or closing parenthesis", off)
         elif fr[2] is None:
             fr[2] = value
         else:
             raise ParseError("expected a closing parenthesis", off)
 
-    for kind, value, off in toks:
+    for tok, off in tokens:
         fr = frames[-1]
-        if kind == "atom":
-            settle(Atom(value), off)
-        elif kind == "T":
-            settle(true_formula(), off)
-        elif kind == "F":
-            settle(false_formula(), off)
-        elif kind in _PREFIX_BUILDERS:
-            if fr[0] is not None and fr[1] is None:
-                raise ParseError("expected an operator or closing parenthesis", off)
-            fr[3].append(kind)
-        elif kind == "(":
-            if fr[0] is not None and fr[1] is None:
-                raise ParseError("expected an operator or closing parenthesis", off)
-            frames.append([None, None, None, [], off])
-        elif kind in _BINOP_BUILDERS:
+        if tok in _BINOP_BUILDERS:
             if fr[0] is None or fr[3]:
                 raise ParseError("operator with no left operand", off)
             if fr[1] is not None and fr[2] is None:
@@ -269,30 +234,37 @@ def parse(text):
                 raise ParseError("chained operators require parentheses", off)
             if len(frames) == 1:
                 raise ParseError("binary operators require parentheses", off)
-            fr[1] = kind
-        elif kind == ")":
+            fr[1] = tok
+        elif tok == ")":
             if len(frames) == 1:
                 raise ParseError("unmatched closing parenthesis", off)
             if fr[0] is None or fr[3]:
                 raise ParseError("empty or incomplete parenthesized formula", off)
             if fr[1] is not None and fr[2] is None:
                 raise ParseError("operator missing its right operand", off)
+            combined = fr[0]
             if fr[1] is not None:
                 combined = _BINOP_BUILDERS[fr[1]](fr[0], fr[2])
-            else:
-                combined = fr[0]
             frames.pop()
             settle(combined, off)
-        else:  # pragma: no cover - tokenizer emits no other kinds
-            raise ParseError(f"unexpected token {kind}", off)
+        # the rest start an operand, which must not follow a complete one
+        elif fr[0] is not None and fr[1] is None:
+            raise ParseError("expected an operator or closing parenthesis", off)
+        elif tok == "(":
+            frames.append([None, None, None, [], off])
+        elif tok in _PREFIX_BUILDERS:
+            fr[3].append(tok)
+        elif tok in _CONSTANTS:
+            settle(_CONSTANTS[tok](), off)
+        else:
+            settle(Atom(int(tok[1:], 2)), off)
 
     if len(frames) != 1:
         raise ParseError("unclosed parenthesis", frames[-1][4])
+    # the outer frame never takes an operator, so it holds a formula or less
     fr = frames[0]
     if fr[0] is None or fr[3]:
-        raise ParseError("incomplete formula", end)
-    if fr[1] is not None:
-        raise ParseError("top-level binary operator requires parentheses", end)
+        raise ParseError("incomplete formula", len(text))
     return fr[0]
 
 
@@ -396,26 +368,14 @@ def eq_binary(F, i):
                  for h in range(l - 1, -1, -1)])
 
 
-def rightmost(F, k, which):
-    """Position k holds the lowest zero ("zero") or lowest one ("one") of F."""
-    l = len(F)
-    if not 0 <= k < l:
-        raise ValueError(f"bit index {k} out of range for length {l}")
-    if which == "zero":
-        parts = [Not(F.bit(k))] + [F.bit(h) for h in range(k - 1, -1, -1)]
-    elif which == "one":
-        parts = [F.bit(k)] + [Not(F.bit(h)) for h in range(k - 1, -1, -1)]
-    else:
-        raise ValueError(f"which must be 'zero' or 'one', got {which!r}")
-    return conj(parts)
-
-
 def rightmost_zero(F, k):
-    return rightmost(F, k, "zero")
+    """Position k holds the lowest zero of F."""
+    return conj([Not(F.bit(k))] + [F.bit(h) for h in range(k - 1, -1, -1)])
 
 
 def rightmost_one(F, k):
-    return rightmost(F, k, "one")
+    """Position k holds the lowest one of F."""
+    return conj([F.bit(k)] + [Not(F.bit(h)) for h in range(k - 1, -1, -1)])
 
 
 def unique(F):

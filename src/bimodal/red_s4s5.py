@@ -248,20 +248,6 @@ def gen_f_s4s5(params):
 # ---------------------------------------------------------------------------
 # Product witness model built from an accepting tree.
 
-def _tapv_s4s5(tree, data, x):
-    """Time after the previous visit to the cell of node x: the time of the
-    last node on the root path whose step wrote into that cell, else 0."""
-    if tree.parent[x] is None:
-        return 0
-    target = data[x]["pos"]
-    path = tree.path_from_root(x)
-    value = 0
-    for y in path[1:]:
-        if data[tree.parent[y]]["pos"] == target:
-            value = data[y]["time"]
-    return value
-
-
 def build_f_s4s5_model(params, tree):
     """Product witness model over the accepting tree: the first factor is
     the tree under ancestry, the second indexes the persistent carriers."""
@@ -283,7 +269,7 @@ def build_f_s4s5_model(params, tree):
 
     def second(x):
         d = data[x]
-        out = (bits("X_tapv", _tapv_s4s5(tree, data, x)) + bits("X_pos", d["pos"])
+        out = (bits("X_tapv", d["tapv"]) + bits("X_pos", d["pos"])
                + [cat.atom("X_read", d["read"])])
         if x != root:
             out += (bits("X_prevtime", d["time"] - 1)

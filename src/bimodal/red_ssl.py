@@ -215,18 +215,6 @@ def gen_f_ssl(params):
 # ---------------------------------------------------------------------------
 # Witness model for the machine-encoding formula.
 
-def _tapv_value(tree, data, x):
-    """Time after the previous visit to the cell of node x: zero when the
-    cell is fresh, otherwise one past the time of the last earlier visit."""
-    path = tree.path_from_root(x)
-    target = data[x]["pos"]
-    last = None
-    for v in path[:-1]:
-        if data[v]["pos"] == target:
-            last = v
-    return 0 if last is None else data[last]["time"] + 1
-
-
 def build_f_ssl_model(params, tree):
     """Witness model built from an accepting tree: one cloud per tree node
     (descendant points, carrier points, stopper points) plus a final cloud
@@ -249,7 +237,7 @@ def build_f_ssl_model(params, tree):
     def x_true(x):
         d = data[x]
         return (bits("X_time", d["time"])
-                + bits("X_tapv", _tapv_value(tree, data, x))
+                + bits("X_tapv", d["tapv"])
                 + bits("X_pos", d["pos"]) + [cat.atom("X_read", d["read"])])
 
     return _cloud_witness(

@@ -74,19 +74,25 @@ def window_pos(N, machine_pos):
 
 def witness_data(params, tree):
     """Window-coordinate node data of a tree a witness model is built from:
-    the tree must be accepting and stay inside the time and tape bounds."""
+    the tree must be accepting and stay inside the time and tape bounds.
+    Each node also gets "tapv", the time after the previous visit to its
+    cell: one past the time of the nearest proper ancestor at the same
+    cell, or 0 when no ancestor visited it."""
     report = validate_tree(params.atm, params.w, tree, mode="accepting")
     if not report.ok:
         raise ValueError(f"tree is not accepting: {report.lines()}")
     N = params.N
-    for v in tree.nodes():
-        d = node_data(tree, v)
-        if d.time > 2 ** N - 1:
+    data = _node_window_data(params, tree)
+    for v, d in data.items():
+        if d["time"] > 2 ** N - 1:
             raise ValueError(f"node {v} exceeds the time bound 2^{N}-1")
-        wpos = window_pos(N, d.pos)
-        if not 0 <= wpos <= 2 ** (N + 1) - 2:
-            raise ValueError(f"node {v} leaves the tape window at cell {wpos}")
-    return _node_window_data(params, tree)
+        if not 0 <= d["pos"] <= 2 ** (N + 1) - 2:
+            raise ValueError(f"node {v} leaves the tape window at cell {d['pos']}")
+        u = d["pred"]
+        while u is not None and data[u]["pos"] != d["pos"]:
+            u = data[u]["pred"]
+        d["tapv"] = 0 if u is None else data[u]["time"] + 1
+    return data
 
 
 def _node_window_data(params, tree):

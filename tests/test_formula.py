@@ -99,6 +99,52 @@ def test_parse_rejects_trailing_garbage():
         fm.parse("x0 x1")
 
 
+# At least one input per reachable message; a lexical error (the first two
+# messages) comes ahead of any grammar error, and an atom's offset is its x.
+@pytest.mark.parametrize("text,message,offset", [
+    ("xa", "atom symbol x must be followed by a binary numeral", 0),
+    ("(x0 & x", "atom symbol x must be followed by a binary numeral", 6),
+    ("x0 $", "unexpected character '$'", 3),
+    (") <", "unexpected character '<'", 2),
+    ("x0 x1", "expected an operator or closing parenthesis", 3),
+    ("x0 !x1", "expected an operator or closing parenthesis", 3),
+    ("x0 (x1)", "expected an operator or closing parenthesis", 3),
+    ("(x0 & x1 x0)", "expected a closing parenthesis", 9),
+    ("(& x0)", "operator with no left operand", 1),
+    ("(!& x0)", "operator with no left operand", 2),
+    ("(x0 & & x1)", "operand expected before second operator", 6),
+    ("(x0 & x1 & x0)", "chained operators require parentheses", 9),
+    ("x0 & x1", "binary operators require parentheses", 3),
+    ("x0)", "unmatched closing parenthesis", 2),
+    ("()", "empty or incomplete parenthesized formula", 1),
+    ("(x0 & !)", "empty or incomplete parenthesized formula", 7),
+    ("(x0 & )", "operator missing its right operand", 6),
+    ("(x0", "unclosed parenthesis", 0),
+    ("(x0 & (x1", "unclosed parenthesis", 6),
+    ("!", "incomplete formula", 1),
+    ("", "incomplete formula", 0),
+    ("K \u00a0", "incomplete formula", 3),
+])
+def test_parse_error_message_and_offset(text, message, offset):
+    with pytest.raises(fm.ParseError) as err:
+        fm.parse(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@given(st.lists(st.sampled_from([
+    "x", "0", "1", "x0", "x101", "(", ")", "&", "|", "!", "K", "L", "T", "F",
+    "[]", "<>", "->", "<->", " ", "\t", "\u00a0", "<", "-", "[", "]", "$", "y",
+]), max_size=20).map("".join))
+def test_parse_returns_a_formula_or_raises_parse_error(text):
+    try:
+        f = fm.parse(text)
+    except fm.ParseError as err:
+        assert 0 <= err.offset <= len(text)
+    else:
+        assert fm.parse(fm.render(f)) is f
+
+
 formula_strategy = st.deferred(lambda: st.one_of(
     st.integers(min_value=0, max_value=5).map(Atom),
     formula_strategy.map(Not),
