@@ -65,6 +65,16 @@ def _conclude(report, ok, failure=None):
         raise CheckFailure(failure)
 
 
+def _emit_formula(report, f, out):
+    """Write the text of f to the file `out`, or else into the report."""
+    text = fm.render(f)
+    if out:
+        _write(out, text + "\n")
+        report.append(f"formula-file: {out}")
+    else:
+        report.append(f"formula: {text}")
+
+
 def _gen(args):
     family, logic = args.kind.split("-", 1)
     red = REDUCTIONS[logic]
@@ -74,14 +84,9 @@ def _gen(args):
         f, cat = red.gen_counter(args.n)
     else:
         f, cat = gen_formula(red, _load_params(args))
-    text = fm.render(f) + "\n"
     report = [f"command: gen {args.kind}", f"size: {fm.rendered_size(f)}",
               f"atoms: {len(cat)}"]
-    if args.out:
-        _write(args.out, text)
-        report.append(f"formula-file: {args.out}")
-    else:
-        report.append(f"formula: {fm.render(f)}")
+    _emit_formula(report, f, args.out)
     if args.catalog:
         _write(args.catalog, cat.dump())
         report.append(f"catalog-file: {args.catalog}")
@@ -119,6 +124,8 @@ def _model_and_point(args):
     point = args.point if args.point is not None else model.designated
     if point is None:
         raise CheckFailure("no --point given and the model has no designated world")
+    if point not in model.index:
+        raise CheckFailure(f"unknown world {point!r}")
     return model, point
 
 
@@ -170,14 +177,9 @@ def _translate(args):
     else:
         result = translations.t_s4s5_to_k4s5(f)
         extra = [f"box-subformulas: {len(result.box_subformulas)}"]
-    text = fm.render(result.formula) + "\n"
     report = [f"command: translate {args.kind}",
               f"size: {fm.rendered_size(result.formula)}"] + extra
-    if args.out:
-        _write(args.out, text)
-        report.append(f"formula-file: {args.out}")
-    else:
-        report.append(f"formula: {fm.render(result.formula)}")
+    _emit_formula(report, result.formula, args.out)
     _conclude(report, True)
 
 

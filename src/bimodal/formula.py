@@ -8,10 +8,19 @@ core shapes.
 
 Nodes are interned: structurally equal formulas are the same object, which
 makes equality and hashing O(1) even for very large generated formulas.
+Each node also carries the length of its canonical text, summed from its
+children's when it is built.
 
-Text is scanned by one compiled regular expression, one match per token;
-whitespace between tokens is skipped.  The whole text is scanned before the
-grammar runs, so a lexical error is reported ahead of any grammar error.
+Generated formulas are small DAGs with large texts, so both directions of
+the text syntax work per shared subformula rather than per occurrence.
+`render` joins the text of a long subformula once, when it occurs a second
+time, and copies that string for every later occurrence.  `parse` scans
+tokens with one compiled regular expression, one match per token, skipping
+whitespace between them; when a parenthesized span repeats the text of one
+already parsed in the same call, it takes that span's formula and resumes
+after the closing parenthesis.  A lexical error is still reported ahead of
+any grammar error: before a grammar error is raised, the rest of the text
+is scanned for one (a reused span is a copy of text already scanned).
 """
 
 import re
@@ -24,15 +33,19 @@ BOXMOD = "box"
 
 _table = {}
 
+# The text in front of a unary node's operand.
+_PREFIX_TEXT = {NOT: "!", KMOD: "K", BOXMOD: "[]"}
+
 
 class Formula:
     """Immutable, interned formula node.
 
     kind is one of "atom", "not", "and", "K", "box".  Atoms carry their
     index in `value`; unary nodes use `left`; "and" uses `left` and `right`.
+    `size` is the length of the node's canonical text.
     """
 
-    __slots__ = ("kind", "value", "left", "right")
+    __slots__ = ("kind", "value", "left", "right", "size")
 
     def __repr__(self):
         text = render(self)
@@ -50,6 +63,12 @@ def _node(kind, value, left, right):
         got.value = value
         got.left = left
         got.right = right
+        if kind == ATOM:
+            got.size = 1 + max(value.bit_length(), 1)
+        elif kind == AND:
+            got.size = left.size + right.size + 5  # "(", " & ", ")"
+        else:
+            got.size = len(_PREFIX_TEXT[kind]) + left.size
         _table[key] = got
     return got
 
@@ -61,51 +80,85 @@ def Atom(i):
 
 
 def Not(f):
-    _check(f)
-    return _node(NOT, None, f, None)
+    return _not(_check(f))
 
 
 def And(a, b):
-    _check(a)
-    _check(b)
-    return _node(AND, None, a, b)
+    return _and(_check(a), _check(b))
 
 
 def K(f):
-    _check(f)
-    return _node(KMOD, None, f, None)
+    return _k(_check(f))
 
 
 def Box(f):
-    _check(f)
-    return _node(BOXMOD, None, f, None)
+    return _box(_check(f))
 
 
 def _check(f):
     if not isinstance(f, Formula):
         raise TypeError(f"expected Formula, got {type(f).__name__}")
+    return f
 
 
-# Derived connectives: builder functions only, never stored in the AST.
+# Unchecked builders, for operands known to be formulas: the public ones
+# check their operands and call these, and so does the parser.  Derived
+# connectives are builder functions only, never stored in the AST.
+
+def _not(f):
+    return _node(NOT, None, f, None)
+
+
+def _and(a, b):
+    return _node(AND, None, a, b)
+
+
+def _k(f):
+    return _node(KMOD, None, f, None)
+
+
+def _box(f):
+    return _node(BOXMOD, None, f, None)
+
+
+def _or(a, b):
+    return _not(_and(_not(a), _not(b)))
+
+
+def _implies(a, b):
+    return _not(_and(a, _not(b)))
+
+
+def _iff(a, b):
+    return _and(_implies(a, b), _implies(b, a))
+
+
+def _l(f):
+    return _not(_k(_not(f)))
+
+
+def _diamond(f):
+    return _not(_box(_not(f)))
+
 
 def Or(a, b):
-    return Not(And(Not(a), Not(b)))
+    return _or(_check(a), _check(b))
 
 
 def Implies(a, b):
-    return Not(And(a, Not(b)))
+    return _implies(_check(a), _check(b))
 
 
 def Iff(a, b):
-    return And(Implies(a, b), Implies(b, a))
+    return _iff(_check(a), _check(b))
 
 
 def L(f):
-    return Not(K(Not(f)))
+    return _l(_check(f))
 
 
 def Diamond(f):
-    return Not(Box(Not(f)))
+    return _diamond(_check(f))
 
 
 def true_formula():
@@ -147,36 +200,52 @@ def atoms(f):
 # ---------------------------------------------------------------------------
 # Canonical text syntax.
 
+# Texts at least this long are reused: render joins such a subformula's text
+# once it occurs again, and parse looks up parenthesized spans by their
+# first this many characters.  Shorter texts cost less to redo than to look up.
+_REUSE_MIN = 32
+
+
 def render(f):
     """Canonical text for f.  parse(render(f)) == f."""
-    _check(f)
+    reuse = _check(f).size >= _REUSE_MIN  # else no node of f is long
     out = []
+    # long node -> (start, end) of its first text in out; its joined text
+    # from its second occurrence on
+    texts = {}
     stack = [f]
     while stack:
         t = stack.pop()
-        if isinstance(t, str):
+        if t.__class__ is str:
             out.append(t)
             continue
-        if t.kind == ATOM:
+        if t.__class__ is tuple:  # the end of a long node's first text
+            texts[t[0]] = (t[1], len(out))
+            continue
+        if reuse and t.size >= _REUSE_MIN:
+            got = texts.get(t)
+            if got is not None:
+                if got.__class__ is tuple:
+                    got = texts[t] = "".join(out[got[0]:got[1]])
+                out.append(got)
+                continue
+            stack.append((t, len(out)))
+        kind = t.kind
+        if kind == ATOM:
             out.append("x" + format(t.value, "b"))
-        elif t.kind == NOT:
-            out.append("!")
-            stack.append(t.left)
-        elif t.kind == KMOD:
-            out.append("K")
-            stack.append(t.left)
-        elif t.kind == BOXMOD:
-            out.append("[]")
-            stack.append(t.left)
-        else:
+        elif kind == AND:
             out.append("(")
             stack.extend([")", t.right, " & ", t.left])
+        else:
+            out.append(_PREFIX_TEXT[kind])
+            stack.append(t.left)
     return "".join(out)
 
 
 def rendered_size(f):
-    """Symbol count of the canonical text of f."""
-    return len(render(f))
+    """Symbol count of the canonical text of f, read off the node without
+    building the text."""
+    return _check(f).size
 
 
 class ParseError(ValueError):
@@ -189,27 +258,42 @@ class ParseError(ValueError):
 # or a symbol), a bare x, or any other character; the last two are errors.
 _TOKEN = re.compile(r"\s*(?:(x[01]+|<->|->|\[\]|<>|[()&|!KLTF])|(x)|(\S))")
 _CONSTANTS = {"T": true_formula, "F": false_formula}
-_PREFIX_BUILDERS = {"!": Not, "K": K, "[]": Box, "L": L, "<>": Diamond}
-_BINOP_BUILDERS = {"&": And, "|": Or, "->": Implies, "<->": Iff}
+_PREFIX_BUILDERS = {"!": _not, "K": _k, "[]": _box, "L": _l, "<>": _diamond}
+_BINOP_BUILDERS = {"&": _and, "|": _or, "->": _implies, "<->": _iff}
 
 
-def _tokens(text):
-    """Each token of text with its offset; raises at the first lexical error."""
-    for m in _TOKEN.finditer(text):
-        tok, bare_x, other = m.groups()
-        if bare_x:
-            raise ParseError("atom symbol x must be followed by a binary numeral",
-                             m.start(2))
-        if other:
-            raise ParseError(f"unexpected character {other!r}", m.start(3))
-        yield tok, m.start(1)
+def _lexical_error(m):
+    """The error for a match of _TOKEN that is not a token."""
+    if m.lastindex == 2:
+        return ParseError("atom symbol x must be followed by a binary numeral",
+                          m.start(2))
+    return ParseError(f"unexpected character {m[3]!r}", m.start(3))
+
+
+def _repeated_span(spans, text, off):
+    """(length, formula) of a parsed span whose text recurs at off, or None."""
+    for start, length, value in spans.get(text[off:off + _REUSE_MIN], ()):
+        if text.startswith(text[start:start + length], off):
+            return length, value
+    return None
 
 
 def parse(text):
     """Parse canonical text (plus sugar L, <>, |, ->, <->, T, F) into a Formula."""
-    tokens = list(_tokens(text))
+    match = _TOKEN.match
+    pos = 0  # where the next token's match starts
     # Frame: [left, op, right, pending_prefixes, open_offset]
     frames = [[None, None, None, [], 0]]
+    # first _REUSE_MIN characters of a parsed parenthesized span ->
+    # [(offset, length, formula)]; the span text itself is not kept
+    spans = {}
+
+    def error(message, off):
+        # a lexical error in the text not yet scanned comes first
+        for m in _TOKEN.finditer(text, pos):
+            if m.lastindex != 1:
+                return _lexical_error(m)
+        return ParseError(message, off)
 
     def settle(value, off):
         fr = frames[-1]
@@ -221,43 +305,59 @@ def parse(text):
         elif fr[2] is None:
             fr[2] = value
         else:
-            raise ParseError("expected a closing parenthesis", off)
+            raise error("expected a closing parenthesis", off)
 
-    for tok, off in tokens:
+    # only whitespace is left when no match is found
+    while m := match(text, pos):
+        tok = m[1]
+        if tok is None:
+            raise _lexical_error(m)
+        off = m.start(1)
+        pos = m.end()
         fr = frames[-1]
         if tok in _BINOP_BUILDERS:
             if fr[0] is None or fr[3]:
-                raise ParseError("operator with no left operand", off)
+                raise error("operator with no left operand", off)
             if fr[1] is not None and fr[2] is None:
-                raise ParseError("operand expected before second operator", off)
+                raise error("operand expected before second operator", off)
             if fr[1] is not None:
-                raise ParseError("chained operators require parentheses", off)
+                raise error("chained operators require parentheses", off)
             if len(frames) == 1:
-                raise ParseError("binary operators require parentheses", off)
+                raise error("binary operators require parentheses", off)
             fr[1] = tok
         elif tok == ")":
             if len(frames) == 1:
-                raise ParseError("unmatched closing parenthesis", off)
+                raise error("unmatched closing parenthesis", off)
             if fr[0] is None or fr[3]:
-                raise ParseError("empty or incomplete parenthesized formula", off)
+                raise error("empty or incomplete parenthesized formula", off)
             if fr[1] is not None and fr[2] is None:
-                raise ParseError("operator missing its right operand", off)
+                raise error("operator missing its right operand", off)
             combined = fr[0]
             if fr[1] is not None:
                 combined = _BINOP_BUILDERS[fr[1]](fr[0], fr[2])
             frames.pop()
+            start = fr[4]
+            if pos - start >= _REUSE_MIN:
+                spans.setdefault(text[start:start + _REUSE_MIN], []).append(
+                    (start, pos - start, combined))
             settle(combined, off)
         # the rest start an operand, which must not follow a complete one
         elif fr[0] is not None and fr[1] is None:
-            raise ParseError("expected an operator or closing parenthesis", off)
+            raise error("expected an operator or closing parenthesis", off)
         elif tok == "(":
-            frames.append([None, None, None, [], off])
+            repeat = spans and _repeated_span(spans, text, off)
+            if repeat:  # it parses the same way here: skip past it
+                length, value = repeat
+                pos = off + length
+                settle(value, pos - 1)
+            else:
+                frames.append([None, None, None, [], off])
         elif tok in _PREFIX_BUILDERS:
             fr[3].append(tok)
         elif tok in _CONSTANTS:
             settle(_CONSTANTS[tok](), off)
         else:
-            settle(Atom(int(tok[1:], 2)), off)
+            settle(_node(ATOM, int(tok[1:], 2), None, None), off)
 
     if len(frames) != 1:
         raise ParseError("unclosed parenthesis", frames[-1][4])

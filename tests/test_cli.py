@@ -60,25 +60,43 @@ def test_extract_tree_requires_machine_arguments(tmp_path, capsys):
     assert "requires" in err
 
 
-@pytest.mark.parametrize("argv", [
+POINT_COMMANDS = pytest.mark.parametrize("argv", [
     ["check"],
     ["extract", "tree", "--logic", "ssl"],
     ["extract", "trace", "--logic", "ssl", "--n", "1"],
     ["lift"],
     ["restrict"],
 ], ids=["check", "extract-tree", "extract-trace", "lift", "restrict"])
-def test_missing_point_is_named(tmp_path, capsys, argv):
-    # a model file with no designated world and no --point on the command
+
+
+def run_at_point(tmp_path, capsys, argv, model_text):
     model_file = tmp_path / "model.txt"
     formula_file = tmp_path / "f.txt"
-    model_file.write_text("class cross-axiom\nworld w\nd w w\nl w w\n")
+    model_file.write_text(model_text)
     formula_file.write_text("x0\n")
     if argv[0] != "extract":
         argv = argv + ["--formula", str(formula_file)]
-    code, out, err = run(capsys, *argv, "--model", str(model_file))
+    return run(capsys, *argv, "--model", str(model_file))
+
+
+@POINT_COMMANDS
+def test_missing_point_is_named(tmp_path, capsys, argv):
+    # a model file with no designated world and no --point on the command
+    code, out, err = run_at_point(tmp_path, capsys, argv,
+                                  "class cross-axiom\nworld w\nd w w\nl w w\n")
     assert code == 1
     assert out == ""
     assert err == "error: no --point given and the model has no designated world\n"
+
+
+@POINT_COMMANDS
+def test_unknown_point_is_named(tmp_path, capsys, argv):
+    code, out, err = run_at_point(tmp_path, capsys, argv + ["--point", "nope"],
+                                  "class cross-axiom\ndesignated w\nworld w\n"
+                                  "d w w\nl w w\n")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown world 'nope'\n"
 
 
 def test_build_and_check_round_trip(tmp_path, capsys, m1_path):

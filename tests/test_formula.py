@@ -6,14 +6,21 @@ against the arithmetic predicate the macro implements.
 """
 
 import itertools
+import pathlib
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bimodal import formula as fm
+from bimodal import atm, red_s4s5, red_ssl, translations
 from bimodal.formula import (Atom, Not, And, Or, Implies, Iff, K, Box, L,
                              Diamond, FormulaVector, true_formula,
                              false_formula)
+from bimodal.reduction import ReductionParams, gen_formula
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def peval(f, assign):
@@ -162,6 +169,244 @@ def test_render_parse_is_identity(f):
 @given(formula_strategy)
 def test_rendered_size_matches_render(f):
     assert fm.rendered_size(f) == len(fm.render(f))
+
+
+# --- reference text syntax ------------------------------------------------
+# A tree walk that renders every occurrence of a subformula, and a parser
+# that scans the whole text before it runs the grammar: render and parse
+# work per shared subformula instead and must give the same text, the same
+# formula and the same error, message and offset.
+
+def reference_render(f):
+    out = []
+    stack = [f]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        if t.kind == fm.ATOM:
+            out.append("x" + format(t.value, "b"))
+        elif t.kind == fm.NOT:
+            out.append("!")
+            stack.append(t.left)
+        elif t.kind == fm.KMOD:
+            out.append("K")
+            stack.append(t.left)
+        elif t.kind == fm.BOXMOD:
+            out.append("[]")
+            stack.append(t.left)
+        else:
+            out.append("(")
+            stack.extend([")", t.right, " & ", t.left])
+    return "".join(out)
+
+
+REFERENCE_TOKEN = re.compile(r"\s*(?:(x[01]+|<->|->|\[\]|<>|[()&|!KLTF])|(x)|(\S))")
+REFERENCE_CONSTANTS = {"T": true_formula, "F": false_formula}
+REFERENCE_PREFIX = {"!": Not, "K": K, "[]": Box, "L": L, "<>": Diamond}
+REFERENCE_BINOP = {"&": And, "|": Or, "->": Implies, "<->": Iff}
+
+
+def reference_tokens(text):
+    for m in REFERENCE_TOKEN.finditer(text):
+        tok, bare_x, other = m.groups()
+        if bare_x:
+            raise fm.ParseError("atom symbol x must be followed by a binary numeral",
+                                m.start(2))
+        if other:
+            raise fm.ParseError(f"unexpected character {other!r}", m.start(3))
+        yield tok, m.start(1)
+
+
+def reference_parse(text):
+    tokens = list(reference_tokens(text))
+    frames = [[None, None, None, [], 0]]
+
+    def settle(value, off):
+        fr = frames[-1]
+        for p in reversed(fr[3]):
+            value = REFERENCE_PREFIX[p](value)
+        fr[3] = []
+        if fr[0] is None:
+            fr[0] = value
+        elif fr[2] is None:
+            fr[2] = value
+        else:
+            raise fm.ParseError("expected a closing parenthesis", off)
+
+    for tok, off in tokens:
+        fr = frames[-1]
+        if tok in REFERENCE_BINOP:
+            if fr[0] is None or fr[3]:
+                raise fm.ParseError("operator with no left operand", off)
+            if fr[1] is not None and fr[2] is None:
+                raise fm.ParseError("operand expected before second operator", off)
+            if fr[1] is not None:
+                raise fm.ParseError("chained operators require parentheses", off)
+            if len(frames) == 1:
+                raise fm.ParseError("binary operators require parentheses", off)
+            fr[1] = tok
+        elif tok == ")":
+            if len(frames) == 1:
+                raise fm.ParseError("unmatched closing parenthesis", off)
+            if fr[0] is None or fr[3]:
+                raise fm.ParseError("empty or incomplete parenthesized formula", off)
+            if fr[1] is not None and fr[2] is None:
+                raise fm.ParseError("operator missing its right operand", off)
+            combined = fr[0]
+            if fr[1] is not None:
+                combined = REFERENCE_BINOP[fr[1]](fr[0], fr[2])
+            frames.pop()
+            settle(combined, off)
+        elif fr[0] is not None and fr[1] is None:
+            raise fm.ParseError("expected an operator or closing parenthesis", off)
+        elif tok == "(":
+            frames.append([None, None, None, [], off])
+        elif tok in REFERENCE_PREFIX:
+            fr[3].append(tok)
+        elif tok in REFERENCE_CONSTANTS:
+            settle(REFERENCE_CONSTANTS[tok](), off)
+        else:
+            settle(Atom(int(tok[1:], 2)), off)
+
+    if len(frames) != 1:
+        raise fm.ParseError("unclosed parenthesis", frames[-1][4])
+    fr = frames[0]
+    if fr[0] is None or fr[3]:
+        raise fm.ParseError("incomplete formula", len(text))
+    return fr[0]
+
+
+def outcome(parser, text):
+    """The formula parsed, or the error's message and offset."""
+    try:
+        return parser(text)
+    except fm.ParseError as err:
+        return str(err), err.offset
+
+
+def reduction_texts():
+    """Canonical texts of f-ssl, f-s4s5 and their translations for m1 on
+    ab and bounce on bab at counter widths 4 and 5."""
+    machines = {"m1": ROOT / "fixtures" / "m1.atm",
+                "bounce": ROOT / "bench" / "machines" / "bounce.atm"}
+    words = {"m1": "ab", "bounce": "bab"}
+    out = {}
+    for name, path in machines.items():
+        machine = atm.parse_atm(path.read_text())
+        w = words[name]
+        for N in (4, 5):
+            params = ReductionParams(machine, [N - len(w), 1], w)
+            f_ssl, _ = gen_formula(red_ssl.SSL, params)
+            f_s4s5, _ = gen_formula(red_s4s5.S4S5, params)
+            out[f"{name}-N{N}-f-ssl"] = f_ssl
+            out[f"{name}-N{N}-f-s4s5"] = f_s4s5
+            out[f"{name}-N{N}-t-ssl-s4s5"] = translations.t_ssl_to_s4s5(f_ssl).formula
+            out[f"{name}-N{N}-t-s4s5-k4s5"] = translations.t_s4s5_to_k4s5(f_s4s5).formula
+    return out
+
+
+def same_text(got, expected):
+    """got == expected, failing with the first differing offset: pytest's
+    own diff of two texts this long would take minutes."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        pytest.fail(f"texts of {len(got)} and {len(expected)} characters "
+                    f"differ from offset {at}")
+
+
+def test_render_matches_the_tree_walk_on_the_reductions():
+    for name, f in reduction_texts().items():
+        text = fm.render(f)
+        same_text(text, reference_render(f))
+        assert fm.rendered_size(f) == len(text), name
+        if "-f-" in name:
+            assert fm.parse(text) is f, name
+            assert reference_parse(text) is f, name
+
+
+def test_rendered_size_builds_no_text():
+    f = Atom(0)
+    for k in range(1, 61):
+        f = And(f, f)
+        if k == 12:  # 28,667 characters: small enough to render
+            same_text(fm.render(f), reference_render(f))
+            assert fm.parse(fm.render(f)) is f
+    # "x0" is 2 characters and each doubling adds "(", " & " and ")"
+    assert fm.rendered_size(f) == 7 * 2 ** 60 - 5
+
+
+EDIT_CHARACTERS = "x01()&|!KLTF[]<>- \t$y"
+
+
+def edited(rng, text, edits):
+    """text with up to `edits` random insertions, deletions or replacements."""
+    chars = list(text)
+    for _ in range(rng.randint(0, edits)):
+        i = rng.randrange(len(chars) + 1)
+        what = rng.choice(["insert", "delete", "replace"])
+        if what == "insert" or i == len(chars):
+            chars.insert(i, rng.choice(EDIT_CHARACTERS))
+        elif what == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(EDIT_CHARACTERS)
+    return "".join(chars)
+
+
+def random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.1:
+        return Atom(rng.randrange(4))
+    op = rng.choice([Not, K, Box, And, And, And])
+    if op is And:
+        return And(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    return op(random_formula(rng, depth - 1))
+
+
+# Contexts for two copies A and B of one parenthesized span.
+TWO_COPIES = ["({A} & {B})", "K({A} -> !{B})", "(({A} & x1) | {B})", "{A} {B}",
+              "({A} & ({B} <-> {A}))", "!{A}", "(x0 & {B})", "L({A} & [](x0 & {B}))"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_matches_reference_on_repeated_spans(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        span = fm.render(And(random_formula(rng, 6), random_formula(rng, 6)))
+        text = rng.choice(TWO_COPIES).format(A=span, B=edited(rng, span, 2))
+        if rng.random() < 0.25:
+            text = edited(rng, text, 2)
+        assert outcome(fm.parse, text) == outcome(reference_parse, text), text
+
+
+S = "(((x0 & x1) & (x10 & !x11)) & Kx0)"  # long enough to be reused
+
+
+# A grammar error ahead of a lexical error that sits after a reused span:
+# the lexical error is reported.
+@pytest.mark.parametrize("text,message,offset", [
+    (f"({S} & {S} x1) $", "unexpected character '$'", 77),
+    (f"({S} & x0 {S}) $", "unexpected character '$'", 77),
+    (f"(({S} & {S}) x0 y)", "unexpected character 'y'", 78),
+    (f"(({S} & {S}) x0 x)", "atom symbol x must be followed by a binary numeral", 78),
+    (f"({S} & x0 {S})", "expected a closing parenthesis", 74),
+])
+def test_grammar_error_after_reused_span_yields_to_lexical(monkeypatch, text,
+                                                           message, offset):
+    reused = []
+
+    def spy(*args):
+        reused.append(repeated_span(*args))
+        return reused[-1]
+
+    repeated_span = fm._repeated_span
+    monkeypatch.setattr(fm, "_repeated_span", spy)
+    expected = (f"{message} (at offset {offset})", offset)
+    assert outcome(fm.parse, text) == expected
+    assert any(reused)
+    assert outcome(reference_parse, text) == expected
 
 
 # --- numeric helpers ---------------------------------------------------------
