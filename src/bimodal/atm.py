@@ -37,8 +37,6 @@ class AtmSpec:
         self.init = init
         self.delta = [((q, a), (r, b, d)) for (q, a), (r, b, d) in delta]
         self._validate()
-        self.state_index = {q: i for i, q in enumerate(self.states)}
-        self.symbol_index = {a: i for i, a in enumerate(self.symbols)}
         self._delta_map = {}
         for (q, a), rhs in self.delta:
             self._delta_map.setdefault((q, a), []).append(rhs)
@@ -158,12 +156,14 @@ def successors(atm, config):
 
 class ComputationTree:
     """Rooted tree of configurations.  Node ids are assigned in creation
-    order; the root is node 0."""
+    order, so a parent's id is smaller than its children's; the root is
+    node 0.  Each node's depth is recorded when it is added."""
 
     def __init__(self):
         self.configs = {}
         self.parent = {}
         self.children = {}
+        self._depth = {}
         self._next = 0
 
     def add_root(self, config):
@@ -172,6 +172,7 @@ class ComputationTree:
         self.configs[0] = config
         self.parent[0] = None
         self.children[0] = []
+        self._depth[0] = 0
         self._next = 1
         return 0
 
@@ -184,6 +185,7 @@ class ComputationTree:
         self.parent[v] = parent
         self.children[v] = []
         self.children[parent].append(v)
+        self._depth[v] = self._depth[parent] + 1
         return v
 
     @property
@@ -197,14 +199,12 @@ class ComputationTree:
         return [v for v in self.nodes() if not self.children[v]]
 
     def depth(self, v):
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
+        if v not in self.configs:
+            raise KeyError(f"unknown node {v}")
+        return self._depth[v]
 
     def height(self):
-        return max(self.depth(v) for v in self.nodes())
+        return max(self._depth[v] for v in self.configs)
 
     def canonical_labels(self, ids):
         """Order-insensitive label of every node, for tree label
@@ -226,30 +226,6 @@ def trees_label_equal(t1, t2):
     ids = {}
     return (t1.canonical_labels(ids)[t1.root]
             == t2.canonical_labels(ids)[t2.root])
-
-
-class NodeData:
-    """Derived node attributes: time, pos, state, read, written, pred."""
-
-    def __init__(self, time, pos, state, read, written, pred):
-        self.time = time
-        self.pos = pos
-        self.state = state
-        self.read = read
-        self.written = written
-        self.pred = pred
-
-
-def node_data(tree, v):
-    if v not in tree.configs:
-        raise KeyError(f"unknown node {v}")
-    config = tree.configs[v]
-    pred = tree.parent[v]
-    written = None
-    if pred is not None:
-        written = config.symbol_at(tree.configs[pred].head)
-    return NodeData(time=tree.depth(v), pos=config.head, state=config.state,
-                    read=config.read(), written=written, pred=pred)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +338,9 @@ class Check:
         self.counterexample = counterexample
 
 
-def validate_tree(atm, w, tree, mode="accepting"):
-    """Check the defining conditions of an accepting ("accepting") or
-    partial ("partial") tree of the machine on input w."""
-    if mode not in ("accepting", "partial"):
-        raise ValueError("mode must be 'accepting' or 'partial'")
+def validate_tree(atm, w, tree):
+    """Check the defining conditions of an accepting tree of the machine
+    on input w."""
     checks = []
 
     root_ok = tree.configs[tree.root] == initial_config(atm, w)
@@ -411,19 +385,9 @@ def validate_tree(atm, w, tree, mode="accepting"):
             break
     checks.append(Check("universal-nodes-complete", missing is None, missing))
 
-    bad_leaf = None
-    for v in tree.leaves():
-        state = tree.configs[v].state
-        if mode == "accepting":
-            if state != atm.accept:
-                bad_leaf = (v, state)
-                break
-        else:
-            if state == atm.reject:
-                bad_leaf = (v, state)
-                break
-    name = "leaves-accept" if mode == "accepting" else "no-rejecting-leaf"
-    checks.append(Check(name, bad_leaf is None, bad_leaf))
+    bad_leaf = next(((v, tree.configs[v].state) for v in tree.leaves()
+                     if tree.configs[v].state != atm.accept), None)
+    checks.append(Check("leaves-accept", bad_leaf is None, bad_leaf))
 
     return Report(checks)
 

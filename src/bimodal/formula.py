@@ -48,10 +48,9 @@ class Formula:
     __slots__ = ("kind", "value", "left", "right", "size")
 
     def __repr__(self):
-        text = render(self)
-        if len(text) > 120:
-            text = text[:117] + "..."
-        return f"Formula({text})"
+        if self.size <= 120:
+            return f"Formula({render(self)})"
+        return f"Formula({_text_prefix(self, 117)}...)"
 
 
 def _node(kind, value, left, right):
@@ -242,6 +241,27 @@ def render(f):
     return "".join(out)
 
 
+def _text_prefix(f, n):
+    """The first n characters of the canonical text of f, which is longer:
+    the walk of `render` without reuse, stopped once they are out."""
+    out = []
+    stack = [f]
+    while n > 0:
+        t = stack.pop()
+        if t.__class__ is not str:
+            if t.kind == ATOM:
+                t = "x" + format(t.value, "b")
+            elif t.kind == AND:
+                stack.extend([")", t.right, " & ", t.left])
+                t = "("
+            else:
+                stack.append(t.left)
+                t = _PREFIX_TEXT[t.kind]
+        out.append(t[:n])
+        n -= len(t)
+    return "".join(out)
+
+
 def rendered_size(f):
     """Symbol count of the canonical text of f, read off the node without
     building the text."""
@@ -376,11 +396,6 @@ def ones(i):
     if i < 0:
         raise ValueError("ones() requires a natural number")
     return {k for k in range(i.bit_length()) if (i >> k) & 1}
-
-
-def bit(k, i):
-    """Bit k (0 = least significant) of i, as 0 or 1."""
-    return (i >> k) & 1
 
 
 class FormulaVector:

@@ -23,7 +23,7 @@ from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
                         counter_steps, _staircase, _pos_guard, _pos_move)
 # The shared engine's public names stay importable from here.
 from .reduction import (ExtractionError, ReductionParams, window_pos,  # noqa: F401
-                        entries_left_then_right, tree_size_bound)
+                        entries_left_then_right)
 
 
 # ---------------------------------------------------------------------------

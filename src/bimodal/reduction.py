@@ -20,9 +20,9 @@ from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
 from .catalog import VariableCatalog
 from . import relations
 from .relations import bits
-from .semantics import clouds, induced_cloud_relation, submodel
+from .semantics import _cloud_masks, cloud_steps, submodel
 from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
-                  initial_config, apply_entry, node_data, validate_tree)
+                  initial_config, apply_entry, validate_tree)
 
 
 class ExtractionError(RuntimeError):
@@ -30,9 +30,9 @@ class ExtractionError(RuntimeError):
     claimed to support.
 
     kind is one of "extraction-failure" (counter traces),
-    "witness-not-found", "bound-exceeded", or "invalid-frame" (rel_l is
-    not an equivalence); detail names the failing subformula, step, or
-    property and worlds.
+    "witness-not-found", or "invalid-frame" (rel_l is not an
+    equivalence); detail names the failing subformula, step, or property
+    and worlds.
     """
 
     def __init__(self, kind, detail):
@@ -72,43 +72,45 @@ def window_pos(N, machine_pos):
     return machine_pos + window_offset(N)
 
 
+def node_table(params, tree):
+    """Window-coordinate attributes by node id, parents first: "time",
+    "pos", "state", "read", "written" (left on the parent's cell; blank
+    at the root), "pred" (the parent) and "tapv", one past the time of
+    the nearest proper ancestor at the same cell, or 0 if there is none."""
+    table = {}
+    for nid in tree.nodes():
+        config = tree.configs[nid]
+        pred = tree.parent[nid]
+        pos = window_pos(params.N, config.head)
+        u = pred
+        while u is not None and table[u]["pos"] != pos:
+            u = table[u]["pred"]
+        table[nid] = {
+            "time": tree.depth(nid),
+            "pos": pos,
+            "state": config.state,
+            "read": config.read(),
+            "written": (BLANK if pred is None
+                        else config.symbol_at(tree.configs[pred].head)),
+            "pred": pred,
+            "tapv": 0 if u is None else table[u]["time"] + 1,
+        }
+    return table
+
+
 def witness_data(params, tree):
-    """Window-coordinate node data of a tree a witness model is built from:
-    the tree must be accepting and stay inside the time and tape bounds.
-    Each node also gets "tapv", the time after the previous visit to its
-    cell: one past the time of the nearest proper ancestor at the same
-    cell, or 0 when no ancestor visited it."""
-    report = validate_tree(params.atm, params.w, tree, mode="accepting")
+    """The node table of a tree a witness model is built from: the tree
+    must be accepting and stay inside the time and tape bounds."""
+    report = validate_tree(params.atm, params.w, tree)
     if not report.ok:
         raise ValueError(f"tree is not accepting: {report.lines()}")
     N = params.N
-    data = _node_window_data(params, tree)
+    data = node_table(params, tree)
     for v, d in data.items():
         if d["time"] > 2 ** N - 1:
             raise ValueError(f"node {v} exceeds the time bound 2^{N}-1")
         if not 0 <= d["pos"] <= 2 ** (N + 1) - 2:
             raise ValueError(f"node {v} leaves the tape window at cell {d['pos']}")
-        u = d["pred"]
-        while u is not None and data[u]["pos"] != d["pos"]:
-            u = data[u]["pred"]
-        d["tapv"] = 0 if u is None else data[u]["time"] + 1
-    return data
-
-
-def _node_window_data(params, tree):
-    """Window-coordinate node attributes keyed by node id."""
-    N = params.N
-    data = {}
-    for nid in tree.nodes():
-        d = node_data(tree, nid)
-        data[nid] = {
-            "time": d.time,
-            "pos": window_pos(N, d.pos),
-            "state": d.state,
-            "read": d.read,
-            "written": d.written if d.pred is not None else BLANK,
-            "pred": d.pred,
-        }
     return data
 
 
@@ -200,14 +202,15 @@ def counter_steps(n, alpha, x, marker=None):
                  for k in range(n)])
 
 
-def _l_then_box(model, point, mid, target):
-    """The first pair (x, y), in sorted order, of an L-neighbour x of point
-    satisfying mid and a []-successor y of x satisfying target, or None."""
-    for x in sorted(model.l_successors(point)):
-        if model.eval(x, mid):
-            for y in sorted(model.d_successors(x)):
-                if model.eval(y, target):
-                    return x, y
+def _l_then_box(model, i, mid, target):
+    """The first index pair (x, y) of an L-neighbour x of point i
+    satisfying mid and a []-successor y of x satisfying target, or None.
+    Index order is sorted world order."""
+    hits = model._mask(target)
+    for x in bits(model._succ_l[i] & model._mask(mid)):
+        row = model._succ_d[x] & hits
+        if row:
+            return x, relations._lowest(row)
     return None
 
 
@@ -228,23 +231,22 @@ def _staircase(model, p0, n, alpha, x, marker=None):
     if marker is not None:
         require(p0, marker, "class marker at the start", 0)
 
-    p_points = [p0]
+    p_points = [model.index[p0]]
     p_prime_points = []
-    current = p0
     for m in range(2 ** n - 1):
         k = min(set(range(n)) - ones(m))
         move = counter_move(alpha, x, k, marker)
         landing = _marked(marker, [eq_vector(x, alpha, -1),
                                    eq_binary(alpha, m + 1)])
-        found = _l_then_box(model, current, move, landing)
+        found = _l_then_box(model, p_points[-1], move, landing)
         if found is None:
             raise ExtractionError(
-                "extraction-failure",
-                f"step {m}: no staircase witness for value {m + 1} from {current}")
+                "extraction-failure", f"step {m}: no staircase witness for "
+                f"value {m + 1} from {model.worlds[p_points[-1]]}")
         p_prime_points.append(found[0])
         p_points.append(found[1])
-        current = found[1]
-    return p_points, p_prime_points
+    names = model.worlds
+    return [names[i] for i in p_points], [names[i] for i in p_prime_points]
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +360,6 @@ def _reachable_restriction(model, r0):
     return submodel(model, seen, model.frame_class, r0)
 
 
-def tree_size_bound(atm, N):
-    """Largest possible partial tree: branching D, height below 2^N."""
-    D = atm.max_branching()
-    depth = 2 ** N
-    if D == 1:
-        return depth
-    return (D ** depth - 1) // (D - 1)
-
-
 def grow_tree(red, model, r0, params):
     """Rebuild an accepting tree from any model of the machine-encoding
     formula, growing a partial tree leaf by leaf and keeping a morphism
@@ -387,38 +380,30 @@ def grow_tree(red, model, r0, params):
 
     tree = ComputationTree()
     tree.add_root(initial_config(atm, params.w))
-    pi = {tree.root: r0}
-    bound = tree_size_bound(atm, N)
-
-    def grow_at(leaf):
+    # at[nid] is the index of pi(nid); ids are handed out breadth first,
+    # so the loop visits the nodes in id order while `at` grows
+    at = [model.index[r0]]
+    for leaf, point in enumerate(at):
         config = tree.configs[leaf]
-        point = pi[leaf]
-        i = tree.depth(leaf)
-        j = window_pos(N, config.head)
-        free = set(range(N)) - ones(i)
+        state = config.state
+        if state == atm.accept:
+            continue
+        if state == atm.reject:
+            raise ExtractionError("witness-not-found",
+                                  f"no_reject: node {leaf} rejects")
+        free = set(range(N)) - ones(tree.depth(leaf))
         if not free:
             raise ExtractionError("witness-not-found",
                                   f"computation: node at the time bound ({leaf})")
         k = min(free)
-        entries = entries_left_then_right(atm, config.state, config.read())
-        universal = config.state in atm.forall
-
-        def find_witness(entry):
-            if entry[2] == RIGHT:
-                l_set = set(range(N + 1)) - ones(j)
-            else:
-                l_set = ones(j)
-            if not l_set:
-                return None
-            found = _l_then_box(model, point,
-                                *red.step_query(v, entry, k, min(l_set)))
-            return None if found is None else found[1]
-
-        added = []
+        j = window_pos(N, config.head)
+        universal = state in atm.forall
         seen_configs = set()
-        for entry in entries:
-            y = find_witness(entry)
-            if y is None:
+        for entry in entries_left_then_right(atm, state, config.read()):
+            l_set = set(range(N + 1)) - ones(j) if entry[2] == RIGHT else ones(j)
+            found = l_set and _l_then_box(model, point,
+                                          *red.step_query(v, entry, k, min(l_set)))
+            if not found:
                 if universal:
                     raise ExtractionError(
                         "witness-not-found",
@@ -428,35 +413,20 @@ def grow_tree(red, model, r0, params):
             if nxt.key() in seen_configs:
                 continue
             seen_configs.add(nxt.key())
-            child = tree.add_child(leaf, nxt)
-            pi[child] = y
-            added.append(child)
+            tree.add_child(leaf, nxt)
+            at.append(found[1])
             if not universal:
                 break
-        if not added:
+        if not tree.children[leaf]:
             raise ExtractionError(
                 "witness-not-found",
                 f"computation: no applicable step at node {leaf}")
-        return added
 
-    pending = [tree.root]
-    while pending:
-        leaf = pending.pop(0)
-        state = tree.configs[leaf].state
-        if state == atm.accept:
-            continue
-        if state == atm.reject:
-            raise ExtractionError("witness-not-found",
-                                  f"no_reject: node {leaf} rejects")
-        pending.extend(grow_at(leaf))
-        if len(tree.configs) > bound:
-            raise ExtractionError("bound-exceeded",
-                                  f"partial tree grew past {bound} nodes")
-
-    report = validate_tree(atm, params.w, tree, mode="accepting")
+    report = validate_tree(atm, params.w, tree)
     if not report.ok:
         raise ExtractionError("witness-not-found",
                               f"extracted tree fails validation: {report.lines()}")
+    pi = {nid: model.worlds[i] for nid, i in enumerate(at)}
     morphism_report = check_morphism(red, model, r0, params, tree, pi)
     if not morphism_report.ok:
         raise ExtractionError("witness-not-found",
@@ -472,42 +442,28 @@ def check_morphism(red, model, r0, params, tree, pi):
     v = red.vocab(params, red.catalog(params))
     checks = [Check("root-anchored", pi[tree.root] == r0, pi.get(tree.root))]
 
-    cloud_list = clouds(model)
-    owner = {}
-    for ci, members in enumerate(cloud_list):
-        for w in members:
-            owner[w] = ci
-    induced = set(induced_cloud_relation(model, cloud_list))
-    bad_edge = None
-    for child in tree.nodes():
-        parent = tree.parent[child]
-        if parent is None:
-            continue
-        if (owner[pi[parent]], owner[pi[child]]) not in induced:
-            bad_edge = (parent, child)
-            break
+    blocks = _cloud_masks(model)
+    owner = {i: c for c, block in enumerate(blocks) for i in bits(block)}
+    steps = cloud_steps(model._succ_d, blocks)
+
+    def cloud(nid):
+        return owner[model.index[pi[nid]]]
+
+    edges = [(tree.parent[nid], nid) for nid in tree.nodes()[1:]]
+    bad_edge = next(((p, c) for p, c in edges
+                     if cloud(c) not in steps[cloud(p)]), None)
     checks.append(Check("edges-preserved", bad_edge is None, bad_edge))
 
-    data = _node_window_data(params, tree)
+    data = node_table(params, tree)
     name, node_formula = red.node_check
-    bad_node = None
-    for nid in tree.nodes():
-        parent = tree.parent[nid]
-        if parent is None:
-            continue
-        if not model.eval(pi[nid], node_formula(v, data, nid, parent)):
-            bad_node = nid
-            break
+    bad_node = next((c for p, c in edges
+                     if not model.eval(pi[c], node_formula(v, data, c, p))), None)
     checks.append(Check(name, bad_node is None, bad_node))
 
-    bad_config = None
-    for nid in tree.nodes():
-        want = _marked(v.marker, [eq_binary(v.alpha_time, data[nid]["time"]),
-                                  eq_binary(v.alpha_pos, data[nid]["pos"]),
-                                  v.alpha_state[data[nid]["state"]],
-                                  v.alpha_read[data[nid]["read"]]])
-        if not model.eval(pi[nid], want):
-            bad_config = nid
-            break
+    bad_config = next((nid for nid, d in data.items() if not model.eval(
+        pi[nid], _marked(v.marker, [eq_binary(v.alpha_time, d["time"]),
+                                    eq_binary(v.alpha_pos, d["pos"]),
+                                    v.alpha_state[d["state"]],
+                                    v.alpha_read[d["read"]]]))), None)
     checks.append(Check("configurations", bad_config is None, bad_config))
     return Report(checks)

@@ -1,14 +1,19 @@
 """Alternating machines: configurations, accepting-tree search, tree
 validation, and the machine/tree text formats."""
 
+import pathlib
+
 import pytest
 
 from bimodal import atm as am
 from bimodal.atm import (BLANK, LEFT, RIGHT, Configuration, initial_config,
                          apply_entry, successors, find_accepting_tree,
                          accepts, validate_tree, trees_label_equal,
-                         node_data, parse_atm, render_atm, save_tree,
+                         parse_atm, render_atm, save_tree,
                          load_tree, AtmError)
+from bimodal.reduction import ReductionParams, node_table, window_pos
+
+MACHINES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "machines"
 
 
 def test_parse_render_round_trip(m1, m1_path):
@@ -67,7 +72,7 @@ def test_find_accepting_tree_and_accepts(m1):
     tree = find_accepting_tree(m1, "a", 7)
     assert tree is not None
     assert accepts(m1, "a", 7)
-    report = validate_tree(m1, "a", tree, mode="accepting")
+    report = validate_tree(m1, "a", tree)
     assert report.ok
     # the universal q1/a node must carry both transition branches
     assert len(tree.configs) == 4
@@ -88,14 +93,40 @@ def test_time_bound_is_respected(m1):
 
 
 def test_node_data(m1):
+    params = ReductionParams(m1, [2, 1], "a")
     tree = find_accepting_tree(m1, "a", 7)
-    root_children = tree.children[tree.root]
-    child = root_children[0]
-    data = node_data(tree, child)
-    assert data.time == 1
-    assert data.pred == tree.root
+    child = tree.children[tree.root][0]
+    data = node_table(params, tree)[child]
+    assert data["time"] == 1
+    assert data["pred"] == tree.root
     # the root wrote nothing; its child records the symbol left behind
-    assert data.written == BLANK
+    assert data["written"] == BLANK
+
+
+@pytest.mark.parametrize("machine, w", [("fan", "bbbb"), ("bounce", "babab")])
+def test_node_table_matches_ancestor_walk(machine, w):
+    spec = parse_atm((MACHINES / f"{machine}.atm").read_text())
+    params = ReductionParams(spec, [0, 1], w)
+    tree = find_accepting_tree(spec, w, 2 ** params.N - 1)
+    table = node_table(params, tree)
+    assert sorted(table) == tree.nodes()
+    for v in tree.nodes():
+        path = [v]  # v and its ancestors, v first
+        while tree.parent[path[-1]] is not None:
+            path.append(tree.parent[path[-1]])
+        pos = window_pos(params.N, tree.configs[v].head)
+        pred = tree.parent[v]
+        written = (BLANK if pred is None
+                   else tree.configs[v].symbol_at(tree.configs[pred].head))
+        visit = next((u for u in path[1:]
+                      if window_pos(params.N, tree.configs[u].head) == pos), None)
+        tapv = 0 if visit is None else len(path) - path.index(visit)
+        assert (table[v]["time"], table[v]["pos"], table[v]["written"],
+                table[v]["pred"], table[v]["tapv"]) == (
+                    len(path) - 1, pos, written, pred, tapv)
+    assert tree.height() == max(d["time"] for d in table.values())
+    # fan only moves right; bounce comes back to cells it visited
+    assert any(d["tapv"] > 0 for d in table.values()) == (machine == "bounce")
 
 
 def test_validate_tree_catches_leaf_relabel(m1):
@@ -103,7 +134,7 @@ def test_validate_tree_catches_leaf_relabel(m1):
     leaf = tree.leaves()[0]
     old = tree.configs[leaf]
     tree.configs[leaf] = Configuration("q1", old.head, old.tape)
-    report = validate_tree(m1, "a", tree, mode="accepting")
+    report = validate_tree(m1, "a", tree)
     failed = {c.name for c in report.checks if not c.passed}
     # the relabeled leaf no longer accepts, and its parent edge is no
     # longer a legal step
@@ -132,11 +163,23 @@ def test_validate_tree_catches_missing_universal_branch(m1):
     assert "universal-nodes-complete" in failed
 
 
-def test_partial_mode_allows_nonaccepting_leaves(m1):
+def test_height_and_depth_skip_dropped_nodes(m1):
+    tree = find_accepting_tree(m1, "a", 7)
+    assert tree.height() == 2
+    # drop both leaves under the universal node, as the test above drops one
+    universal = [v for v in tree.nodes() if tree.configs[v].state == "q1"][0]
+    for leaf in tree.children[universal]:
+        tree.configs.pop(leaf)
+        tree.parent.pop(leaf)
+        with pytest.raises(KeyError):
+            tree.depth(leaf)
+    assert tree.height() == 1 == tree.depth(universal)
+
+
+def test_validate_tree_rejects_nonaccepting_leaves(m1):
     tree = am.ComputationTree()
     tree.add_root(initial_config(m1, "a"))
-    assert validate_tree(m1, "a", tree, mode="partial").ok
-    assert not validate_tree(m1, "a", tree, mode="accepting").ok
+    assert not validate_tree(m1, "a", tree).ok
 
 
 def test_trees_label_equal(m1):

@@ -9,6 +9,7 @@ import itertools
 import pathlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -414,7 +415,38 @@ def test_grammar_error_after_reused_span_yields_to_lexical(monkeypatch, text,
 def test_ones_bit_bin_str():
     assert fm.ones(0) == set()
     assert fm.ones(5) == {0, 2}
-    assert fm.bit(2, 5) == 1 and fm.bit(1, 5) == 0
+
+
+# --- repr ----------------------------------------------------------------------
+
+def test_repr_of_a_short_formula_is_its_text():
+    f = And(Atom(0), K(Not(Atom(5))))
+    assert repr(f) == "Formula((x0 & K!x101))"
+    exact = f
+    while exact.size < 120:
+        exact = Not(exact)
+    assert repr(exact) == f"Formula({fm.render(exact)})"
+    longer = Not(exact)
+    assert repr(longer) == "Formula(" + fm.render(longer)[:117] + "...)"
+
+
+def test_repr_of_a_long_formula_walks_only_its_prefix():
+    f = Atom(0)
+    for _ in range(20):
+        f = And(f, f)
+    assert f.size > 7_000_000
+    tracemalloc.start()
+    try:
+        text = repr(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert text == "Formula(" + fm.render(f)[:117] + "...)"
+    g = Box(Diamond(Atom(3)))
+    for i in range(40):
+        g = And(Atom(2 ** 40 + i), g)
+    assert repr(g) == "Formula(" + fm.render(g)[:117] + "...)"
 
 
 # --- comparison and bit macros: exhaustive truth tables ---------------------

@@ -1,16 +1,19 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, and keeps no product flag."""
+in one place, and keeps no product flag; and the benchmark worker still
+finds every library function it calls by name."""
 
 import ast
+import importlib.util
 import pathlib
 import sys
 import tokenize
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "bimodal"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bimodal"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -74,3 +77,19 @@ def test_no_product_flag(path):
         names = {tok.string for tok in tokenize.tokenize(handle.readline)
                  if tok.type == tokenize.NAME}
     assert "is_product" not in names
+
+
+def test_bench_worker_finds_its_library_calls():
+    """The benchmark worker reads library names at import time; loading it
+    fails on a name the package no longer has, and every function its
+    per-logic table names must be callable."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_worker", ROOT / "bench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert sorted(worker.LOGICS) == ["s4s5", "ssl"]
+    for logic in worker.LOGICS.values():
+        functions = {key: value for key, value in vars(logic).items()
+                     if key not in ("name", "span", "frame_class")}
+        assert len(functions) == 8
+        assert all(callable(value) for value in functions.values())

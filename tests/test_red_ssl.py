@@ -17,7 +17,7 @@ from bimodal.red_ssl import (ReductionParams, ExtractionError,
                              f_ssl_catalog, gen_f_ssl, build_f_ssl_model,
                              extract_accepting_tree_ssl, check_morphism_ssl,
                              entries_left_then_right, window_offset,
-                             window_pos, tree_size_bound)
+                             window_pos)
 from tests.conftest import mutants, pinned
 
 
@@ -218,11 +218,6 @@ def test_rejecting_word_has_no_witness_tree(m1_module):
     # is accepted, so instead check that the tree search bound matters
     params = ReductionParams(m1_module, [2, 1], "a")
     assert am.find_accepting_tree(params.atm, "a", 0) is None
-
-
-def test_tree_size_bound(m1_module):
-    # branching D=2, N=1: 2^1 levels -> (2^2 - 1) / (2 - 1)
-    assert tree_size_bound(m1_module, 1) == 3
 
 
 # --- the cubic step encoding as a reference -------------------------------------
