@@ -383,6 +383,8 @@ def grow_tree(red, model, r0, params):
     # at[nid] is the index of pi(nid); ids are handed out breadth first,
     # so the loop visits the nodes in id order while `at` grows
     at = [model.index[r0]]
+    # the step queries depend only on (entry, k, l), not on the node
+    queries = {}
     for leaf, point in enumerate(at):
         config = tree.configs[leaf]
         state = config.state
@@ -401,8 +403,12 @@ def grow_tree(red, model, r0, params):
         seen_configs = set()
         for entry in entries_left_then_right(atm, state, config.read()):
             l_set = set(range(N + 1)) - ones(j) if entry[2] == RIGHT else ones(j)
-            found = l_set and _l_then_box(model, point,
-                                          *red.step_query(v, entry, k, min(l_set)))
+            found = None
+            if l_set:
+                key = (entry, k, min(l_set))
+                if key not in queries:
+                    queries[key] = red.step_query(v, *key)
+                found = _l_then_box(model, point, *queries[key])
             if not found:
                 if universal:
                     raise ExtractionError(

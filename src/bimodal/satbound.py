@@ -10,6 +10,17 @@ run over factor shapes by total size, then preorders on the first factor
 and partitions on the second.  The first satisfying model is returned; a
 negative answer is only "unsatisfiable within the bound".
 
+The frame lists are built once per world count with lane filters
+(bitslicing): the candidates are the lanes of Python ints, one bit each,
+and a frame condition is a few big-int AND/OR/NOT operations per pair or
+triple of points over the masks of the candidates having each edge, not
+a check per candidate.  Transitive relations on m points filter the
+one-point extensions of those on m-1 points; the commutator frames of
+one L-partition filter the list of transitive relations or preorders;
+persistent valuation masks filter all masks of a frame.  Survivors are
+read off in list order, so the lists are those of a candidate-by-
+candidate walk.
+
 All valuations of a frame are evaluated together.  On an m-point frame,
 lane v of a packed mask (bits v*m .. v*m+m-1) holds valuation number v,
 so one relations.eval_masks call over packed atom masks answers every
@@ -98,36 +109,92 @@ def _partition_succ(blocks, m):
     return [masks[blocks[i]] for i in range(m)]
 
 
+# ---------------------------------------------------------------------------
+# Frame lists by lane filters: candidate v is bit v of a mask.  Rows are
+# read and written as bytes, so m is at most 8 (the lists themselves
+# outgrow memory from 6 points on).
+
+_CLEAR = bytes.maketrans(b"01", b"\1\0")
+# _BIT_CHARS[j] maps a byte to the character "1" if its bit j is set, else "0"
+_BIT_CHARS = [bytes(b"01"[v >> j & 1] for v in range(256)) for j in range(8)]
+
+
+def _survivors(items, fails):
+    """The items whose lane is clear in fails, in list order."""
+    lanes = format(fails, f"0{len(items)}b")[::-1]
+    return list(itertools.compress(items, lanes.encode().translate(_CLEAR)))
+
+
+def _bit_lanes(bit, size):
+    """The lanes 0 .. 2^size - 1 whose index has the given bit set."""
+    run = 1 << bit
+    return _repeat(((1 << run) - 1) << run, 2 * run, 1 << size - bit - 1)
+
+
+def _edge_lanes(rels, m):
+    """lanes[i][j]: the relations of rels (on m points) with i -> j, as a
+    mask whose bit r stands for rels[r].  With every row one byte, row i
+    of every relation is one strided slice of the rows' bytes."""
+    rows = bytes(itertools.chain.from_iterable(rels))
+    return [[int(rows[i::m].translate(_BIT_CHARS[j])[::-1], 2)
+             for j in range(m)] for i in range(m)]
+
+
 _transitive_cache = {}
 _preorder_cache = {}
 
 
 def _transitive_relations(m):
     """All transitive relations on m points, ascending in the integer
-    encoding that packs row i into bits [i*m, (i+1)*m).
+    encoding that packs row i into bits [i*m, (i+1)*m).  That is the
+    order of the rows compared from the last one down, so the sort key
+    packs row i into byte i instead, which also decodes in one step.
 
     A transitive relation stays transitive on its first m-1 points, so
     each one is a transitive relation on m-1 points plus a column (which
-    of them reach the new point) and a row (what the new point reaches)."""
+    of them reach the new point n = m-1) and a row (what n reaches).  For
+    each relation on m-1 points the lanes are the (row, column) pairs,
+    lane row*2^n + column, and only triples through n can fail:
+    i -> j -> n without i -> n, n -> j -> k without n -> k,
+    i -> n -> k without i -> k, and n -> j -> n without n -> n."""
     if m not in _transitive_cache:
         if m == 0:
             rels = [[]]
+            preorders = rels
         else:
-            new = 1 << (m - 1)
+            n = m - 1
+            # column[i]: the lanes whose column holds i; row[j]: whose row
+            # holds j
+            column = [_bit_lanes(i, n + m) for i in range(n)]
+            row = [_bit_lanes(n + j, n + m) for j in range(m)]
+            # each lane's share of the key: its row as byte n, and its
+            # column as bit n of bytes 0 .. n-1
+            lanes = [r << 8 * n | sum(1 << 8 * i + n for i in bits(c))
+                     for r in range(1 << m) for c in range(1 << n)]
+            keys = []
+            for sub in _transitive_relations(n):
+                fails = 0
+                for i, reach in enumerate(sub):
+                    for k in range(n):
+                        if reach >> k & 1:
+                            fails |= column[k] & ~column[i] | row[i] & ~row[k]
+                        else:
+                            fails |= column[i] & row[k]
+                    fails |= row[i] & column[i] & ~row[n]
+                low = int.from_bytes(bytes(sub), "little")
+                keys.extend(low | key for key in _survivors(lanes, fails))
+            keys.sort()
+            diagonal = int.from_bytes(bytes(1 << i for i in range(m)), "little")
             rels = []
-            for sub in _transitive_relations(m - 1):
-                for column in range(new):
-                    base = list(sub)
-                    for i in bits(column):
-                        base[i] |= new
-                    for row in range(2 * new):
-                        succ = base + [row]
-                        if relations.transitive(succ) is None:
-                            rels.append(succ)
-            rels.sort(key=lambda succ: sum(r << (i * m) for i, r in enumerate(succ)))
+            preorders = []
+            for key in keys:
+                # memoryview.tolist sizes the list exactly
+                succ = memoryview(key.to_bytes(m, "little")).tolist()
+                rels.append(succ)
+                if key & diagonal == diagonal:
+                    preorders.append(succ)
         _transitive_cache[m] = rels
-        _preorder_cache[m] = [succ for succ in rels
-                              if relations.reflexive(succ) is None]
+        _preorder_cache[m] = preorders
     return _transitive_cache[m]
 
 
@@ -137,6 +204,28 @@ def _preorders(m):
 
 
 _frame_cache = {}
+
+
+def _commutator_frames(blocks, rel_ds, lanes, need_right):
+    """The relations of rel_ds that commute with the partition given by
+    block indices on the left (D;L within L;D) and, if need_right, on the
+    right, in list order; lanes are rel_ds' edge lanes.  With a[p][c] the
+    lanes where p reaches block c and b[c][r] those where r is reached
+    from block c, left commutativity fails at (p, r) on a[p][[r]] &
+    ~b[[p]][r], and right commutativity on b[[p]][r] & ~a[p][[r]]."""
+    m = len(blocks)
+    a = [[0] * m for _ in range(m)]
+    b = [[0] * m for _ in range(m)]
+    for q, c in enumerate(blocks):
+        for p in range(m):
+            a[p][c] |= lanes[p][q]
+            b[c][p] |= lanes[q][p]
+    fails = 0
+    for p in range(m):
+        for r in range(m):
+            reach, back = a[p][blocks[r]], b[blocks[p]][r]
+            fails |= reach ^ back if need_right else reach & ~back
+    return _survivors(rel_ds, fails)
 
 
 def _frame_groups(frame_class, m):
@@ -167,14 +256,12 @@ def _frame_groups(frame_class, m):
         need_right = frame_class in RIGHT_COMMUTATIVE
         rel_ds = (_preorders(m) if frame_class in D_REFLEXIVE
                   else _transitive_relations(m))
+        lanes = _edge_lanes(rel_ds, m)
         names = tuple(map(str, range(m)))
         for blocks in _set_partitions(m):
-            succ_l = _partition_succ(blocks, m)
-            out.append((succ_l, [
-                succ_d for succ_d in rel_ds
-                if relations.commutes(succ_d, succ_l, succ_l, succ_d) is None
-                and not (need_right and relations.commutes(
-                    succ_l, succ_d, succ_d, succ_l) is not None)], names))
+            out.append((_partition_succ(blocks, m),
+                        _commutator_frames(blocks, rel_ds, lanes, need_right),
+                        names))
     _frame_cache[key] = out
     return out
 
@@ -184,16 +271,18 @@ _persistent_cache = {}
 
 def _persistent_masks(succ_d):
     """Valuation masks constant along the []-relation (atom persistence:
-    an atom keeps its value both ways along every []-step), that is the
-    masks closed under it whose complement is closed too."""
+    an atom keeps its value both ways along every []-step), ascending.
+    The lanes are the masks; mask v holds point i when bit i of v is set,
+    and an edge i -> j rules out the lanes holding exactly one of i, j."""
     key = tuple(succ_d)
     if key not in _persistent_cache:
-        full = (1 << len(succ_d)) - 1
-        closed = {mask for mask in range(full + 1)
-                  if relations.closed(succ_d, mask) is None}
-        _persistent_cache[key] = tuple(
-            mask for mask in range(full + 1)
-            if mask in closed and full ^ mask in closed)
+        m = len(succ_d)
+        holds = [_bit_lanes(i, m) for i in range(m)]
+        fails = 0
+        for i, reach in enumerate(succ_d):
+            for j in bits(reach):
+                fails |= holds[i] ^ holds[j]
+        _persistent_cache[key] = tuple(_survivors(range(1 << m), fails))
     return _persistent_cache[key]
 
 

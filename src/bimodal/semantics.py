@@ -495,13 +495,20 @@ def product_model(frame1, frame2, valuation, designated=None):
             return index1[v] * m2 + index2[x]
         raise ValueError(error.format(product_point(v, x)))
 
+    # an atom's cells gathered by first-factor world, as small masks over
+    # the second factor, then placed one row at a time
+    column_bit = {x: 1 << j for j, x in enumerate(worlds2)}
     atom_masks = {}
     for atom_id, members in valuation.items():
-        mask = 0
+        rows = {}
         for v, x in members:
-            mask |= 1 << cell(v, x, f"valuation of atom {atom_id} mentions "
-                                    "unknown world {!r}")
-        atom_masks[atom_id] = mask
+            bit = column_bit.get(x)
+            if bit is None or v not in index1:
+                raise ValueError(f"valuation of atom {atom_id} mentions "
+                                 f"unknown world {product_point(v, x)!r}")
+            rows[v] = rows.get(v, 0) | bit
+        atom_masks[atom_id] = sum(row << index1[v] * m2
+                                  for v, row in rows.items())
     # with the first factor sorted as the "v|" that begins its names, the
     # cells row by row are in the sorted order of their names
     names = [product_point(v, x) for v in worlds1 for x in worlds2]

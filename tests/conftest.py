@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from bimodal import atm as atm_mod
+from bimodal import atm as atm_mod, satbound
 from bimodal.semantics import BimodalModel, CROSS_AXIOM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -18,6 +18,21 @@ def m1():
 @pytest.fixture(scope="session")
 def m1_path():
     return str(M1_PATH)
+
+
+@pytest.fixture
+def five_point_frames():
+    """For a test that builds the oracle's 5-point frame lists: drops them
+    (tens of MB) from the module caches afterwards."""
+    yield
+    for cache in (satbound._transitive_cache, satbound._preorder_cache):
+        cache.pop(5, None)
+    for frame_class, m in list(satbound._frame_cache):
+        if m >= 5:
+            del satbound._frame_cache[frame_class, m]
+    for succ_d in list(satbound._persistent_cache):
+        if len(succ_d) >= 5:
+            del satbound._persistent_cache[succ_d]
 
 
 def flipped(model, flips):

@@ -17,7 +17,7 @@ import pytest
 
 from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
-from bimodal.reduction import ReductionParams
+from bimodal.reduction import ReductionParams, grow_tree
 from bimodal.semantics import (BimodalModel, validate, CROSS_AXIOM,
                                S4S5_COMMUTATOR)
 
@@ -106,3 +106,20 @@ def test_extraction_from_a_witness_variant(machine, w, poly, logic, variant, see
     got, pi = extract(changed, point, params)
     assert am.trees_label_equal(got, tree)
     assert check_morphism(changed, point, params, got, pi).ok
+
+
+@pytest.mark.parametrize("logic, red", [("ssl", red_ssl.SSL), ("s4s5", red_s4s5.S4S5)],
+                         ids=["ssl", "s4s5"])
+def test_grow_tree_builds_each_step_query_once(logic, red):
+    # fan on "bbb" takes 23 steps, which ask for 8 distinct (entry, k, l)
+    params, tree, model, p0 = witness("fan", "bbb", (0, 1), logic)
+    calls = []
+
+    def step_query(v, entry, k, l):
+        calls.append((entry, k, l))
+        return red.step_query(v, entry, k, l)
+
+    got, pi = grow_tree(red._replace(step_query=step_query), model, p0, params)
+    assert len(calls) == len(set(calls)) == 8
+    assert am.trees_label_equal(got, tree)
+    assert pi == grow_tree(red, model, p0, params)[1]

@@ -7,7 +7,7 @@ import pytest
 
 from bimodal import formula as fm
 from bimodal import atm as am
-from bimodal import red_ssl
+from bimodal import red_ssl, satbound
 from bimodal.formula import (Atom, And, L, Diamond, Implies, conj, eq_vector,
                              eq_binary, rightmost_zero, rightmost_one)
 from bimodal.semantics import validate, clouds, CROSS_AXIOM
@@ -61,6 +61,18 @@ def test_counter_trace_decodes_to_all_values(n):
     assert len(p_prime) == 2 ** n - 1
     values = [decode_counter(model, p, cat, n) for p in p_points]
     assert values == list(range(2 ** n))
+
+
+def test_counter_trace_from_a_five_point_oracle_hit(five_point_frames):
+    # a model no witness constructor made: the first 5-point cross-axiom
+    # model of the one-bit counter (4 points are not enough)
+    f, cat = gen_counter_ssl(1)
+    verdict = satbound.bounded_sat(f, CROSS_AXIOM, max_points=5)
+    assert verdict.satisfiable and len(verdict.model.worlds) == 5
+    assert (verdict.frames, verdict.candidates) == (29975, 2580506)
+    p_points, p_prime = extract_counter_trace(verdict.model, verdict.point, 1)
+    assert len(p_points) == 2 and len(p_prime) == 1
+    assert [decode_counter(verdict.model, p, cat, 1) for p in p_points] == [0, 1]
 
 
 def test_counter_catalog_layout():

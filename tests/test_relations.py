@@ -2,6 +2,8 @@
 pair sets: frame validation, cloud partitions, the oracle's frame lists
 and the formula evaluator."""
 
+import functools
+import hashlib
 import itertools
 import random
 import re
@@ -12,7 +14,8 @@ from bimodal import relations, satbound
 from bimodal.formula import Atom, Not, And, K, Box, ATOM, NOT, AND, KMOD
 from bimodal.semantics import (BimodalModel, validate, clouds, FRAME_CLASSES,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
-                               S4S5_PRODUCT)
+                               S4S5_PRODUCT, D_REFLEXIVE, RIGHT_COMMUTATIVE,
+                               product_point, product_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,119 @@ def test_relation_counts_match_oeis():
     # transitive relations: OEIS A006905; preorders: OEIS A000798
     assert [len(satbound._transitive_relations(m)) for m in range(1, 5)] == [2, 13, 171, 3994]
     assert [len(satbound._preorders(m)) for m in range(1, 5)] == [1, 4, 29, 355]
+
+
+# The labelled walk the oracle's lane filters replaced: one kernel call per
+# candidate relation, frame and valuation mask.
+
+@functools.lru_cache(maxsize=None)
+def reference_transitive_relations(m):
+    """Transitive relations on m points in ascending code order (row i in
+    bits [i*m, (i+1)*m)), each a transitive relation on m-1 points
+    extended by a column and a row and kept if still transitive."""
+    if m == 0:
+        return [[]]
+    new = 1 << (m - 1)
+    rels = []
+    for sub in reference_transitive_relations(m - 1):
+        for column in range(new):
+            base = list(sub)
+            for i in relations.bits(column):
+                base[i] |= new
+            for row in range(2 * new):
+                succ = base + [row]
+                if relations.transitive(succ) is None:
+                    rels.append(succ)
+    rels.sort(key=lambda succ: sum(r << (i * m) for i, r in enumerate(succ)))
+    return rels
+
+
+def reference_preorders(m):
+    return [succ for succ in reference_transitive_relations(m)
+            if relations.reflexive(succ) is None]
+
+
+def reference_frame_groups(frame_class, m):
+    """The groups of `satbound._frame_groups`, commutation checked one
+    relation at a time."""
+    out = []
+    if frame_class == S4S5_PRODUCT:
+        for m1 in range(1, m + 1):
+            if m % m1:
+                continue
+            m2 = m // m1
+            names = tuple(product_point(v, x)
+                          for v in range(m1) for x in range(m2))
+            for succ1 in reference_preorders(m1):
+                for blocks in satbound._set_partitions(m2):
+                    succ_d, succ_l = product_rows(
+                        succ1, satbound._partition_succ(blocks, m2))
+                    out.append((succ_l, [succ_d], names))
+        return out
+    rel_ds = (reference_preorders(m) if frame_class in D_REFLEXIVE
+              else reference_transitive_relations(m))
+    names = tuple(map(str, range(m)))
+    for blocks in satbound._set_partitions(m):
+        succ_l = satbound._partition_succ(blocks, m)
+        out.append((succ_l, [
+            succ_d for succ_d in rel_ds
+            if relations.commutes(succ_d, succ_l, succ_l, succ_d) is None
+            and not (frame_class in RIGHT_COMMUTATIVE and relations.commutes(
+                succ_l, succ_d, succ_d, succ_l) is not None)], names))
+    return out
+
+
+def reference_persistent_masks(succ_d):
+    full = (1 << len(succ_d)) - 1
+    return tuple(mask for mask in range(full + 1)
+                 if relations.closed(succ_d, mask) is None
+                 and relations.closed(succ_d, full ^ mask) is None)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_relation_lists_match_labelled_walk(m):
+    assert satbound._transitive_relations(m) == reference_transitive_relations(m)
+    assert satbound._preorders(m) == reference_preorders(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("frame_class", FRAME_CLASSES)
+def test_frame_groups_match_labelled_walk(frame_class, m):
+    assert satbound._frame_groups(frame_class, m) == reference_frame_groups(frame_class, m)
+
+
+def test_persistent_masks_match_labelled_walk():
+    for m in range(1, 5):
+        for succ_d in satbound._transitive_relations(m):
+            assert satbound._persistent_masks(succ_d) == reference_persistent_masks(succ_d)
+
+
+def frame_digest(frame_class, m):
+    frames = [(list(succ_l), list(succ_d))
+              for succ_l, succ_ds, _ in satbound._frame_groups(frame_class, m)
+              for succ_d in succ_ds]
+    return len(frames), hashlib.sha256(repr(frames).encode()).hexdigest()[:16]
+
+
+# (frames, digest) at 4 and 5 points, as the labelled walk lists them
+FRAME_DIGESTS = {
+    CROSS_AXIOM: {4: (2853, "cc050fb0fde7630d"), 5: (115084, "fd0a3031e941d9d0")},
+    S4S5_COMMUTATOR: {4: (1905, "2bcefe4deebf9825"), 5: (56044, "7c144e4c7649366c")},
+    K4S5_COMMUTATOR: {4: (8404, "4350dbb489749d92"), 5: (360746, "ae30d496c4a4b279")},
+    S4S5_PRODUCT: {4: (378, "07287e6c2dd7aee9"), 5: (6994, "01dd60ba18ebb9a8")},
+}
+
+
+def test_frame_lists_at_four_points_are_pinned():
+    assert {c: frame_digest(c, 4) for c in FRAME_DIGESTS} == {
+        c: pins[4] for c, pins in FRAME_DIGESTS.items()}
+
+
+def test_frame_lists_at_five_points_are_pinned(five_point_frames):
+    assert len(satbound._transitive_relations(5)) == 154303  # OEIS A006905
+    assert len(satbound._preorders(5)) == 6942  # OEIS A000798
+    assert {c: frame_digest(c, 5) for c in FRAME_DIGESTS} == {
+        c: pins[5] for c, pins in FRAME_DIGESTS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Finite bimodal models: evaluation, frame validation, clouds, products,
 and the model text format."""
 
+import random
+
 import pytest
 
 from bimodal import formula as fm
@@ -180,6 +182,35 @@ def test_product_rejection_names_the_worlds(frame1, frame2, message):
     with pytest.raises(ValueError) as excinfo:
         product_model(frame1, frame2, {})
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("valuation, designated, message", [
+    ({0: {("0", "s"), ("2", "s")}}, None,
+     "valuation of atom 0 mentions unknown world '2|s'"),
+    ({0: {("0", "s")}, 3: {("1", "s"), ("1", "u")}}, None,
+     "valuation of atom 3 mentions unknown world '1|u'"),
+    ({0: {("0", "s")}}, ("1", "u"), "designated world '1|u' unknown"),
+])
+def test_product_names_unknown_cells(valuation, designated, message):
+    frame1 = (["0", "1"], [("0", "0"), ("1", "1")])
+    frame2 = (["s"], [("s", "s")])
+    with pytest.raises(ValueError) as excinfo:
+        product_model(frame1, frame2, valuation, designated)
+    assert str(excinfo.value) == message
+
+
+def test_product_valuation_holds_exactly_its_cells():
+    # parts of unequal length, so sorted names differ from the grid order
+    firsts, seconds = ["b", "a", "ab"], ["y", "xy", "x", "yx"]
+    rng = random.Random(7)
+    cells = [(v, x) for v in firsts for x in seconds]
+    valuation = {a: set(rng.sample(cells, rng.randint(0, len(cells))))
+                 for a in range(4)}
+    model = product_model((firsts, [(v, v) for v in firsts]),
+                          (seconds, [(x, y) for x in seconds for y in seconds]),
+                          valuation)
+    assert model.valuation == {a: frozenset(f"{v}|{x}" for v, x in members)
+                               for a, members in valuation.items()}
 
 
 def test_product_provenance_check(two_cloud_model):
