@@ -8,6 +8,8 @@ The transition list order is semantic: it breaks ties for existential
 choices and fixes the output order of successors.
 """
 
+from .relations import Check, Report
+
 BLANK = "#"
 LEFT = "L"
 RIGHT = "R"
@@ -310,42 +312,11 @@ def accepts(atm, w, time_bound):
 # ---------------------------------------------------------------------------
 # Tree validation.
 
-class Report:
-    """Named pass/fail checks, each failure with its counterexample."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def lines(self):
-        out = []
-        for c in self.checks:
-            line = f"{c.name}: {'pass' if c.passed else 'fail'}"
-            if not c.passed and c.counterexample is not None:
-                line += f" {c.counterexample}"
-            out.append(line)
-        out.append(f"result: {'pass' if self.ok else 'fail'}")
-        return out
-
-
-class Check:
-    def __init__(self, name, passed, counterexample=None):
-        self.name = name
-        self.passed = passed
-        self.counterexample = counterexample
-
-
 def validate_tree(atm, w, tree):
     """Check the defining conditions of an accepting tree of the machine
     on input w."""
-    checks = []
-
     root_ok = tree.configs[tree.root] == initial_config(atm, w)
-    checks.append(Check("root-is-initial", root_ok,
-                        None if root_ok else tree.root))
+    checks = [Check("root-is-initial", None if root_ok else tree.root)]
 
     bad_edge = None
     for v in tree.nodes():
@@ -355,7 +326,7 @@ def validate_tree(atm, w, tree):
         if tree.configs[v] not in successors(atm, tree.configs[p]):
             bad_edge = (p, v)
             break
-    checks.append(Check("edges-are-steps", bad_edge is None, bad_edge))
+    checks.append(Check("edges-are-steps", bad_edge))
 
     dup = None
     for v in tree.nodes():
@@ -368,7 +339,7 @@ def validate_tree(atm, w, tree):
             seen.add(key)
         if dup:
             break
-    checks.append(Check("siblings-distinct", dup is None, dup))
+    checks.append(Check("siblings-distinct", dup))
 
     missing = None
     for v in tree.nodes():
@@ -383,11 +354,11 @@ def validate_tree(atm, w, tree):
                     break
         if missing:
             break
-    checks.append(Check("universal-nodes-complete", missing is None, missing))
+    checks.append(Check("universal-nodes-complete", missing))
 
     bad_leaf = next(((v, tree.configs[v].state) for v in tree.leaves()
                      if tree.configs[v].state != atm.accept), None)
-    checks.append(Check("leaves-accept", bad_leaf is None, bad_leaf))
+    checks.append(Check("leaves-accept", bad_leaf))
 
     return Report(checks)
 

@@ -30,6 +30,11 @@ class CheckFailure(Exception):
     """A semantic check failed; the report already explains it."""
 
 
+class UsageError(Exception):
+    """The arguments do not make up a command: a required option is
+    missing or malformed."""
+
+
 def _read(path):
     with open(path, "r", encoding="utf-8") as h:
         return h.read()
@@ -44,15 +49,15 @@ def _parse_poly(text):
     try:
         coeffs = [int(c) for c in text.split(",")]
     except ValueError:
-        raise CheckFailure(f"bad polynomial {text!r}: expected c0,c1,...")
+        raise UsageError(f"bad polynomial {text!r}: expected c0,c1,...")
     return coeffs
 
 
 def _load_params(args):
     if not (args.atm and args.w is not None and args.poly):
-        raise CheckFailure("the reduction requires --atm, --w and --poly")
-    machine = atm_mod.parse_atm(_read(args.atm))
-    return ReductionParams(machine, _parse_poly(args.poly), args.w)
+        raise UsageError("the reduction requires --atm, --w and --poly")
+    poly = _parse_poly(args.poly)
+    return ReductionParams(atm_mod.parse_atm(_read(args.atm)), poly, args.w)
 
 
 def _conclude(report, ok, failure=None):
@@ -80,7 +85,7 @@ def _gen(args):
     red = REDUCTIONS[logic]
     if family == "counter":
         if args.n is None:
-            raise CheckFailure("gen counter-* requires --n")
+            raise UsageError("gen counter-* requires --n")
         f, cat = red.gen_counter(args.n)
     else:
         f, cat = gen_formula(red, _load_params(args))
@@ -149,7 +154,7 @@ def _extract(args):
     red = REDUCTIONS[args.logic]
     if args.kind == "trace":
         if args.n is None:
-            raise CheckFailure("extract trace requires --n")
+            raise UsageError("extract trace requires --n")
         p_points, p_prime = red.extract_counter(model, point, args.n)
         report = [f"command: extract trace {args.logic}",
                   f"steps: {len(p_points)}"]
@@ -388,13 +393,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except CheckFailure as err:
+    except (UsageError, CheckFailure, ExtractionError, fm.ParseError,
+            atm_mod.AtmError, satbound.ResourceCapError, ValueError, KeyError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ExtractionError, fm.ParseError, atm_mod.AtmError,
-            satbound.ResourceCapError, ValueError, KeyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
     return 0
 
 

@@ -19,10 +19,10 @@ from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       gt_binary, rightmost_zero, rightmost_one, ones)
 from .catalog import VariableCatalog
 from . import relations
-from .relations import bits
+from .relations import Check, Report, bits
 from .semantics import _cloud_masks, cloud_steps, submodel
-from .atm import (BLANK, LEFT, RIGHT, Check, ComputationTree, Report,
-                  initial_config, apply_entry, validate_tree)
+from .atm import (BLANK, LEFT, RIGHT, ComputationTree, initial_config,
+                  apply_entry, validate_tree)
 
 
 class ExtractionError(RuntimeError):
@@ -446,7 +446,8 @@ def check_morphism(red, model, r0, params, tree, pi):
     condition on every non-root node, and the configuration shared
     variables."""
     v = red.vocab(params, red.catalog(params))
-    checks = [Check("root-anchored", pi[tree.root] == r0, pi.get(tree.root))]
+    root = pi[tree.root]
+    checks = [Check("root-anchored", None if root == r0 else root)]
 
     blocks = _cloud_masks(model)
     owner = {i: c for c, block in enumerate(blocks) for i in bits(block)}
@@ -458,18 +459,18 @@ def check_morphism(red, model, r0, params, tree, pi):
     edges = [(tree.parent[nid], nid) for nid in tree.nodes()[1:]]
     bad_edge = next(((p, c) for p, c in edges
                      if cloud(c) not in steps[cloud(p)]), None)
-    checks.append(Check("edges-preserved", bad_edge is None, bad_edge))
+    checks.append(Check("edges-preserved", bad_edge))
 
     data = node_table(params, tree)
     name, node_formula = red.node_check
     bad_node = next((c for p, c in edges
                      if not model.eval(pi[c], node_formula(v, data, c, p))), None)
-    checks.append(Check(name, bad_node is None, bad_node))
+    checks.append(Check(name, bad_node))
 
     bad_config = next((nid for nid, d in data.items() if not model.eval(
         pi[nid], _marked(v.marker, [eq_binary(v.alpha_time, d["time"]),
                                     eq_binary(v.alpha_pos, d["pos"]),
                                     v.alpha_state[d["state"]],
                                     v.alpha_read[d["read"]]]))), None)
-    checks.append(Check("configurations", bad_config is None, bad_config))
+    checks.append(Check("configurations", bad_config))
     return Report(checks)

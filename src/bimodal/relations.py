@@ -1,11 +1,12 @@
-"""Finite binary relations as lists of int row bitmasks, and the one
-formula evaluator over them.
+"""Finite binary relations as lists of int row bitmasks, the one formula
+evaluator over them, and the one pass/fail report format.
 
 Bit j of row i means i -> j.  Each check scans rows in ascending order and
 the set bits of a row in ascending order, and returns the first
 counterexample as a tuple of point indices, or None when the property
 holds.  The model checker, the frame validators and the bounded oracle all
-work through this module.
+work through this module.  Frame validation, tree validation and the
+extractor's morphism check all report through `Report`.
 """
 
 from functools import lru_cache
@@ -226,3 +227,40 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
             cache[t] = v
         stack.pop()
     return cache[f]
+
+
+class Check:
+    """One named condition and the counterexample that falsifies it,
+    printed after its name; it passed when there is none."""
+
+    def __init__(self, name, counterexample):
+        self.name = name
+        self.counterexample = counterexample
+        self.passed = counterexample is None
+
+
+class Report:
+    """Named pass/fail checks, printed as an optional header line, one
+    `name: pass|fail [counterexample]` line per check and a `result:`
+    line."""
+
+    def __init__(self, checks, header=None):
+        self.checks = checks
+        self.header = header
+
+    @property
+    def ok(self):
+        return all(c.passed for c in self.checks)
+
+    def failures(self):
+        return [c for c in self.checks if not c.passed]
+
+    def lines(self):
+        out = [] if self.header is None else [self.header]
+        for c in self.checks:
+            line = f"{c.name}: {'pass' if c.passed else 'fail'}"
+            if not c.passed:
+                line += f" {c.counterexample}"
+            out.append(line)
+        out.append(f"result: {'pass' if self.ok else 'fail'}")
+        return out

@@ -36,10 +36,9 @@ as a validated model.
 """
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .formula import atoms as formula_atoms
-from . import relations
 from .relations import bits, eval_masks
 from .semantics import (BimodalModel, S4S5_PRODUCT, FRAME_CLASSES,
                         D_REFLEXIVE, RIGHT_COMMUTATIVE, PERSISTENT_ATOMS,
@@ -140,15 +139,13 @@ def _edge_lanes(rels, m):
              for j in range(m)] for i in range(m)]
 
 
-_transitive_cache = {}
-_preorder_cache = {}
-
-
-def _transitive_relations(m):
-    """All transitive relations on m points, ascending in the integer
-    encoding that packs row i into bits [i*m, (i+1)*m).  That is the
-    order of the rows compared from the last one down, so the sort key
-    packs row i into byte i instead, which also decodes in one step.
+@cache
+def _relation_lists(m):
+    """(transitive relations, preorders) on m points, each list ascending
+    in the integer encoding that packs row i into bits [i*m, (i+1)*m).
+    That is the order of the rows compared from the last one down, so the
+    sort key packs row i into byte i instead, which also decodes in one
+    step.
 
     A transitive relation stays transitive on its first m-1 points, so
     each one is a transitive relation on m-1 points plus a column (which
@@ -157,62 +154,57 @@ def _transitive_relations(m):
     lane row*2^n + column, and only triples through n can fail:
     i -> j -> n without i -> n, n -> j -> k without n -> k,
     i -> n -> k without i -> k, and n -> j -> n without n -> n."""
-    if m not in _transitive_cache:
-        if m == 0:
-            rels = [[]]
-            preorders = rels
-        else:
-            n = m - 1
-            # column[i]: the lanes whose column holds i; row[j]: whose row
-            # holds j
-            column = [_bit_lanes(i, n + m) for i in range(n)]
-            row = [_bit_lanes(n + j, n + m) for j in range(m)]
-            # each lane's share of the key: its row as byte n, and its
-            # column as bit n of bytes 0 .. n-1
-            lanes = [r << 8 * n | sum(1 << 8 * i + n for i in bits(c))
-                     for r in range(1 << m) for c in range(1 << n)]
-            keys = []
-            for sub in _transitive_relations(n):
-                fails = 0
-                for i, reach in enumerate(sub):
-                    for k in range(n):
-                        if reach >> k & 1:
-                            fails |= column[k] & ~column[i] | row[i] & ~row[k]
-                        else:
-                            fails |= column[i] & row[k]
-                    fails |= row[i] & column[i] & ~row[n]
-                low = int.from_bytes(bytes(sub), "little")
-                keys.extend(low | key for key in _survivors(lanes, fails))
-            keys.sort()
-            diagonal = int.from_bytes(bytes(1 << i for i in range(m)), "little")
-            rels = []
-            preorders = []
-            for key in keys:
-                # memoryview.tolist sizes the list exactly
-                succ = memoryview(key.to_bytes(m, "little")).tolist()
-                rels.append(succ)
-                if key & diagonal == diagonal:
-                    preorders.append(succ)
-        _transitive_cache[m] = rels
-        _preorder_cache[m] = preorders
-    return _transitive_cache[m]
+    if m == 0:
+        return [[]], [[]]
+    n = m - 1
+    # column[i]: the lanes whose column holds i; row[j]: whose row holds j
+    column = [_bit_lanes(i, n + m) for i in range(n)]
+    row = [_bit_lanes(n + j, n + m) for j in range(m)]
+    # each lane's share of the key: its row as byte n, and its column as
+    # bit n of bytes 0 .. n-1
+    lanes = [r << 8 * n | sum(1 << 8 * i + n for i in bits(c))
+             for r in range(1 << m) for c in range(1 << n)]
+    keys = []
+    for sub in _transitive_relations(n):
+        fails = 0
+        for i, reach in enumerate(sub):
+            for k in range(n):
+                if reach >> k & 1:
+                    fails |= column[k] & ~column[i] | row[i] & ~row[k]
+                else:
+                    fails |= column[i] & row[k]
+            fails |= row[i] & column[i] & ~row[n]
+        low = int.from_bytes(bytes(sub), "little")
+        keys.extend(low | key for key in _survivors(lanes, fails))
+    keys.sort()
+    diagonal = int.from_bytes(bytes(1 << i for i in range(m)), "little")
+    rels = []
+    preorders = []
+    for key in keys:
+        # memoryview.tolist sizes the list exactly
+        succ = memoryview(key.to_bytes(m, "little")).tolist()
+        rels.append(succ)
+        if key & diagonal == diagonal:
+            preorders.append(succ)
+    return rels, preorders
+
+
+def _transitive_relations(m):
+    return _relation_lists(m)[0]
 
 
 def _preorders(m):
-    _transitive_relations(m)
-    return _preorder_cache[m]
+    return _relation_lists(m)[1]
 
 
-_frame_cache = {}
-
-
-def _commutator_frames(blocks, rel_ds, lanes, need_right):
-    """The relations of rel_ds that commute with the partition given by
-    block indices on the left (D;L within L;D) and, if need_right, on the
-    right, in list order; lanes are rel_ds' edge lanes.  With a[p][c] the
-    lanes where p reaches block c and b[c][r] those where r is reached
-    from block c, left commutativity fails at (p, r) on a[p][[r]] &
-    ~b[[p]][r], and right commutativity on b[[p]][r] & ~a[p][[r]]."""
+def _commutator_fails(blocks, lanes, need_right):
+    """The lanes of the relations that do not commute with the partition
+    given by block indices on the left (D;L within L;D) or, if
+    need_right, on the right; lanes are the relations' edge lanes.  With
+    a[p][c] the lanes where p reaches block c and b[c][r] those where r is
+    reached from block c, left commutativity fails at (p, r) on
+    a[p][[r]] & ~b[[p]][r], and right commutativity on
+    b[[p]][r] & ~a[p][[r]]."""
     m = len(blocks)
     a = [[0] * m for _ in range(m)]
     b = [[0] * m for _ in range(m)]
@@ -225,20 +217,22 @@ def _commutator_frames(blocks, rel_ds, lanes, need_right):
         for r in range(m):
             reach, back = a[p][blocks[r]], b[blocks[p]][r]
             fails |= reach ^ back if need_right else reach & ~back
-    return _survivors(rel_ds, fails)
+    return fails
 
 
-def _frame_groups(frame_class, m):
+@cache
+def _frames(frame_class, m):
     """Valid frames of the class on m points in canonical order, as
-    (succ_l, [succ_d, ...], names) groups, names naming the points of the
-    group's frames: one group per partition with the points named "0",
-    "1", ..., or for products one per frame with point v * m2 + x of an
-    m1 x m2 product named "v|x".  Grouping keeps one reference per frame
-    rather than a pair.  Products come by first factor size, then
-    preorders on the first factor and partitions on the second."""
-    key = (frame_class, m)
-    if key in _frame_cache:
-        return _frame_cache[key]
+    (succ_l, [succ_d, ...], names, masks) groups, names naming the points
+    of the group's frames: one group per partition with the points named
+    "0", "1", ..., or for products one per frame with point v * m2 + x of
+    an m1 x m2 product named "v|x".  Grouping keeps the partition and the
+    names once per group.  Products come by first factor size, then
+    preorders on the first factor and partitions on the second.
+
+    masks is None when every valuation mask is allowed; under atom
+    persistence it lists each frame's `_persistent_masks`, one tuple
+    shared by the frames of each []-relation."""
     out = []
     if frame_class == S4S5_PRODUCT:
         for m1 in range(1, m + 1):
@@ -251,22 +245,27 @@ def _frame_groups(frame_class, m):
                 for blocks in _set_partitions(m2):
                     succ_d, succ_l = product_rows(
                         succ1, _partition_succ(blocks, m2))
-                    out.append((succ_l, [succ_d], names))
-    else:
-        need_right = frame_class in RIGHT_COMMUTATIVE
-        rel_ds = (_preorders(m) if frame_class in D_REFLEXIVE
-                  else _transitive_relations(m))
-        lanes = _edge_lanes(rel_ds, m)
-        names = tuple(map(str, range(m)))
-        for blocks in _set_partitions(m):
-            out.append((_partition_succ(blocks, m),
-                        _commutator_frames(blocks, rel_ds, lanes, need_right),
-                        names))
-    _frame_cache[key] = out
+                    out.append((succ_l, [succ_d], names, None))
+        return out
+    need_right = frame_class in RIGHT_COMMUTATIVE
+    rel_ds = (_preorders(m) if frame_class in D_REFLEXIVE
+              else _transitive_relations(m))
+    lanes = _edge_lanes(rel_ds, m)
+    names = tuple(map(str, range(m)))
+    persistent = (list(map(_persistent_masks, rel_ds))
+                  if frame_class in PERSISTENT_ATOMS else None)
+    for blocks in _set_partitions(m):
+        fails = _commutator_fails(blocks, lanes, need_right)
+        masks = None if persistent is None else _survivors(persistent, fails)
+        out.append((_partition_succ(blocks, m), _survivors(rel_ds, fails),
+                    names, masks))
     return out
 
 
-_persistent_cache = {}
+def _frame_groups(frame_class, m):
+    """The frame lists alone: the groups of `_frames` as (succ_l,
+    [succ_d, ...], names)."""
+    return [group[:3] for group in _frames(frame_class, m)]
 
 
 def _persistent_masks(succ_d):
@@ -274,40 +273,22 @@ def _persistent_masks(succ_d):
     an atom keeps its value both ways along every []-step), ascending.
     The lanes are the masks; mask v holds point i when bit i of v is set,
     and an edge i -> j rules out the lanes holding exactly one of i, j."""
-    key = tuple(succ_d)
-    if key not in _persistent_cache:
-        m = len(succ_d)
-        holds = [_bit_lanes(i, m) for i in range(m)]
-        fails = 0
-        for i, reach in enumerate(succ_d):
-            for j in bits(reach):
-                fails |= holds[i] ^ holds[j]
-        _persistent_cache[key] = tuple(_survivors(range(1 << m), fails))
-    return _persistent_cache[key]
-
-
-def _build_hit(frame_class, names, succ_l, succ_d, atom_masks, point_index):
-    """The candidate as a model whose point i is named names[i]; the
-    sorted names need not be in index order (from 11 points on, "10"
-    comes before "2")."""
     m = len(succ_d)
-    order = sorted(range(m), key=names.__getitem__)
-    targets = [0] * m
-    for pos, i in enumerate(order):
-        targets[i] = pos
-    runs = relations.index_runs(targets)
-    return BimodalModel.from_rows(
-        [names[i] for i in order],
-        [relations.remap(succ_d[i], runs) for i in order],
-        [relations.remap(succ_l[i], runs) for i in order],
-        {a: relations.remap(mask, runs) for a, mask in atom_masks.items()},
-        frame_class=frame_class, designated=names[point_index])
+    holds = [_bit_lanes(i, m) for i in range(m)]
+    fails = 0
+    for i, reach in enumerate(succ_d):
+        for j in bits(reach):
+            fails |= holds[i] ^ holds[j]
+    return tuple(_survivors(range(1 << m), fails))
 
 
 def _hit_model(frame_class, names, succ_l, succ_d, atom_masks, point_index):
-    """The hit as a validated model."""
-    model = _build_hit(frame_class, names, succ_l, succ_d, atom_masks,
-                       point_index)
+    """The hit as a validated model whose point i is named names[i].  The
+    lists hold at most 8 points, so the names "0" .. "7" and "v|x" sort in
+    index order."""
+    model = BimodalModel.from_rows(names, succ_d, succ_l, atom_masks,
+                                   frame_class=frame_class,
+                                   designated=names[point_index])
     report = validate(model, frame_class)
     if not report.ok:
         raise AssertionError(
@@ -352,12 +333,10 @@ def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
     k = len(atom_ids)
     frames = candidates = 0
     for m in range(1, max_points + 1):
-        every = range(1 << m)
-        for succ_l, succ_ds, names in _frame_groups(frame_class, m):
-            for succ_d in succ_ds:
+        every = itertools.repeat(range(1 << m))
+        for succ_l, succ_ds, names, masks in _frames(frame_class, m):
+            for succ_d, allowed in zip(succ_ds, masks or every):
                 frames += 1
-                allowed = (_persistent_masks(succ_d)
-                           if frame_class in PERSISTENT_ATOMS else every)
                 lane, fast = _lanes(allowed, k, m)
                 width = len(allowed) ** len(fast)
                 for slow in itertools.product(allowed, repeat=k - len(fast)):

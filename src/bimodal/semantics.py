@@ -26,7 +26,7 @@ from collections.abc import Mapping, Set
 
 from .formula import Formula
 from . import relations
-from .relations import bits, eval_masks
+from .relations import Check, Report, bits, eval_masks
 
 CROSS_AXIOM = "cross-axiom"
 S4S5_COMMUTATOR = "s4s5-commutator"
@@ -258,44 +258,10 @@ def submodel(model, keep, frame_class, designated, atom_ids=None,
 # ---------------------------------------------------------------------------
 # Frame-class validation.
 
-class PropertyCheck:
-    def __init__(self, name, passed, counterexample=None):
-        self.name = name
-        self.passed = passed
-        self.counterexample = counterexample
-
-    def __repr__(self):
-        tail = "" if self.passed else f" counterexample={self.counterexample}"
-        return f"PropertyCheck({self.name}: {'pass' if self.passed else 'FAIL'}{tail})"
-
-
-class ValidationReport:
-    def __init__(self, frame_class, checks):
-        self.frame_class = frame_class
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def lines(self):
-        out = [f"class: {self.frame_class}"]
-        for c in self.checks:
-            status = "pass" if c.passed else "fail"
-            line = f"{c.name}: {status}"
-            if not c.passed and c.counterexample is not None:
-                line += f" {' '.join(str(x) for x in c.counterexample)}"
-            out.append(line)
-        out.append(f"result: {'pass' if self.ok else 'fail'}")
-        return out
-
-
-def _named(model, indices):
-    """World names of a counterexample given as point indices."""
-    return None if indices is None else tuple(model.worlds[i] for i in indices)
+def _text(model, indices):
+    """A counterexample given as point indices, as its world names joined
+    by spaces."""
+    return None if indices is None else " ".join(model.worlds[i] for i in indices)
 
 
 def validate(model, frame_class):
@@ -306,32 +272,28 @@ def validate(model, frame_class):
     """
     if frame_class not in FRAME_CLASSES:
         raise ValueError(f"unknown frame class {frame_class!r}")
-    checks = []
     succ_d, succ_l = model._succ_d, model._succ_l
-
-    def add(name, counterexample):
-        checks.append(PropertyCheck(name, counterexample is None, counterexample))
-
-    add("l-reflexive", _named(model, relations.reflexive(succ_l)))
-    add("l-symmetric", _named(model, relations.symmetric(succ_l)))
-    add("l-transitive", _named(model, relations.transitive(succ_l)))
-    add("d-transitive", _named(model, relations.transitive(succ_d)))
+    checks = [Check("l-reflexive", _text(model, relations.reflexive(succ_l))),
+              Check("l-symmetric", _text(model, relations.symmetric(succ_l))),
+              Check("l-transitive", _text(model, relations.transitive(succ_l))),
+              Check("d-transitive", _text(model, relations.transitive(succ_d)))]
     if frame_class in D_REFLEXIVE:
-        add("d-reflexive", _named(model, relations.reflexive(succ_d)))
-    add("left-commutativity",
-        _named(model, relations.commutes(succ_d, succ_l, succ_l, succ_d)))
+        checks.append(Check("d-reflexive",
+                            _text(model, relations.reflexive(succ_d))))
+    checks.append(Check("left-commutativity", _text(
+        model, relations.commutes(succ_d, succ_l, succ_l, succ_d))))
     if frame_class in RIGHT_COMMUTATIVE:
-        add("right-commutativity",
-            _named(model, relations.commutes(succ_l, succ_d, succ_d, succ_l)))
+        checks.append(Check("right-commutativity", _text(
+            model, relations.commutes(succ_l, succ_d, succ_d, succ_l))))
     if frame_class in PERSISTENT_ATOMS:
-        add("atom-persistence", _persistence(model))
+        checks.append(Check("atom-persistence", _persistence(model)))
     if frame_class == S4S5_PRODUCT:
-        add("product-provenance", _provenance(model))
-    return ValidationReport(frame_class, checks)
+        checks.append(Check("product-provenance", _provenance(model)))
+    return Report(checks, f"class: {frame_class}")
 
 
 def _persistence(model):
-    """First (atom, w, v) with w -[]-> v and the atom true at exactly one
+    """"atom w v" for the first w -[]-> v with the atom true at exactly one
     of them, over the atoms in the valuation, in sorted (w, v) order.  An
     atom is a property of the point alone and [] only shrinks the
     neighbourhood, so atoms are constant along [] both ways: one that is
@@ -339,7 +301,7 @@ def _persistence(model):
     atom_ids = sorted(model._atom_masks)
     bad = relations.constant(model._succ_d,
                              [model._atom_masks[a] for a in atom_ids])
-    return None if bad is None else (atom_ids[bad[0]],) + _named(model, bad[1:])
+    return None if bad is None else f"{atom_ids[bad[0]]} {_text(model, bad[1:])}"
 
 
 def _provenance(model):
@@ -354,7 +316,7 @@ def _provenance(model):
     for w in worlds:
         cut = w.find("|") + 1
         if not cut:
-            return (w,)
+            return w
         firsts.add(w[:cut])
         seconds.add(w[cut:])
     # A first part is kept with the "|" that ends it and occurs nowhere
@@ -364,7 +326,7 @@ def _provenance(model):
     m1, m2 = len(firsts), len(seconds)
     if m1 * m2 != len(worlds):
         seconds = sorted(seconds)
-        return next((v + x,) for v in sorted(firsts) for x in seconds
+        return next(v + x for v in sorted(firsts) for x in seconds
                     if v + x not in model.index)
     # The worlds are the whole grid, so point v * m2 + x is cell (v, x).
     succ_d, succ_l = model._succ_d, model._succ_l
@@ -374,7 +336,7 @@ def _provenance(model):
     want_d, want_l = product_rows(succ1, succ2)
     if tuple(want_d) == succ_d and tuple(want_l) == succ_l:
         return None
-    return next((w,) for w, d, l, wd, wl
+    return next(w for w, d, l, wd, wl
                 in zip(worlds, succ_d, succ_l, want_d, want_l)
                 if d != wd or l != wl)
 
@@ -396,7 +358,7 @@ def _cloud_masks(model):
     if failure is not None:
         name, bad = failure
         raise ValueError(f"rel_l is not an equivalence relation "
-                         f"(not {name}: {_named(model, bad)})")
+                         f"(not {name}: {tuple(model.worlds[i] for i in bad)})")
     return blocks
 
 

@@ -139,6 +139,11 @@ def test_validate_tree_catches_leaf_relabel(m1):
     # the relabeled leaf no longer accepts, and its parent edge is no
     # longer a legal step
     assert "leaves-accept" in failed
+    assert report.lines() == [
+        "root-is-initial: pass", "edges-are-steps: fail (1, 2)",
+        "siblings-distinct: pass",
+        "universal-nodes-complete: fail (1, 'qacc')",
+        "leaves-accept: fail (2, 'q1')", "result: fail"]
 
 
 def test_validate_tree_catches_bogus_edge(m1):
@@ -146,9 +151,14 @@ def test_validate_tree_catches_bogus_edge(m1):
     leaf = tree.leaves()[0]
     old = tree.configs[leaf]
     tree.configs[leaf] = Configuration(old.state, old.head + 3, old.tape)
-    failed = {c.name for c in validate_tree(m1, "a", tree).checks
-              if not c.passed}
+    report = validate_tree(m1, "a", tree)
+    failed = {c.name for c in report.checks if not c.passed}
     assert "edges-are-steps" in failed
+    assert report.lines() == [
+        "root-is-initial: pass", "edges-are-steps: fail (1, 2)",
+        "siblings-distinct: pass",
+        "universal-nodes-complete: fail (1, 'qacc')",
+        "leaves-accept: pass", "result: fail"]
 
 
 def test_validate_tree_catches_missing_universal_branch(m1):
@@ -158,9 +168,14 @@ def test_validate_tree_catches_missing_universal_branch(m1):
     dropped = tree.children[universal].pop()
     tree.configs.pop(dropped)
     tree.parent.pop(dropped)
-    failed = {c.name for c in validate_tree(m1, "a", tree).checks
-              if not c.passed}
+    report = validate_tree(m1, "a", tree)
+    failed = {c.name for c in report.checks if not c.passed}
     assert "universal-nodes-complete" in failed
+    assert report.lines() == [
+        "root-is-initial: pass", "edges-are-steps: pass",
+        "siblings-distinct: pass",
+        "universal-nodes-complete: fail (1, 'qacc')",
+        "leaves-accept: pass", "result: fail"]
 
 
 def test_height_and_depth_skip_dropped_nodes(m1):

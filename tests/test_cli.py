@@ -46,7 +46,7 @@ def test_gen_writes_artifacts(tmp_path, capsys):
 
 def test_gen_f_requires_machine_arguments(capsys):
     code, _, err = run(capsys, "gen", "f-ssl", "--n", "1")
-    assert code == 1
+    assert code == 2
     assert "requires" in err
 
 
@@ -56,8 +56,30 @@ def test_extract_tree_requires_machine_arguments(tmp_path, capsys):
                           "d w w\nl w w\n")
     code, _, err = run(capsys, "extract", "tree", "--logic", "ssl",
                        "--model", str(model_file))
-    assert code == 1
+    assert code == 2
     assert "requires" in err
+
+
+def test_missing_n_exits_two(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("class cross-axiom\ndesignated w\nworld w\n"
+                          "d w w\nl w w\n")
+    for argv in (["gen", "counter-ssl"],
+                 ["extract", "trace", "--logic", "ssl", "--model", str(model_file)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "requires --n" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "f-ssl"],
+                                  ["build", "model", "--logic", "ssl"],
+                                  ["verify", "pipeline"]],
+                         ids=["gen", "build", "verify"])
+def test_unparsable_poly_exits_two(capsys, m1_path, argv):
+    code, _, err = run(capsys, *argv, "--atm", m1_path, "--w", "a",
+                       "--poly", "2,x")
+    assert code == 2
+    assert "bad polynomial" in err
 
 
 POINT_COMMANDS = pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, and keeps no product flag; and the benchmark worker still
-finds every library function it calls by name."""
+in one place, keeps no product flag and prints every pass/fail check
+through one report class; and the benchmark worker still finds every
+library function it calls by name."""
 
 import ast
 import importlib.util
@@ -67,6 +68,16 @@ def test_one_witness_builder_per_logic(module, constructor):
     """Each logic builds its counter and machine witnesses through one
     builder, so its model constructor is called in exactly one place."""
     assert len(list(calls_to(PACKAGE / module, constructor))) == 1
+
+
+def test_one_report_class():
+    """Frame validation, tree validation and the morphism check share one
+    `Report`; no second report format creeps back in."""
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and node.name in ("Report", "PropertyCheck", "ValidationReport")]
+    assert defined == [("relations.py", "Report")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

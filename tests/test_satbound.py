@@ -140,7 +140,7 @@ def product_frames(max_points):
                             succ_l[i] |= 1 << (v * m2 + j)
                 names = [f"{v}|{x}" for v in range(m1) for x in range(m2)]
                 yield (m, succ_l, succ_d, range(1 << m),
-                       partial(satbound._build_hit, S4S5_PRODUCT, names,
+                       partial(satbound._hit_model, S4S5_PRODUCT, names,
                                succ_l, succ_d))
 
 
@@ -156,7 +156,7 @@ def walk_candidates(f, frame_class, max_points):
         frames = ((m, succ_l, succ_d,
                    satbound._persistent_masks(succ_d)
                    if frame_class == CROSS_AXIOM else range(1 << m),
-                   partial(satbound._build_hit, frame_class, names, succ_l, succ_d))
+                   partial(satbound._hit_model, frame_class, names, succ_l, succ_d))
                   for m in range(1, max_points + 1)
                   for succ_l, succ_ds, names in satbound._frame_groups(frame_class, m)
                   for succ_d in succ_ds)
