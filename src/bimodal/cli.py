@@ -150,11 +150,11 @@ def _check(args):
 
 
 def _extract(args):
+    if args.kind == "trace" and args.n is None:
+        raise UsageError("extract trace requires --n")
     model, point = _model_and_point(args)
     red = REDUCTIONS[args.logic]
     if args.kind == "trace":
-        if args.n is None:
-            raise UsageError("extract trace requires --n")
         p_points, p_prime = red.extract_counter(model, point, args.n)
         report = [f"command: extract trace {args.logic}",
                   f"steps: {len(p_points)}"]

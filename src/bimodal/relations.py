@@ -4,8 +4,12 @@ evaluator over them, and the one pass/fail report format.
 Bit j of row i means i -> j.  Each check scans rows in ascending order and
 the set bits of a row in ascending order, and returns the first
 counterexample as a tuple of point indices, or None when the property
-holds.  The model checker, the frame validators and the bounded oracle all
-work through this module.  Frame validation, tree validation and the
+holds.  Transitivity and commutativity compare rows of compositions
+made once by `compose`, looking into the first row that escapes only to
+name the counterexample; the evaluator decides a box once per group of
+equal rows.
+The model checker, the frame validators and the bounded oracle all work
+through this module.  Frame validation, tree validation and the
 extractor's morphism check all report through `Report`.
 """
 
@@ -49,34 +53,43 @@ def symmetric(succ):
     return None
 
 
-def transitive(succ):
-    """First (i, j, k) with i -> j -> k but not i -> k: i is the first
-    failing row, k the lowest point it misses, j its lowest successor
-    reaching k."""
+def compose(a, b, c):
+    """The rows of a;b and of a;c, in one pass over the pairs of a: row i
+    of a;b is the union of the b-rows of i's a-successors.  A row equal to
+    the one before it shares its unions: a class that is a run costs one."""
+    ab, ac, last = [], [], None
+    for row in a:
+        if row != last:
+            last = row
+            x = y = 0
+            for j in bits(row):
+                x |= b[j]
+                y |= c[j]
+        ab.append(x)
+        ac.append(y)
+    return ab, ac
+
+
+def transitive(succ, reach):
+    """First (i, j, k) with i -> j -> k but not i -> k, given reach, the
+    rows of succ;succ: i is the first row of reach not inside succ's, k
+    the lowest point it adds, j the lowest successor of i reaching k."""
     for i, row in enumerate(succ):
-        reach = 0
-        for j in bits(row):
-            reach |= succ[j]
-        extra = reach & ~row
+        extra = reach[i] & ~row
         if extra:
             k = _lowest(extra)
-            for j in bits(row):
-                if succ[j] >> k & 1:
-                    return (i, j, k)
+            return i, next(j for j in bits(row) if succ[j] >> k & 1), k
     return None
 
 
-def commutes(a, b, c, d):
-    """From p -a-> q -b-> r there must be an s with p -c-> s -d-> r.
-    Returns the first (p, q, r) without one."""
-    for p, row in enumerate(a):
-        reach = 0
-        for s in bits(c[p]):
-            reach |= d[s]
-        for q in bits(row):
-            missing = b[q] & ~reach
-            if missing:
-                return (p, q, _lowest(missing))
+def commutes(a, b, ab, cd):
+    """From p -a-> q -b-> r there must be an s with p -c-> s -d-> r; ab and
+    cd are the rows of a;b and c;d.  Returns the first (p, q, r) without
+    one: p the first row of ab not inside cd's, then the lowest q and r."""
+    for p, reach in enumerate(cd):
+        if ab[p] & ~reach:
+            q = next(q for q in bits(a[p]) if b[q] & ~reach)
+            return p, q, _lowest(b[q] & ~reach)
     return None
 
 
@@ -163,12 +176,22 @@ def classes(succ):
         seen |= row
     else:
         return blocks, None
-    for name, check in (("reflexive", reflexive), ("symmetric", symmetric),
-                        ("transitive", transitive)):
-        bad = check(succ)
+    failure = first_failure(succ, ("reflexive", "symmetric", "transitive"))
+    if failure is None:
+        raise AssertionError("relation is an equivalence but failed the class scan")
+    return None, failure
+
+
+def first_failure(succ, names):
+    """The first property in names ("reflexive", "symmetric" or
+    "transitive") that succ lacks, with its counterexample, or None."""
+    checks = {"reflexive": reflexive, "symmetric": symmetric,
+              "transitive": lambda s: transitive(s, compose(s, s, s)[0])}
+    for name in names:
+        bad = checks[name](succ)
         if bad is not None:
-            return None, (name, bad)
-    raise AssertionError("relation is an equivalence but failed the class scan")
+            return name, bad
+    return None
 
 
 def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
@@ -176,6 +199,11 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     [], rel_l (succ_l) interprets K, and atom_masks maps atom ids to masks.
     cache maps subformulas to masks; it is filled in place and may be
     reused across calls on the same relations and valuation.
+
+    With one valuation (lane 1) the cache also holds, under the box's
+    kind, that relation's rows grouped by value (one group per class of an
+    equivalence): a box holds at each group whose row misses no point of
+    the body.
 
     A lane other than 1 packs many valuations of the same frame into each
     mask: lane has bit v*n set for every valuation v, whose points are
@@ -215,9 +243,15 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
             v = 0
             if lane == 1:
                 miss = full & ~body
-                for i in range(n):
-                    if not succ[i] & miss:
-                        v |= 1 << i
+                groups = cache.get(kind)
+                if groups is None:
+                    by_row = {}
+                    for i, row in enumerate(succ):
+                        by_row[row] = by_row.get(row, 0) | 1 << i
+                    groups = cache[kind] = by_row.items()
+                for row, members in groups:
+                    if not row & miss:
+                        v |= members
             else:
                 for i, row in enumerate(succ):
                     box = lane

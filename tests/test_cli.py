@@ -71,6 +71,14 @@ def test_missing_n_exits_two(tmp_path, capsys):
         assert "requires --n" in err
 
 
+def test_missing_n_exits_two_before_the_model_is_read(capsys):
+    code, out, err = run(capsys, "extract", "trace", "--logic", "ssl",
+                         "--model", "/nonexistent")
+    assert code == 2
+    assert out == ""
+    assert err == "error: extract trace requires --n\n"
+
+
 @pytest.mark.parametrize("argv", [["gen", "f-ssl"],
                                   ["build", "model", "--logic", "ssl"],
                                   ["verify", "pipeline"]],

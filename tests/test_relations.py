@@ -16,6 +16,7 @@ from bimodal.semantics import (BimodalModel, validate, clouds, FRAME_CLASSES,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
                                S4S5_PRODUCT, D_REFLEXIVE, RIGHT_COMMUTATIVE,
                                product_point, product_rows)
+from tests.conftest import reference_commutes, reference_transitive
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +274,50 @@ def test_clouds_rejects_non_equivalence(rel_l, prop):
         clouds(model)
 
 
+def rows(rel, n):
+    return [sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)]
+
+
+def repeated_rows(rng, n):
+    """n rows over n points drawn from a pool of at most three random
+    rows: rows repeat, yet the relation is seldom an equivalence."""
+    pool = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def composed_checks(succ_d, succ_l):
+    """The transitivity and commutativity checks as validate makes them,
+    from each composition computed once."""
+    dd, dl = relations.compose(succ_d, succ_d, succ_l)
+    ll, ld = relations.compose(succ_l, succ_l, succ_d)
+    return [relations.transitive(succ_l, ll), relations.transitive(succ_d, dd),
+            relations.commutes(succ_d, succ_l, dl, ld),
+            relations.commutes(succ_l, succ_d, ld, dl)]
+
+
+def scanned_checks(succ_d, succ_l):
+    return [reference_transitive(succ_l), reference_transitive(succ_d),
+            reference_commutes(succ_d, succ_l, succ_l, succ_d),
+            reference_commutes(succ_l, succ_d, succ_d, succ_l)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_compositions_name_the_row_scans_counterexamples(seed):
+    rng = random.Random(90 + seed)
+    seen = set()
+    for _ in range(300):
+        if rng.random() < 0.5:
+            names, rel_d, rel_l, _ = random_model(rng)
+            succ_d, succ_l = rows(rel_d, len(names)), rows(rel_l, len(names))
+        else:
+            n = rng.randint(1, 8)
+            succ_d, succ_l = repeated_rows(rng, n), repeated_rows(rng, n)
+        got = composed_checks(succ_d, succ_l)
+        assert got == scanned_checks(succ_d, succ_l)
+        seen.update((k, bad is None) for k, bad in enumerate(got))
+    assert seen == {(k, ok) for k in range(4) for ok in (True, False)}
+
+
 def test_bits_lists_set_bits_ascending():
     assert relations.bits(0) == ()
     assert relations.bits(0b101101) == (0, 2, 3, 5)
@@ -345,7 +390,7 @@ def reference_transitive_relations(m):
                 base[i] |= new
             for row in range(2 * new):
                 succ = base + [row]
-                if relations.transitive(succ) is None:
+                if reference_transitive(succ) is None:
                     rels.append(succ)
     rels.sort(key=lambda succ: sum(r << (i * m) for i, r in enumerate(succ)))
     return rels
@@ -380,8 +425,8 @@ def reference_frame_groups(frame_class, m):
         succ_l = satbound._partition_succ(blocks, m)
         out.append((succ_l, [
             succ_d for succ_d in rel_ds
-            if relations.commutes(succ_d, succ_l, succ_l, succ_d) is None
-            and not (frame_class in RIGHT_COMMUTATIVE and relations.commutes(
+            if reference_commutes(succ_d, succ_l, succ_l, succ_d) is None
+            and not (frame_class in RIGHT_COMMUTATIVE and reference_commutes(
                 succ_l, succ_d, succ_d, succ_l) is not None)], names))
     return out
 
@@ -477,6 +522,31 @@ def test_sat_set_matches_reference_evaluator():
             expected = sorted(model.worlds[i]
                               for i in ref_sat_set(f, n, rel_d, rel_l, valuation))
             assert model.sat_set(f) == expected
+
+
+def test_grouped_boxes_match_per_world_evaluation():
+    # rows drawn from a small pool repeat without making an equivalence;
+    # one cache serves every formula on a model, as a model's own does
+    rng = random.Random(9)
+    repeats = 0
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        succ_d, succ_l = repeated_rows(rng, n), repeated_rows(rng, n)
+        rel_d, rel_l = ({(i, j) for i in range(n) for j in relations.bits(succ[i])}
+                        for succ in (succ_d, succ_l))
+        valuation = {a: {i for i in range(n) if rng.random() < 0.5}
+                     for a in range(3)}
+        masks = {a: sum(1 << i for i in members)
+                 for a, members in valuation.items()}
+        repeats += (len(set(succ_l)) < n
+                    and relations.classes(succ_l)[1] is not None)
+        cache = {}
+        for _ in range(8):
+            f = random_formula(rng, 4)
+            got = relations.eval_masks(f, succ_d, succ_l, masks, n, cache)
+            assert ({i for i in range(n) if got >> i & 1}
+                    == ref_sat_set(f, n, rel_d, rel_l, valuation))
+    assert repeats > 40
 
 
 def test_packed_lanes_match_reference_evaluator():

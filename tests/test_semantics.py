@@ -5,15 +5,19 @@ import random
 
 import pytest
 
-from bimodal import formula as fm
+from bimodal import formula as fm, relations, semantics
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond
+from bimodal.relations import Check, Report
 from bimodal.semantics import (BimodalModel, validate, clouds,
                                induced_cloud_relation, product_point,
                                product_model, save_model, load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
-                               S4S5_PRODUCT)
+                               S4S5_PRODUCT, FRAME_CLASSES, D_REFLEXIVE,
+                               RIGHT_COMMUTATIVE, PERSISTENT_ATOMS)
 from bimodal.red_s4s5 import build_counter_s4s5_model
 from bimodal.reduction import _reachable_restriction
+from tests.conftest import (mutants, reference_commutes, reference_transitive,
+                            rewired)
 
 
 def refl(worlds):
@@ -273,3 +277,77 @@ def test_validation_report_lines(two_cloud_model):
     lines = validate(two_cloud_model, CROSS_AXIOM).lines()
     assert lines[-1] == "result: pass"
     assert all(": " in line for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses of benchmark size against the row scans and the per-world
+# evaluation that compositions and grouped rows replaced.
+
+def row_scans(model):
+    """Each frame check's counterexample as the row scans name it."""
+    succ_d, succ_l = model._succ_d, model._succ_l
+    return {"l-reflexive": relations.reflexive(succ_l),
+            "l-symmetric": relations.symmetric(succ_l),
+            "l-transitive": reference_transitive(succ_l),
+            "d-transitive": reference_transitive(succ_d),
+            "d-reflexive": relations.reflexive(succ_d),
+            "left-commutativity": reference_commutes(succ_d, succ_l, succ_l, succ_d),
+            "right-commutativity": reference_commutes(succ_l, succ_d, succ_d, succ_l)}
+
+
+def scanned_lines(model, frame_class, scans):
+    names = ["l-reflexive", "l-symmetric", "l-transitive", "d-transitive"]
+    names += ["d-reflexive"] * (frame_class in D_REFLEXIVE)
+    names += ["left-commutativity"]
+    names += ["right-commutativity"] * (frame_class in RIGHT_COMMUTATIVE)
+    checks = [Check(name, None if scans[name] is None
+                    else " ".join(model.worlds[i] for i in scans[name]))
+              for name in names]
+    if frame_class in PERSISTENT_ATOMS:
+        checks.append(Check("atom-persistence", semantics._persistence(model)))
+    if frame_class == S4S5_PRODUCT:
+        checks.append(Check("product-provenance", semantics._provenance(model)))
+    return Report(checks, f"class: {frame_class}").lines()
+
+
+def test_witness_reports_match_row_scans(branch_witnesses):
+    rng = random.Random(15)
+    failed = set()
+    for _, witness, *_ in branch_witnesses:
+        for frame in [witness] + rewired(witness, rng, 2):
+            scans = row_scans(frame)
+            for model in [frame] + mutants(frame, rng, [], count=1):
+                for frame_class in FRAME_CLASSES:
+                    report = validate(model, frame_class)
+                    assert report.lines() == scanned_lines(model, frame_class, scans)
+                    failed.update(c.name for c in report.failures())
+    assert {"l-transitive", "d-transitive", "left-commutativity",
+            "right-commutativity"} <= failed
+
+
+def per_world_mask(f, succ_d, succ_l, atom_masks, n):
+    """The mask of f with each box decided one world at a time."""
+    full = (1 << n) - 1
+    mask = {}
+    for t in sorted(fm.subformulas(f), key=lambda t: t.size):
+        if t.kind == fm.ATOM:
+            mask[t] = atom_masks.get(t.value, 0)
+        elif t.kind == fm.NOT:
+            mask[t] = full & ~mask[t.left]
+        elif t.kind == fm.AND:
+            mask[t] = mask[t.left] & mask[t.right]
+        else:
+            succ = succ_l if t.kind == fm.KMOD else succ_d
+            miss = full & ~mask[t.left]
+            mask[t] = sum(1 << i for i in range(n) if not succ[i] & miss)
+    return mask[f]
+
+
+def test_witness_formulas_match_per_world_evaluation(branch_witnesses):
+    rng = random.Random(16)
+    for _, witness, _, point, f in branch_witnesses:
+        assert witness.eval(point, f)
+        for model in [witness] + mutants(witness, rng, [], count=2):
+            assert model._mask(f) == per_world_mask(
+                f, model._succ_d, model._succ_l, model._atom_masks,
+                len(model.worlds))
