@@ -53,6 +53,15 @@ def _parse_poly(text):
     return coeffs
 
 
+def _counter_width(args, command):
+    """--n, which command requires, checked to be at least 1."""
+    if args.n is None:
+        raise UsageError(f"{command} requires --n")
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
+    return args.n
+
+
 def _load_params(args):
     if not (args.atm and args.w is not None and args.poly):
         raise UsageError("the reduction requires --atm, --w and --poly")
@@ -84,9 +93,7 @@ def _gen(args):
     family, logic = args.kind.split("-", 1)
     red = REDUCTIONS[logic]
     if family == "counter":
-        if args.n is None:
-            raise UsageError("gen counter-* requires --n")
-        f, cat = red.gen_counter(args.n)
+        f, cat = red.gen_counter(_counter_width(args, "gen counter-*"))
     else:
         f, cat = gen_formula(red, _load_params(args))
     report = [f"command: gen {args.kind}", f"size: {fm.rendered_size(f)}",
@@ -150,12 +157,15 @@ def _check(args):
 
 
 def _extract(args):
-    if args.kind == "trace" and args.n is None:
-        raise UsageError("extract trace requires --n")
+    # usage errors come before the model file is read
+    if args.kind == "trace":
+        n = _counter_width(args, "extract trace")
+    else:
+        params = _load_params(args)
     model, point = _model_and_point(args)
     red = REDUCTIONS[args.logic]
     if args.kind == "trace":
-        p_points, p_prime = red.extract_counter(model, point, args.n)
+        p_points, p_prime = red.extract_counter(model, point, n)
         report = [f"command: extract trace {args.logic}",
                   f"steps: {len(p_points)}"]
         for i, p in enumerate(p_points):
@@ -164,7 +174,7 @@ def _extract(args):
             report.append(f"p'{i}: {p}")
         _conclude(report, True)
     else:
-        tree, _pi = grow_tree(red, model, point, _load_params(args))
+        tree, _pi = grow_tree(red, model, point, params)
         report = [f"command: extract tree {args.logic}",
                   f"nodes: {len(tree.configs)}",
                   f"height: {tree.height()}"]
@@ -217,6 +227,8 @@ def _restrict(args):
 
 
 def _sat(args):
+    if args.bound < 1:
+        raise UsageError("--bound must be at least 1")
     f = fm.parse(_read(args.formula))
     verdict = satbound.bounded_sat(f, args.frame_class,
                                    max_points=args.bound,

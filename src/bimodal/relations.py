@@ -45,7 +45,27 @@ def reflexive(succ):
 
 
 def symmetric(succ):
-    """First (i, j) with i -> j but not j -> i."""
+    """First (i, j) with i -> j but not j -> i.
+
+    Points with equal rows share their successors, so the relation is
+    symmetric exactly when, for each distinct row, the points that have it
+    lie inside the row of every point in it: one pass per group of equal
+    rows (one per class of an equivalence) decides it, and the pairs are
+    scanned only to name a counterexample."""
+    members = {}
+    bit = 1
+    for row in succ:
+        members[row] = members.get(row, 0) | bit
+        bit <<= 1
+    for row, group in members.items():
+        for j in bits(row):
+            if group & ~succ[j]:
+                return _asymmetric_pair(succ)
+    return None
+
+
+def _asymmetric_pair(succ):
+    """First (i, j) with i -> j but not j -> i, pair by pair."""
     for i, row in enumerate(succ):
         for j in bits(row):
             if not succ[j] >> i & 1:

@@ -23,9 +23,20 @@ A product model is recognised by its world names, not by how it was
 built: every product the package builds names its worlds "v|x", and the
 s4s5-product class checks that the names form a full grid and that both
 relations are the products of the factor relations read off that grid.
+
+A model file has one line per world, relation pair and atom.  The writer
+joins each row's lines into one string.  The reader takes a file in the
+writer's layout a block at a time: it splits each relation's block once
+into columns, and a source whose targets repeat the source before reuses
+its row.  Any other file is read line by line, to the same model or the
+same error.
 """
 
+from bisect import bisect_right
 from collections.abc import Mapping, Set
+from functools import reduce
+from itertools import repeat
+from operator import lshift, or_
 
 from .formula import Formula
 from . import relations
@@ -488,7 +499,9 @@ def product_model(frame1, frame2, valuation, designated=None):
 
 def save_model(model):
     """The model as text: header lines, then worlds, relation pairs and
-    atoms in sorted order (rows in index order are the sorted pairs)."""
+    atoms in sorted order (rows in index order are the sorted pairs).
+    Each row is written as one string, and a row equal to the one before
+    it reuses that row's target names."""
     lines = []
     if model.frame_class is not None:
         lines.append(f"class {model.frame_class}")
@@ -497,9 +510,13 @@ def save_model(model):
     worlds = model.worlds
     lines.extend(f"world {w}" for w in worlds)
     for head, rows in (("d", model._succ_d), ("l", model._succ_l)):
-        for i, row in enumerate(rows):
-            prefix = f"{head} {worlds[i]} "
-            lines.extend([prefix + worlds[j] for j in bits(row)])
+        last = None
+        for w, row in zip(worlds, rows):
+            if row:
+                if row != last:
+                    last, names = row, [worlds[j] for j in bits(row)]
+                prefix = f"{head} {w} "
+                lines.append(prefix + ("\n" + prefix).join(names))
     for atom_id in sorted(model._atom_masks):
         members = " ".join(worlds[j] for j in bits(model._atom_masks[atom_id]))
         lines.append(f"val {atom_id} {members}".rstrip())
@@ -507,6 +524,20 @@ def save_model(model):
 
 
 def load_model(text):
+    """The model that text describes.  A text in the layout `save_model`
+    writes is read a relation block at a time, any other line by line;
+    both give the same model or raise the same ValueError."""
+    worlds, succ_d, succ_l, atom_masks, frame_class, designated = (
+        _read_blocks(text) or _read_lines(text))
+    return BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
+                                  frame_class=frame_class,
+                                  designated=designated)
+
+
+def _read_lines(text):
+    """The sorted worlds, rows, atom masks, class and designated world of
+    a model text, read one line at a time: blank lines and `#` comments
+    are skipped and the lines may come in any order."""
     worlds = []
     rel_d = []
     rel_l = []
@@ -524,7 +555,7 @@ def load_model(text):
             rel_l.append((parts[1], parts[2]))
         elif head == "world" and len(parts) == 2:
             worlds.append(parts[1])
-        elif head == "val" and len(parts) >= 2:
+        elif head == "val" and len(parts) >= 2 and _is_int(parts[1]):
             valuation[int(parts[1])] = set(parts[2:])
         elif head == "class" and len(parts) == 2:
             frame_class = parts[1]
@@ -532,6 +563,131 @@ def load_model(text):
             designated = parts[1]
         else:
             raise ValueError(f"bad model line {lineno}: {raw!r}")
-    return BimodalModel.from_rows(
-        *_named_rows(worlds, rel_d, rel_l, valuation),
-        frame_class=frame_class, designated=designated)
+    return (*_named_rows(worlds, rel_d, rel_l, valuation),
+            frame_class, designated)
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# ASCII characters other than space and newline that str.split or
+# str.splitlines takes for a separator.
+_OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+# The heads of the lines read by column: no world may be named one (see
+# `_columns`).
+_COLUMN_HEADS = frozenset({"world", "d", "l"})
+
+
+def _read_blocks(text):
+    """What `_read_lines` returns, for a text in the writer's layout, or
+    None for any other text.
+
+    The layout is ASCII text whose only whitespace is spaces and line
+    ends, ending in a line end: class and designated lines, then a block
+    of world lines in ascending order, then blocks of d, l and val lines.
+    The world, d and l blocks are each split once into columns.  The
+    pairs of each source's run of d or l lines become its row, and a run
+    whose targets equal those of the run before reuses that row."""
+    if (not text.endswith("\n") or not text.isascii()
+            or any(c in text for c in _OTHER_SPACE)):
+        return None
+    w = _line_start(text, "world ", 0)
+    v = _line_start(text, "val ", w)
+    l = min(_line_start(text, "l ", w), v)
+    d = min(_line_start(text, "d ", w), l)
+    frame_class = designated = None
+    for line in text[:w].splitlines():
+        parts = line.split()
+        if len(parts) != 2:
+            return None
+        if parts[0] == "class":
+            frame_class = parts[1]
+        elif parts[0] == "designated":
+            designated = parts[1]
+        else:
+            return None
+    columns = _columns(text[w:d], "world", 2)
+    if columns is None:
+        return None
+    worlds = columns[0]
+    index = {x: i for i, x in enumerate(worlds)}
+    if (len(index) != len(worlds) or worlds != sorted(worlds)
+            or not _COLUMN_HEADS.isdisjoint(index)):
+        return None
+    try:
+        succ_d = _block_rows(text[d:l], "d", index)
+        succ_l = _block_rows(text[l:v], "l", index)
+        atom_masks = {}
+        for line in text[v:].splitlines():
+            parts = line.split()
+            if len(parts) < 2 or parts[0] != "val":
+                return None
+            atom_masks[int(parts[1])] = _mask(parts[2:], index)
+    except (KeyError, ValueError):
+        return None
+    if succ_d is None or succ_l is None:
+        return None
+    return worlds, succ_d, succ_l, atom_masks, frame_class, designated
+
+
+def _line_start(text, prefix, start):
+    """The start of the first line at or after `start`, itself a line
+    start, that begins with prefix; len(text) when there is none."""
+    if text.startswith(prefix, start):
+        return start
+    at = text.find("\n" + prefix, start)
+    return len(text) if at < 0 else at + 1
+
+
+def _columns(block, head, width):
+    """For a block of lines that each hold head and width - 1 names, the
+    list of the names in each place; None when the counts show otherwise.
+    The block is empty or starts with head and a space, its only
+    whitespace is spaces and line ends, and it ends in a line end.
+
+    When every line end but the last is followed by head and a space,
+    every line starts with the token head.  The caller then checks that
+    no name is head: so the line starts are the tokens at every width-th
+    place, and each line holds width tokens."""
+    tokens = block.split()
+    lines = block.count("\n")
+    if (len(tokens) != width * lines
+            or block.count("\n" + head + " ") != max(lines - 1, 0)):
+        return None
+    return [tokens[k::width] for k in range(1, width)]
+
+
+def _block_rows(block, head, index):
+    """The rows of a block of relation lines (see `_columns`), or None; a
+    KeyError for a name that is not in index.  bisect_right ends each run
+    at a greater source, so once each run is checked to hold one source,
+    the sources are known to ascend."""
+    columns = _columns(block, head, 3)
+    if columns is None:
+        return None
+    sources, targets = columns
+    rows = [0] * len(index)
+    start = 0
+    last = row = None
+    while start < len(sources):
+        source = sources[start]
+        stop = bisect_right(sources, source, start)
+        if sources[start:stop].count(source) != stop - start:
+            return None
+        run = targets[start:stop]
+        if run != last:
+            last, row = run, _mask(run, index)
+        rows[index[source]] = row
+        start = stop
+    return rows
+
+
+def _mask(names, index):
+    """The mask of the worlds names; a KeyError for an unknown name."""
+    return reduce(or_, map(lshift, repeat(1), map(index.__getitem__, names)), 0)

@@ -1,12 +1,17 @@
 """Command-line interface: subcommand wiring, report format, exit codes,
 and artifact determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bimodal.cli import main
 from bimodal import formula as fm
 from bimodal.semantics import load_model
 from bimodal import atm as am
+from tests.conftest import M1_PATH, ROOT
 
 
 def run(capsys, *argv):
@@ -79,6 +84,31 @@ def test_missing_n_exits_two_before_the_model_is_read(capsys):
     assert err == "error: extract trace requires --n\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "tree", "--logic", "ssl", "--model", "/nonexistent",
+      "--point", "p0"], "the reduction requires --atm, --w and --poly"),
+    (["extract", "trace", "--logic", "ssl", "--model", "/nonexistent",
+      "--n", "0"], "--n must be at least 1"),
+    (["gen", "counter-s4s5", "--n", "0"], "--n must be at least 1"),
+    (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
+      "--bound", "0"], "--bound must be at least 1"),
+], ids=["extract-tree", "extract-trace-n", "gen-n", "sat-bound"])
+def test_usage_errors_exit_two_before_files_are_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_python_m_bimodal_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-m", "bimodal", "--help"],
+                            capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: bimodal")
+
+
 @pytest.mark.parametrize("argv", [["gen", "f-ssl"],
                                   ["build", "model", "--logic", "ssl"],
                                   ["verify", "pipeline"]],
@@ -92,7 +122,8 @@ def test_unparsable_poly_exits_two(capsys, m1_path, argv):
 
 POINT_COMMANDS = pytest.mark.parametrize("argv", [
     ["check"],
-    ["extract", "tree", "--logic", "ssl"],
+    ["extract", "tree", "--logic", "ssl", "--atm", str(M1_PATH), "--w", "a",
+     "--poly", "2,1"],
     ["extract", "trace", "--logic", "ssl", "--n", "1"],
     ["lift"],
     ["restrict"],

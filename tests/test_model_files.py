@@ -1,0 +1,269 @@
+"""Model files: the block reader gives what the line-by-line reader gives,
+the same model or the same error, on saved files and on every way of
+bending them; saved files never reach the line reader."""
+
+import random
+import re
+
+import pytest
+
+from bimodal import semantics
+from bimodal.semantics import BimodalModel, load_model, save_model
+from tests.test_model_rows import WITNESSES
+from tests.test_relations import random_model
+
+
+def reference_load_model(text):
+    """The line-by-line reader `load_model` was before it read relation
+    blocks, with a non-integer atom id made a bad line."""
+    worlds = []
+    rel_d = []
+    rel_l = []
+    valuation = {}
+    frame_class = None
+    designated = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        head = parts[0]
+        if head == "d" and len(parts) == 3:
+            rel_d.append((parts[1], parts[2]))
+        elif head == "l" and len(parts) == 3:
+            rel_l.append((parts[1], parts[2]))
+        elif head == "world" and len(parts) == 2:
+            worlds.append(parts[1])
+        elif head == "val" and len(parts) >= 2:
+            try:
+                atom_id = int(parts[1])
+            except ValueError:
+                raise ValueError(f"bad model line {lineno}: {raw!r}") from None
+            valuation[atom_id] = set(parts[2:])
+        elif head == "class" and len(parts) == 2:
+            frame_class = parts[1]
+        elif head == "designated" and len(parts) == 2:
+            designated = parts[1]
+        else:
+            raise ValueError(f"bad model line {lineno}: {raw!r}")
+    return BimodalModel(worlds, rel_d, rel_l, valuation,
+                        frame_class=frame_class, designated=designated)
+
+
+def outcome(read, text):
+    try:
+        model = read(text)
+    except ValueError as err:
+        return str(err)
+    return (model.worlds, model._succ_d, model._succ_l, model._atom_masks,
+            model.frame_class, model.designated)
+
+
+def renamed(model, old, new):
+    """model with its world old named new (the designated world too)."""
+    def name(w):
+        return new if w == old else w
+    return BimodalModel(
+        [name(w) for w in model.worlds],
+        [(name(a), name(b)) for a, b in model.rel_d],
+        [(name(a), name(b)) for a, b in model.rel_l],
+        {a: {name(w) for w in s} for a, s in model.valuation.items()},
+        frame_class=model.frame_class,
+        designated=name(model.designated))
+
+
+# ---------------------------------------------------------------------------
+# Ways to bend a saved file, drawn from a seeded random source.
+
+def _insert(lines, rng, line):
+    at = rng.randint(0, len(lines))
+    return lines[:at] + [line] + lines[at:]
+
+
+def _lines_of(lines, head):
+    return [k for k, line in enumerate(lines) if line.split()[:1] == [head]]
+
+
+def _swap(lines, ks, rng):
+    out = list(lines)
+    if len(ks) > 1:
+        a, b = rng.sample(ks, 2)
+        out[a], out[b] = out[b], out[a]
+    return out
+
+
+def _moved_line_end(text, rng):
+    """One line end moved past the next token or back before the last, so
+    that two lines trade a token and the tokens stay in order."""
+    ends = [m.start() for m in re.finditer("\n", text[:-1])]
+    if not ends:
+        return text
+    k = rng.choice(ends)
+    if rng.random() < 0.5:
+        space = text.find(" ", k)
+        if space < 0 or text.find("\n", k + 1) < space:
+            return text
+        return text[:k] + " " + text[k + 1:space] + "\n" + text[space + 1:]
+    space = text.rfind(" ", 0, k)
+    if space < 0 or text.rfind("\n", 0, k) > space:
+        return text
+    return text[:space] + "\n" + text[space + 1:k] + " " + text[k + 1:]
+
+
+def _replace_one(text, old, new, rng):
+    spots = [m.start() for m in re.finditer(re.escape(old), text)]
+    if not spots:
+        return text
+    k = rng.choice(spots)
+    return text[:k] + new + text[k + len(old):]
+
+
+def _unknown_in(lines, head, rng):
+    """One name of a d, l or val line made a world the model lacks."""
+    ks = _lines_of(lines, head)
+    if not ks:
+        return lines + [f"{head} nowhere nowhere"]
+    k = rng.choice(ks)
+    parts = lines[k].split()
+    if head == "val":
+        parts.append("nowhere")
+    else:
+        parts[rng.randint(1, 2)] = "nowhere"
+    return lines[:k] + [" ".join(parts)] + lines[k + 1:]
+
+
+BAD_LINES = ("d a", "l a b c", "val abc w", "val", "world", "world a b",
+             "foo bar", "class", "designated a b", "d", "l w0")
+
+
+def bent(text, rng):
+    """(what, text) for the saved text and each way of bending it."""
+    lines = text.splitlines()
+    out = [("saved", text),
+           ("comment", "\n".join(_insert(lines, rng, "# a comment d a b")) + "\n"),
+           ("hash-line", "\n".join(_insert(lines, rng, "#x y")) + "\n"),
+           ("blank", "\n".join(_insert(lines, rng, "")) + "\n"),
+           ("spaces-line", "\n".join(_insert(lines, rng, "   ")) + "\n"),
+           ("tab", _replace_one(text, " ", "\t", rng)),
+           ("double-space", _replace_one(text, " ", "  ", rng)),
+           ("leading-space", _replace_one(text, "\n", "\n ", rng)),
+           ("trailing-space", _replace_one(text, "\n", " \n", rng)),
+           ("shuffled", "\n".join(rng.sample(lines, len(lines))) + "\n"),
+           ("crlf", text.replace("\n", "\r\n")),
+           ("no-final-newline", text[:-1]),
+           ("form-feed", _replace_one(text, "\n", "\x0c", rng)),
+           # splitlines ends a line at these, split only separates words
+           ("vertical-tab", _replace_one(text, " ", " \x0b", rng)),
+           ("next-line", _replace_one(text, " ", " \x85", rng)),
+           ("world-swap", "\n".join(_swap(lines, _lines_of(lines, "world"), rng)) + "\n"),
+           ("d-swap", "\n".join(_swap(lines, _lines_of(lines, "d"), rng)) + "\n"),
+           ("l-swap", "\n".join(_swap(lines, _lines_of(lines, "l"), rng)) + "\n"),
+           ("d-before-world", "\n".join(
+               [x for x in lines if x.startswith("d ")]
+               + [x for x in lines if not x.startswith("d ")]) + "\n")]
+    for head in ("world", "d", "l", "val"):
+        ks = _lines_of(lines, head)
+        if ks:
+            k = rng.choice(ks)
+            out.append((f"{head}-repeated",
+                        "\n".join(lines[:k + 1] + lines[k:]) + "\n"))
+            out.append((f"{head}-dropped",
+                        "\n".join(lines[:k] + lines[k + 1:]) + "\n"))
+        if head != "world":
+            out.append((f"{head}-unknown",
+                        "\n".join(_unknown_in(lines, head, rng)) + "\n"))
+    for bad in BAD_LINES:
+        out.append((f"bad {bad!r}", "\n".join(_insert(lines, rng, bad)) + "\n"))
+    for k in range(4):
+        out.append((f"moved-line-end-{k}", _moved_line_end(text, rng)))
+    for head in ("world", "d", "l"):
+        # with a world named head, "X\nd d Y" made "X d\nd Y" leaves every
+        # count of tokens, spaces and line heads as it was
+        out.append((f"{head}-named-line-end", text.replace(
+            f"\n{head} {head} ", f" {head}\n{head} ", 1)))
+    return out
+
+
+def assert_readers_agree(text, rng):
+    for what, t in bent(text, rng):
+        assert outcome(load_model, t) == outcome(reference_load_model, t), what
+
+
+# Names that are line heads, start a comment, read as atom ids or are not
+# ASCII.
+ODD_NAMES = ("d", "l", "val", "world", "class", "#x", "u_T_A_written_#", "7",
+             "\xe9")
+
+
+def random_models(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        names, rel_d, rel_l, valuation = random_model(rng)
+        model = BimodalModel(
+            names, [(names[i], names[j]) for i, j in rel_d],
+            [(names[i], names[j]) for i, j in rel_l],
+            {a: {names[i] for i in s} for a, s in valuation.items()},
+            frame_class=rng.choice((None, "cross-axiom")),
+            designated=rng.choice((None, names[0])))
+        if rng.random() < 0.4:
+            model = renamed(model, rng.choice(model.worlds), rng.choice(
+                [x for x in ODD_NAMES if x not in model.index]))
+        yield model
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_files_read_alike(seed):
+    rng = random.Random(700 + seed)
+    for model in random_models(600 + seed, 60):
+        assert_readers_agree(save_model(model), rng)
+
+
+@pytest.mark.parametrize("name, logic, model, point, f", WITNESSES,
+                         ids=[w[0] for w in WITNESSES])
+def test_witness_files_read_alike(name, logic, model, point, f):
+    assert_readers_agree(save_model(model), random.Random(name))
+
+
+@pytest.mark.parametrize("which", ["fan-ssl", "fan-s4s5"])
+def test_branch_witness_files_read_alike(branch_witnesses, which):
+    model = next(m for name, m, *_ in branch_witnesses if name == which)
+    assert_readers_agree(save_model(model), random.Random(which))
+
+
+def test_saved_files_never_reach_the_line_reader(monkeypatch, branch_witnesses):
+    def refuse(text):
+        raise AssertionError("a saved file reached the line reader")
+
+    models = [w[2] for w in WITNESSES] + [w[1] for w in branch_witnesses]
+    # a world named after the head of a block read by column, or a name
+    # that is not ASCII, sends a saved file line by line
+    models += [m for m in random_models(900, 100)
+               if {"world", "d", "l", "\xe9"}.isdisjoint(m.worlds)]
+    monkeypatch.setattr(semantics, "_read_lines", refuse)
+    for model in models:
+        text = save_model(model)
+        assert outcome(load_model, text) == outcome(reference_load_model, text)
+        assert save_model(load_model(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    "world 1\nworld 2\nl 1 1\nval 0 1\nl 2 2\n",
+    "world a\nworld b\nd a a\nd b b\nd a b\n",
+    "world a\nworld d\nd a a d\nd d\n",
+    "world a\nworld world\nworld a world\nworld\n",
+    "class cross-axiom\nworld a\nclass s4s5-product\nl a a\n",
+    "world a\nl a a\nval 0 a\nval 0\n",
+    "world a\nd a  a\nl a a \n",
+    "\n",
+    "",
+], ids=["l-after-val", "d-unsorted", "line-end-moved", "world-line-end-moved",
+        "class-after-world", "val-repeated", "extra-spaces", "blank", "empty"])
+def test_files_near_the_writers_layout_read_alike(text):
+    assert outcome(load_model, text) == outcome(reference_load_model, text)
+
+
+def test_non_integer_atom_id_is_a_bad_line():
+    text = "world w\nl w w\nval abc w\n"
+    for read in (load_model, reference_load_model):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == "bad model line 3: 'val abc w'"

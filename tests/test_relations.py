@@ -318,6 +318,32 @@ def test_compositions_name_the_row_scans_counterexamples(seed):
     assert seen == {(k, ok) for k in range(4) for ok in (True, False)}
 
 
+def equivalence_rows(rng, n):
+    """The rows of a random equivalence on n points with at most four
+    classes, with one pair flipped half the time."""
+    owner = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+    succ = [sum(1 << j for j in range(n) if owner[j] == owner[i])
+            for i in range(n)]
+    if rng.random() < 0.5:
+        succ[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return succ
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_grouped_symmetry_names_the_pair_scans_counterexample(seed):
+    rng = random.Random(120 + seed)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        succ = (equivalence_rows(rng, n) if rng.random() < 0.7
+                else repeated_rows(rng, n))
+        got = relations.symmetric(succ)
+        assert got == ref_symmetric(
+            {(i, j) for i in range(n) for j in relations.bits(succ[i])}, n)
+        seen.add(got is None)
+    assert seen == {True, False}
+
+
 def test_bits_lists_set_bits_ascending():
     assert relations.bits(0) == ()
     assert relations.bits(0b101101) == (0, 2, 3, 5)
