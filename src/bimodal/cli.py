@@ -229,6 +229,8 @@ def _restrict(args):
 def _sat(args):
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
+    if args.max_atoms < 1:
+        raise UsageError("--max-atoms must be at least 1")
     f = fm.parse(_read(args.formula))
     verdict = satbound.bounded_sat(f, args.frame_class,
                                    max_points=args.bound,
@@ -250,6 +252,8 @@ def _sat(args):
 
 
 def _atm_run(args):
+    if args.fuel < 0:
+        raise UsageError("--fuel must be at least 0")
     machine = atm_mod.parse_atm(_read(args.atm))
     tree = atm_mod.find_accepting_tree(machine, args.w, args.fuel)
     report = [f"command: atm run", f"input: {args.w}", f"fuel: {args.fuel}"]

@@ -24,6 +24,7 @@ is scanned for one (a reused span is a copy of text already scanned).
 """
 
 import re
+from functools import cache
 
 ATOM = "atom"
 NOT = "not"
@@ -171,29 +172,41 @@ def false_formula():
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers (iterative: generated formulas nest too deeply for
-# Python recursion).
+# Traversal helpers.  The evaluator, the relativizer, `subformulas` and
+# `atoms` all walk `postorder`: iterative, because generated formulas nest
+# too deeply for Python recursion, and computed once per formula.
+
+def postorder(f):
+    """The distinct subformulas of f as a tuple, each after its operands,
+    with f last."""
+    return _postorder(_check(f))
+
+
+# Keyed by node identity; the intern table keeps every node alive anyway.
+@cache
+def _postorder(f):
+    done = {}  # in insertion order, each node after its operands
+    stack = [f]  # a path down from f, so no node is on it twice
+    while stack:
+        t = stack[-1]
+        if t.left is not None and t.left not in done:
+            stack.append(t.left)
+        elif t.right is not None and t.right not in done:
+            stack.append(t.right)
+        else:
+            done[t] = None
+            stack.pop()
+    return tuple(done)
+
 
 def subformulas(f):
     """All distinct subformulas of f, including f itself."""
-    _check(f)
-    seen = set()
-    stack = [f]
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        if t.left is not None:
-            stack.append(t.left)
-        if t.right is not None:
-            stack.append(t.right)
-    return seen
+    return set(postorder(f))
 
 
 def atoms(f):
     """Set of atom indices occurring in f."""
-    return {t.value for t in subformulas(f) if t.kind == ATOM}
+    return {t.value for t in postorder(f) if t.kind == ATOM}
 
 
 # ---------------------------------------------------------------------------

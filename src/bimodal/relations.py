@@ -15,7 +15,7 @@ extractor's morphism check all report through `Report`.
 
 from functools import lru_cache
 
-from .formula import ATOM, NOT, AND, KMOD
+from .formula import ATOM, NOT, AND, KMOD, postorder
 
 
 # The oracle's frame search asks for the bits of the same few small rows
@@ -218,7 +218,9 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     """Mask of the points among n where f holds: rel_d (succ_d) interprets
     [], rel_l (succ_l) interprets K, and atom_masks maps atom ids to masks.
     cache maps subformulas to masks; it is filled in place and may be
-    reused across calls on the same relations and valuation.
+    reused across calls on the same relations and valuation.  The
+    subformulas are evaluated in `postorder`, each after its operands, and
+    those the cache already holds are skipped.
 
     With one valuation (lane 1) the cache also holds, under the box's
     kind, that relation's rows grouped by value (one group per class of an
@@ -234,32 +236,19 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     if f in cache:
         return cache[f]
     full = lane * ((1 << n) - 1)
-    stack = [f]
-    while stack:
-        t = stack[-1]
+    for t in postorder(f):
         if t in cache:
-            stack.pop()
             continue
         kind = t.kind
         if kind == ATOM:
-            cache[t] = atom_masks.get(t.value, 0)
-            stack.pop()
-            continue
-        left = t.left
-        if left not in cache:
-            stack.append(left)
-            continue
-        if kind == AND:
-            right = t.right
-            if right not in cache:
-                stack.append(right)
-                continue
-            cache[t] = cache[left] & cache[right]
+            v = atom_masks.get(t.value, 0)
+        elif kind == AND:
+            v = cache[t.left] & cache[t.right]
         elif kind == NOT:
-            cache[t] = full & ~cache[left]
+            v = full & ~cache[t.left]
         else:
             succ = succ_l if kind == KMOD else succ_d
-            body = cache[left]
+            body = cache[t.left]
             v = 0
             if lane == 1:
                 miss = full & ~body
@@ -278,8 +267,7 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
                     for j in bits(row):
                         box &= body >> j
                     v |= box << i
-            cache[t] = v
-        stack.pop()
+        cache[t] = v
     return cache[f]
 
 

@@ -143,7 +143,9 @@ def _named_rows(worlds, rel_d, rel_l, valuation):
     atom_masks = {}
     for atom_id, members in valuation.items():
         mask = 0
-        for w in members:
+        # in order, so that an error names the least unknown world and not
+        # the first one a set yields, which depends on the hash seed
+        for w in sorted(members, key=lambda w: (str(w), repr(w))):
             if w not in index:
                 raise ValueError(f"valuation of atom {atom_id} mentions unknown world {w!r}")
             mask |= 1 << index[w]

@@ -10,7 +10,7 @@ instances for every box subformula; its model transform adds the missing
 reflexive loops on the reachable part.
 """
 
-from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, subformulas,
+from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, postorder,
                       conj, render, BOXMOD, ATOM, NOT, AND, KMOD)
 from . import relations
 from .relations import bits
@@ -37,37 +37,20 @@ def main_var(f):
 
 
 def _relativize(f, main):
-    """T: relativize both modal operators to the main-true points.
-    Iterative over the formula DAG; results cached per subformula."""
+    """T: relativize both modal operators to the main-true points, one
+    subformula at a time in postorder."""
     done = {}
-    stack = [f]
-    while stack:
-        t = stack[-1]
-        if t in done:
-            stack.pop()
-            continue
+    for t in postorder(f):
         kind = t.kind
         if kind == ATOM:
             done[t] = t
-            stack.pop()
-            continue
-        left = t.left
-        if left not in done:
-            stack.append(left)
-            continue
-        if kind == AND:
-            right = t.right
-            if right not in done:
-                stack.append(right)
-                continue
-            done[t] = And(done[left], done[right])
+        elif kind == AND:
+            done[t] = And(done[t.left], done[t.right])
         elif kind == NOT:
-            done[t] = Not(done[left])
-        elif kind == KMOD:
-            done[t] = K(Not(And(main, Not(done[left]))))
+            done[t] = Not(done[t.left])
         else:
-            done[t] = Box(Not(And(main, Not(done[left]))))
-        stack.pop()
+            body = Not(And(main, Not(done[t.left])))
+            done[t] = K(body) if kind == KMOD else Box(body)
     return done[f]
 
 
@@ -153,8 +136,7 @@ def t_s4s5_to_k4s5(f):
     """Reflexivity-axiom translation: T-hat(f) = f & AND K(([]psi -> psi)
     & []([]psi -> psi)) over the distinct box subformulas of f, in
     render-sorted order.  Box-free inputs come back unchanged."""
-    boxes = sorted({t for t in subformulas(f) if t.kind == BOXMOD},
-                   key=render)
+    boxes = sorted((t for t in postorder(f) if t.kind == BOXMOD), key=render)
     parts = [f]
     for b in boxes:
         inst = Implies(b, b.left)

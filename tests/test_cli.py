@@ -92,7 +92,12 @@ def test_missing_n_exits_two_before_the_model_is_read(capsys):
     (["gen", "counter-s4s5", "--n", "0"], "--n must be at least 1"),
     (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
       "--bound", "0"], "--bound must be at least 1"),
-], ids=["extract-tree", "extract-trace-n", "gen-n", "sat-bound"])
+    (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
+      "--max-atoms", "0"], "--max-atoms must be at least 1"),
+    (["atm", "run", "--atm", "/nonexistent", "--w", "a", "--fuel", "-1"],
+     "--fuel must be at least 0"),
+], ids=["extract-tree", "extract-trace-n", "gen-n", "sat-bound",
+        "sat-max-atoms", "atm-run-fuel"])
 def test_usage_errors_exit_two_before_files_are_read(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -80,6 +80,44 @@ def test_subformulas_and_atoms():
     assert fm.atoms(f) == {2, 5}
 
 
+def reference_subformulas(f):
+    """The subformulas of f by recursion on its tree."""
+    return {f}.union(*(reference_subformulas(t) for t in (f.left, f.right)
+                       if t is not None))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_postorder_lists_each_subformula_once_after_its_operands(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        f = random_formula(rng, rng.randint(0, 8))
+        order = fm.postorder(f)
+        assert order[-1] is f
+        assert len(set(order)) == len(order)
+        assert set(order) == reference_subformulas(f) == fm.subformulas(f)
+        position = {t: i for i, t in enumerate(order)}
+        for i, t in enumerate(order):
+            assert all(position[c] < i for c in (t.left, t.right)
+                       if c is not None)
+        assert fm.postorder(f) is order  # computed once
+
+
+def test_postorder_of_a_deep_chain_needs_no_recursion():
+    f = Atom(1)
+    for _ in range(100_000):
+        f = Not(f)
+    order = fm.postorder(f)
+    assert len(order) == 100_001
+    assert order[0] is Atom(1) and order[-1] is f
+    assert all(t.left is order[i] for i, t in enumerate(order[1:]))
+    assert fm.atoms(f) == {1}
+
+
+def test_postorder_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="expected Formula, got str"):
+        fm.postorder("x0")
+
+
 def test_node_count_and_rendered_size():
     f = And(Atom(0), Not(Atom(1)))
     assert fm.rendered_size(f) == len(fm.render(f))

@@ -1,9 +1,10 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, keeps no product flag and prints every pass/fail check
-through one report class; and the benchmark worker still finds every
-library function it calls by name."""
+in one place, keeps no product flag, walks formulas through one
+postorder and prints every pass/fail check through one report class; and
+the benchmark worker still finds every library function it calls by
+name."""
 
 import ast
 import importlib.util
@@ -78,6 +79,14 @@ def test_one_report_class():
                if isinstance(node, ast.ClassDef)
                and node.name in ("Report", "PropertyCheck", "ValidationReport")]
     assert defined == [("relations.py", "Report")]
+
+
+@pytest.mark.parametrize("module", ["relations.py", "translations.py"])
+def test_formula_walks_go_through_postorder(module):
+    """The evaluator and the relativizer visit subformulas in
+    `formula.postorder`; no second walk over formula nodes creeps back
+    in."""
+    assert list(calls_to(PACKAGE / module, "postorder"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

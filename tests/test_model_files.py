@@ -2,13 +2,17 @@
 the same model or the same error, on saved files and on every way of
 bending them; saved files never reach the line reader."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from bimodal import semantics
 from bimodal.semantics import BimodalModel, load_model, save_model
+from tests.conftest import ROOT
 from tests.test_model_rows import WITNESSES
 from tests.test_relations import random_model
 
@@ -267,3 +271,27 @@ def test_non_integer_atom_id_is_a_bad_line():
         with pytest.raises(ValueError) as err:
             read(text)
         assert str(err.value) == "bad model line 3: 'val abc w'"
+
+
+# A file in the writer's layout, the same lines in another layout, and a
+# valuation set, each naming four unknown worlds.
+UNKNOWN_WORLDS = """
+from bimodal.semantics import BimodalModel, load_model
+for make in (lambda: load_model("world a\\nl a a\\nval 0 zz yy xx ww\\n"),
+             lambda: load_model("# c\\nworld a\\nval 0 zz yy xx ww\\n"),
+             lambda: BimodalModel(["a"], [], [], {0: {"zz", "yy", "xx", "ww"}})):
+    try:
+        make()
+    except ValueError as err:
+        print(err)
+"""
+
+
+@pytest.mark.parametrize("seed", ["2", "4"])
+def test_unknown_world_error_does_not_depend_on_the_hash_seed(seed):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+    result = subprocess.run([sys.executable, "-c", UNKNOWN_WORLDS],
+                            capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.stdout.splitlines() == [
+        "valuation of atom 0 mentions unknown world 'ww'"] * 3

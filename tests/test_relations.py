@@ -11,7 +11,7 @@ import re
 import pytest
 
 from bimodal import relations, satbound
-from bimodal.formula import Atom, Not, And, K, Box, ATOM, NOT, AND, KMOD
+from bimodal.formula import Atom, Not, And, K, Box, ATOM, NOT, AND, KMOD, postorder
 from bimodal.semantics import (BimodalModel, validate, clouds, FRAME_CLASSES,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
                                S4S5_PRODUCT, D_REFLEXIVE, RIGHT_COMMUTATIVE,
@@ -596,3 +596,25 @@ def test_packed_lanes_match_reference_evaluator():
             for v, val in enumerate(valuations):
                 assert ({i for i in range(n) if got >> v * n + i & 1}
                         == ref_sat_set(f, n, rel_d, rel_l, val))
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["lane-1", "packed"])
+def test_a_shared_cache_gives_what_a_fresh_one_gives(packed):
+    # g shares subformulas with f, so evaluating it after f on one cache
+    # skips those f left there
+    rng = random.Random(10)
+    for _ in range(60):
+        names, rel_d, rel_l, _ = random_model(rng)
+        n = len(names)
+        succ_d = [sum(1 << j for j in range(n) if (i, j) in rel_d) for i in range(n)]
+        succ_l = [sum(1 << j for j in range(n) if (i, j) in rel_l) for i in range(n)]
+        count = rng.randint(2, 9) if packed else 1
+        lane = sum(1 << v * n for v in range(count))
+        masks = {a: rng.getrandbits(count * n) for a in range(3)}
+        cache = {}
+        for _ in range(5):
+            f = random_formula(rng, 4)
+            g = And(rng.choice(postorder(f)), random_formula(rng, 4))
+            relations.eval_masks(f, succ_d, succ_l, masks, n, cache, lane)
+            assert (relations.eval_masks(g, succ_d, succ_l, masks, n, cache, lane)
+                    == relations.eval_masks(g, succ_d, succ_l, masks, n, {}, lane))
