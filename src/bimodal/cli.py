@@ -15,7 +15,7 @@ from .semantics import FRAME_CLASSES, load_model, save_model, validate
 from . import atm as atm_mod
 from . import red_ssl, red_s4s5
 from .reduction import (ReductionParams, ExtractionError, gen_formula,
-                        grow_tree)
+                        grow_tree, size_parameter)
 from . import translations
 from . import satbound
 
@@ -45,14 +45,6 @@ def _write(path, text):
         h.write(text)
 
 
-def _parse_poly(text):
-    try:
-        coeffs = [int(c) for c in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad polynomial {text!r}: expected c0,c1,...")
-    return coeffs
-
-
 def _counter_width(args, command):
     """--n, which command requires, checked to be at least 1."""
     if args.n is None:
@@ -65,7 +57,14 @@ def _counter_width(args, command):
 def _load_params(args):
     if not (args.atm and args.w is not None and args.poly):
         raise UsageError("the reduction requires --atm, --w and --poly")
-    poly = _parse_poly(args.poly)
+    try:
+        poly = [int(c) for c in args.poly.split(",")]
+    except ValueError:
+        raise UsageError(f"bad polynomial {args.poly!r}: expected c0,c1,...")
+    try:
+        size_parameter(poly, len(args.w))
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     return ReductionParams(atm_mod.parse_atm(_read(args.atm)), poly, args.w)
 
 

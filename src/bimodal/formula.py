@@ -1,15 +1,18 @@
 """Bimodal formula ASTs, canonical text syntax, and bit-vector macro expanders.
 
-Formulas are built from five core constructors: atoms, negation, binary
-conjunction, and the two box-type modalities K and [].  Everything else
-(disjunction, implication, equivalence, L, <>) is expanded into core
-constructors at build time, so the model checker only ever sees the five
-core shapes.
+Formulas are built from five core shapes: atoms, negation, binary
+conjunction, and the two box-type modalities K and [].  Each connective
+has one constructor, which the generators, the translations and the
+parser all call.  The derived ones (disjunction, implication,
+equivalence, L, <>) are built from the core constructors, so the model
+checker only ever sees the five core shapes.
 
 Nodes are interned: structurally equal formulas are the same object, which
 makes equality and hashing O(1) even for very large generated formulas.
-Each node also carries the length of its canonical text, summed from its
-children's when it is built.
+A node's operands are checked to be formulas once, when the node is first
+built; a node found in the table has passed that check.  Each node also
+carries the length of its canonical text, summed from its children's when
+it is built.
 
 Generated formulas are small DAGs with large texts, so both directions of
 the text syntax work per shared subformula rather than per occurrence.
@@ -56,109 +59,75 @@ class Formula:
 
 def _node(kind, value, left, right):
     key = (kind, value, left, right)
-    got = _table.get(key)
+    try:
+        got = _table.get(key)
+    except TypeError:  # an unhashable operand, which the check below names
+        got = None
     if got is None:
+        # the operands of an interned node are formulas: check only new ones
+        if kind == ATOM:
+            size = 1 + max(value.bit_length(), 1)
+        elif kind == AND:
+            size = _check(left).size + _check(right).size + 5  # "(", " & ", ")"
+        else:
+            size = len(_PREFIX_TEXT[kind]) + _check(left).size
         got = object.__new__(Formula)
         got.kind = kind
         got.value = value
         got.left = left
         got.right = right
-        if kind == ATOM:
-            got.size = 1 + max(value.bit_length(), 1)
-        elif kind == AND:
-            got.size = left.size + right.size + 5  # "(", " & ", ")"
-        else:
-            got.size = len(_PREFIX_TEXT[kind]) + left.size
+        got.size = size
         _table[key] = got
     return got
 
 
 def Atom(i):
+    # checked before the lookup: True == 1, so Atom(True) would find Atom(1)
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ValueError(f"atom index must be a natural number, got {i!r}")
     return _node(ATOM, i, None, None)
 
 
 def Not(f):
-    return _not(_check(f))
+    return _node(NOT, None, f, None)
 
 
 def And(a, b):
-    return _and(_check(a), _check(b))
+    return _node(AND, None, a, b)
 
 
 def K(f):
-    return _k(_check(f))
+    return _node(KMOD, None, f, None)
 
 
 def Box(f):
-    return _box(_check(f))
+    return _node(BOXMOD, None, f, None)
+
+
+def Or(a, b):
+    return Not(And(Not(a), Not(b)))
+
+
+def Implies(a, b):
+    return Not(And(a, Not(b)))
+
+
+def Iff(a, b):
+    return And(Implies(a, b), Implies(b, a))
+
+
+def L(f):
+    return Not(K(Not(f)))
+
+
+def Diamond(f):
+    return Not(Box(Not(f)))
 
 
 def _check(f):
     if not isinstance(f, Formula):
         raise TypeError(f"expected Formula, got {type(f).__name__}")
     return f
-
-
-# Unchecked builders, for operands known to be formulas: the public ones
-# check their operands and call these, and so does the parser.  Derived
-# connectives are builder functions only, never stored in the AST.
-
-def _not(f):
-    return _node(NOT, None, f, None)
-
-
-def _and(a, b):
-    return _node(AND, None, a, b)
-
-
-def _k(f):
-    return _node(KMOD, None, f, None)
-
-
-def _box(f):
-    return _node(BOXMOD, None, f, None)
-
-
-def _or(a, b):
-    return _not(_and(_not(a), _not(b)))
-
-
-def _implies(a, b):
-    return _not(_and(a, _not(b)))
-
-
-def _iff(a, b):
-    return _and(_implies(a, b), _implies(b, a))
-
-
-def _l(f):
-    return _not(_k(_not(f)))
-
-
-def _diamond(f):
-    return _not(_box(_not(f)))
-
-
-def Or(a, b):
-    return _or(_check(a), _check(b))
-
-
-def Implies(a, b):
-    return _implies(_check(a), _check(b))
-
-
-def Iff(a, b):
-    return _iff(_check(a), _check(b))
-
-
-def L(f):
-    return _l(_check(f))
-
-
-def Diamond(f):
-    return _diamond(_check(f))
 
 
 def true_formula():
@@ -291,8 +260,8 @@ class ParseError(ValueError):
 # or a symbol), a bare x, or any other character; the last two are errors.
 _TOKEN = re.compile(r"\s*(?:(x[01]+|<->|->|\[\]|<>|[()&|!KLTF])|(x)|(\S))")
 _CONSTANTS = {"T": true_formula, "F": false_formula}
-_PREFIX_BUILDERS = {"!": _not, "K": _k, "[]": _box, "L": _l, "<>": _diamond}
-_BINOP_BUILDERS = {"&": _and, "|": _or, "->": _implies, "<->": _iff}
+_PREFIX_BUILDERS = {"!": Not, "K": K, "[]": Box, "L": L, "<>": Diamond}
+_BINOP_BUILDERS = {"&": And, "|": Or, "->": Implies, "<->": Iff}
 
 
 def _lexical_error(m):

@@ -47,19 +47,24 @@ class ReductionParams:
     def __init__(self, atm, poly, w):
         self.atm = atm
         self.poly = tuple(poly)
-        if not self.poly or any(c < 0 for c in self.poly):
-            raise ValueError("polynomial coefficients must be natural numbers")
         self.w = str(w)
+        self.n = len(self.w)
+        self.N = size_parameter(self.poly, self.n)
         for a in self.w:
             if a not in atm.input_symbols:
                 raise ValueError(f"input symbol {a!r} is not in the input alphabet")
-        self.n = len(self.w)
-        self.N = self.poly_eval(self.n)
-        if self.N < self.n or self.N < 1:
-            raise ValueError(f"need p(n) >= max(n, 1), got p({self.n}) = {self.N}")
 
-    def poly_eval(self, x):
-        return sum(c * x ** i for i, c in enumerate(self.poly))
+
+def size_parameter(poly, n):
+    """N = p(n) for the coefficients poly of p, constant first, checked to
+    be natural numbers with p(n) >= max(n, 1): the machine takes no part,
+    so a command line checks it before it reads the machine."""
+    if not poly or any(c < 0 for c in poly):
+        raise ValueError("polynomial coefficients must be natural numbers")
+    N = sum(c * n ** i for i, c in enumerate(poly))
+    if N < n or N < 1:
+        raise ValueError(f"need p(n) >= max(n, 1), got p({n}) = {N}")
+    return N
 
 
 def window_offset(N):

@@ -126,26 +126,42 @@ def _world_id(w):
     return w
 
 
+def _order(w):
+    """A sort key for world names, or pairs of them, of any type: an error
+    names the least offender, not the first one a set yields, which
+    depends on the hash seed."""
+    return (str(w), repr(w))
+
+
+def _pair_rows(pairs, size, rows, columns, error):
+    """size rows of bits from pairs of names: the pair (a, b) sets bit
+    columns[b] of row rows[a].  When pairs name unknown worlds, a
+    ValueError with the message error(a, b) for the least such pair."""
+    succ = [0] * size
+    try:
+        for a, b in pairs:
+            succ[rows[a]] |= 1 << columns[b]
+    except KeyError:
+        a, b = min([(a, b), *((v, x) for v, x in pairs
+                              if v not in rows or x not in columns)],
+                   key=lambda pair: tuple(map(_order, pair)))
+        raise ValueError(error(a, b)) from None
+    return succ
+
+
 def _named_rows(worlds, rel_d, rel_l, valuation):
     """Sorted worlds, rows and atom masks of a model given by world names,
     pairs of names and sets of names."""
     worlds = tuple(sorted(worlds, key=_world_id))
     index = {w: i for i, w in enumerate(worlds)}
-    rows = []
-    for rel in (rel_d, rel_l):
-        succ = [0] * len(worlds)
-        for a, b in rel:
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown world")
-            succ[i] |= 1 << j
-        rows.append(succ)
+    rows = [_pair_rows(rel, len(worlds), index, index, lambda a, b:
+                       f"relation pair ({a!r}, {b!r}) mentions unknown world")
+            for rel in (rel_d, rel_l)]
     atom_masks = {}
     for atom_id, members in valuation.items():
         mask = 0
-        # in order, so that an error names the least unknown world and not
-        # the first one a set yields, which depends on the hash seed
-        for w in sorted(members, key=lambda w: (str(w), repr(w))):
+        # in order, so that an error names the least unknown world
+        for w in sorted(members, key=_order):
             if w not in index:
                 raise ValueError(f"valuation of atom {atom_id} mentions unknown world {w!r}")
             mask |= 1 << index[w]
@@ -451,13 +467,9 @@ def product_model(frame1, frame2, valuation, designated=None):
                 raise ValueError(f"{which} frame world {w!r} contains '|'")
         worlds = sorted(worlds, key=key)
         index = {w: i for i, w in enumerate(worlds)}
-        succ = [0] * len(worlds)
-        try:
-            for a, b in rel:
-                succ[index[a]] |= 1 << index[b]
-        except KeyError as err:
-            raise ValueError(f"{which} frame pair {(a, b)!r} mentions unknown "
-                             f"world {err.args[0]!r}") from None
+        succ = _pair_rows(rel, len(worlds), index, index, lambda a, b: (
+            f"{which} frame pair {(a, b)!r} mentions unknown "
+            f"world {b if a in index else a!r}"))
         failure = relations.first_failure(succ, names)
         if failure is not None:
             at = tuple(worlds[i] for i in failure[1])
@@ -474,18 +486,13 @@ def product_model(frame1, frame2, valuation, designated=None):
 
     # an atom's cells gathered by first-factor world, as small masks over
     # the second factor, then placed one row at a time
-    column_bit = {x: 1 << j for j, x in enumerate(worlds2)}
     atom_masks = {}
     for atom_id, members in valuation.items():
-        rows = {}
-        for v, x in members:
-            bit = column_bit.get(x)
-            if bit is None or v not in index1:
-                raise ValueError(f"valuation of atom {atom_id} mentions "
-                                 f"unknown world {product_point(v, x)!r}")
-            rows[v] = rows.get(v, 0) | bit
-        atom_masks[atom_id] = sum(row << index1[v] * m2
-                                  for v, row in rows.items())
+        rows = _pair_rows(members, len(worlds1), index1, index2, lambda v, x: (
+            f"valuation of atom {atom_id} mentions "
+            f"unknown world {product_point(v, x)!r}"))
+        atom_masks[atom_id] = sum(row << i * m2
+                                  for i, row in enumerate(rows) if row)
     # with the first factor sorted as the "v|" that begins its names, the
     # cells row by row are in the sorted order of their names
     names = [product_point(v, x) for v in worlds1 for x in worlds2]

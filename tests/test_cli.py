@@ -96,8 +96,12 @@ def test_missing_n_exits_two_before_the_model_is_read(capsys):
       "--max-atoms", "0"], "--max-atoms must be at least 1"),
     (["atm", "run", "--atm", "/nonexistent", "--w", "a", "--fuel", "-1"],
      "--fuel must be at least 0"),
+    (["gen", "f-ssl", "--atm", "/nonexistent", "--w", "a", "--poly=-1,1"],
+     "polynomial coefficients must be natural numbers"),
+    (["gen", "f-ssl", "--atm", "/nonexistent", "--w", "a", "--poly", "0"],
+     "need p(n) >= max(n, 1), got p(1) = 0"),
 ], ids=["extract-tree", "extract-trace-n", "gen-n", "sat-bound",
-        "sat-max-atoms", "atm-run-fuel"])
+        "sat-max-atoms", "atm-run-fuel", "poly-coefficient", "poly-too-small"])
 def test_usage_errors_exit_two_before_files_are_read(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -5,6 +5,7 @@ lengths up to 4 and compare the expansion's propositional truth value
 against the arithmetic predicate the macro implements.
 """
 
+import hashlib
 import itertools
 import pathlib
 import random
@@ -66,6 +67,34 @@ def test_derived_connectives_expand_to_core():
     assert Iff(a, b) is And(Implies(a, b), Implies(b, a))
     assert L(a) is Not(K(Not(a)))
     assert Diamond(a) is Not(Box(Not(a)))
+
+
+CONSTRUCTORS = [(Not, 1), (And, 2), (K, 1), (Box, 1), (Or, 2), (Implies, 2),
+                (Iff, 2), (L, 1), (Diamond, 1)]
+
+
+@pytest.mark.parametrize("constructor, arity", CONSTRUCTORS,
+                         ids=[c.__name__ for c, _ in CONSTRUCTORS])
+@pytest.mark.parametrize("bad", ["x0", None, 3, [Atom(0)]],
+                         ids=["str", "None", "int", "list"])
+def test_constructors_reject_a_non_formula_operand(constructor, arity, bad):
+    """A node's operands are checked when it is first built, one bad
+    operand at a time in each place; a list cannot even be hashed."""
+    for place in range(arity):
+        operands = [Atom(0), Not(Atom(1))][:arity]
+        operands[place] = bad
+        with pytest.raises(TypeError) as err:
+            constructor(*operands)
+        assert str(err.value) == f"expected Formula, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("index", [True, False, -1, 1.0, "1", None])
+def test_atom_rejects_a_non_natural_index(index):
+    """True == 1, so without its own check Atom(True) would find Atom(1)
+    in the intern table."""
+    Atom(1), Atom(0)
+    with pytest.raises(ValueError, match="atom index must be a natural number"):
+        Atom(index)
 
 
 def test_true_false_canonical_forms():
@@ -364,6 +393,60 @@ def test_render_matches_the_tree_walk_on_the_reductions():
         if "-f-" in name:
             assert fm.parse(text) is f, name
             assert reference_parse(text) is f, name
+
+
+# SHA-256 prefixes of the rendered texts of generated formulas, as
+# written when each connective had a checked and an unchecked builder:
+# the texts must not change.
+FORMULA_DIGESTS = {
+    "f-ssl-m1-ab-2,1": "0383e9ba9a91740ec357b95df3c4d76f",
+    "f-s4s5-m1-ab-2,1": "2f59cdb03ac1fd7ad479d0a03a4ad9ea",
+    "t-ssl-s4s5-m1-ab-2,1": "be5648d645fbe52cfd6fe8191ac49d79",
+    "t-s4s5-k4s5-m1-ab-2,1": "f649487327963934282a58dd4d55f0e2",
+    "f-ssl-bounce-bab-1,1": "638ebc8ac1dc4a8f2081177ef29c7b84",
+    "f-s4s5-bounce-bab-1,1": "33cd5bcc0b40583b92b31fe36f5b2933",
+    "f-ssl-bounce-bab-2,1": "8820ff70d6c3becfb7f6e17e738a53a4",
+    "f-s4s5-bounce-bab-2,1": "6b074037ee4748fc0d9f23a04e55b6ac",
+    "counter-ssl-1": "1e81eea3b4aa2e4109388b1e4528bc2d",
+    "counter-s4s5-1": "c43abbb7a5f722b9295e8b273ef7bc57",
+    "counter-ssl-2": "d3a68f5842a6c3c33cbdb2bc5ff4d002",
+    "counter-s4s5-2": "f947372a967198b6136240542645a17e",
+    "counter-ssl-3": "2ecffb864618d8ca40a730bdad524d1b",
+    "counter-s4s5-3": "b2ac16235440f1c8c50a96212fb42620",
+    "counter-ssl-4": "4c5fd3e2f426742a6e2f9d627f9ec7cc",
+    "counter-s4s5-4": "8091ee371b8cea8f827e2f98f88b21f5",
+    "counter-ssl-5": "07639a0513271391517f7a22570c8dea",
+    "counter-s4s5-5": "b62022b68a2f61051d81acdb2ee3a94e",
+}
+
+
+def generated_formulas():
+    """name -> formula for every entry of FORMULA_DIGESTS."""
+    machines = {"m1": ROOT / "fixtures" / "m1.atm",
+                "bounce": ROOT / "bench" / "machines" / "bounce.atm"}
+    out = {}
+    for name, w, poly in [("m1", "ab", (2, 1)), ("bounce", "bab", (1, 1)),
+                          ("bounce", "bab", (2, 1))]:
+        params = ReductionParams(atm.parse_atm(machines[name].read_text()),
+                                 poly, w)
+        tag = f"{name}-{w}-{poly[0]},{poly[1]}"
+        f_ssl, _ = red_ssl.gen_f_ssl(params)
+        f_s4s5, _ = red_s4s5.gen_f_s4s5(params)
+        out[f"f-ssl-{tag}"] = f_ssl
+        out[f"f-s4s5-{tag}"] = f_s4s5
+        if name == "m1":
+            out[f"t-ssl-s4s5-{tag}"] = translations.t_ssl_to_s4s5(f_ssl).formula
+            out[f"t-s4s5-k4s5-{tag}"] = translations.t_s4s5_to_k4s5(f_s4s5).formula
+    for n in range(1, 6):
+        out[f"counter-ssl-{n}"] = red_ssl.gen_counter_ssl(n)[0]
+        out[f"counter-s4s5-{n}"] = red_s4s5.gen_counter_s4s5(n)[0]
+    return out
+
+
+def test_generated_texts_are_unchanged():
+    digests = {name: hashlib.sha256(fm.render(f).encode()).hexdigest()[:32]
+               for name, f in generated_formulas().items()}
+    assert digests == FORMULA_DIGESTS
 
 
 def test_rendered_size_builds_no_text():

@@ -1,8 +1,9 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, keeps no product flag, walks formulas through one
-postorder and prints every pass/fail check through one report class; and
+in one place, keeps no product flag, builds each connective through one
+constructor, walks formulas through one postorder and prints every
+pass/fail check through one report class; and
 the benchmark worker still finds every library function it calls by
 name."""
 
@@ -13,6 +14,8 @@ import sys
 import tokenize
 
 import pytest
+
+from bimodal import formula as fm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bimodal"
@@ -87,6 +90,21 @@ def test_formula_walks_go_through_postorder(module):
     `formula.postorder`; no second walk over formula nodes creeps back
     in."""
     assert list(calls_to(PACKAGE / module, "postorder"))
+
+
+def test_one_constructor_per_connective():
+    """Each connective has one constructor, which checks the operands of a
+    node when it first builds it, and the parser builds through those; no
+    second, unchecked builder creeps back in."""
+    tree = ast.parse((PACKAGE / "formula.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"_not", "_and", "_k", "_box", "_or", "_implies",
+                               "_iff", "_l", "_diamond"})
+    assert fm._PREFIX_BUILDERS == {"!": fm.Not, "K": fm.K, "[]": fm.Box,
+                                   "L": fm.L, "<>": fm.Diamond}
+    assert fm._BINOP_BUILDERS == {"&": fm.And, "|": fm.Or, "->": fm.Implies,
+                                  "<->": fm.Iff}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -295,3 +295,31 @@ def test_unknown_world_error_does_not_depend_on_the_hash_seed(seed):
                             timeout=60)
     assert result.stdout.splitlines() == [
         "valuation of atom 0 mentions unknown world 'ww'"] * 3
+
+
+# Relation pairs, a product valuation and a first product factor, each
+# given as a set naming three or four unknown worlds.
+UNKNOWN_PAIRS = """
+from bimodal.semantics import BimodalModel, product_model
+for make in (lambda: product_model((["0"], [("0", "0")]), (["s"], [("s", "s")]),
+                                   {0: {("9", "s"), ("8", "s"), ("7", "s"), ("6", "s")}}),
+             lambda: BimodalModel(["a"], {("a", "zz"), ("a", "yy"), ("a", "xx")}, [], {}),
+             lambda: product_model((["0"], {("0", "0"), ("0", "9"), ("0", "7"), ("0", "8")}),
+                                   (["s"], [("s", "s")]), {})):
+    try:
+        make()
+    except ValueError as err:
+        print(err)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_unknown_pair_error_does_not_depend_on_the_hash_seed(seed):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+    result = subprocess.run([sys.executable, "-c", UNKNOWN_PAIRS],
+                            capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.stdout.splitlines() == [
+        "valuation of atom 0 mentions unknown world '6|s'",
+        "relation pair ('a', 'xx') mentions unknown world",
+        "first frame pair ('0', '7') mentions unknown world '7'"]
