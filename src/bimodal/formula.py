@@ -9,15 +9,17 @@ checker only ever sees the five core shapes.
 
 Nodes are interned: structurally equal formulas are the same object, which
 makes equality and hashing O(1) even for very large generated formulas.
-A node's operands are checked to be formulas once, when the node is first
-built; a node found in the table has passed that check.  Each node also
-carries the length of its canonical text, summed from its children's when
-it is built.
+Each connective has one intern table keyed by the operands, so finding a
+node is one lookup.  A node's operands are checked to be formulas once,
+when the node is first built; a node found in a table has passed that
+check.  Each node also carries the length of its canonical text, summed
+from its children's when it is built.  The units T and F are built once.
 
 Generated formulas are small DAGs with large texts, so both directions of
 the text syntax work per shared subformula rather than per occurrence.
 `render` joins the text of a long subformula once, when it occurs a second
-time, and copies that string for every later occurrence.  `parse` scans
+time, and copies that string for every later occurrence; `render_all`
+does the same across several formulas in one walk.  `parse` scans
 tokens with one compiled regular expression, one match per token, skipping
 whitespace between them; when a parenthesized span repeats the text of one
 already parsed in the same call, it takes that span's formula and resumes
@@ -34,8 +36,6 @@ NOT = "not"
 AND = "and"
 KMOD = "K"
 BOXMOD = "box"
-
-_table = {}
 
 # The text in front of a unary node's operand.
 _PREFIX_TEXT = {NOT: "!", KMOD: "K", BOXMOD: "[]"}
@@ -57,51 +57,62 @@ class Formula:
         return f"Formula({_text_prefix(self, 117)}...)"
 
 
-def _node(kind, value, left, right):
-    key = (kind, value, left, right)
-    try:
-        got = _table.get(key)
-    except TypeError:  # an unhashable operand, which the check below names
-        got = None
-    if got is None:
-        # the operands of an interned node are formulas: check only new ones
-        if kind == ATOM:
-            size = 1 + max(value.bit_length(), 1)
-        elif kind == AND:
-            size = _check(left).size + _check(right).size + 5  # "(", " & ", ")"
-        else:
-            size = len(_PREFIX_TEXT[kind]) + _check(left).size
-        got = object.__new__(Formula)
-        got.kind = kind
-        got.value = value
-        got.left = left
-        got.right = right
-        got.size = size
-        _table[key] = got
-    return got
+# One intern table per connective, keyed by the node's operands.
+_atoms, _nots, _ands, _ks, _boxes = {}, {}, {}, {}, {}
+
+
+def _new(table, key, kind, value, left, right):
+    # the operands of an interned node are formulas: check only new ones
+    if kind == ATOM:
+        size = 1 + max(value.bit_length(), 1)
+    elif kind == AND:
+        size = _check(left).size + _check(right).size + 5  # "(", " & ", ")"
+    else:
+        size = len(_PREFIX_TEXT[kind]) + _check(left).size
+    node = object.__new__(Formula)
+    node.kind = kind
+    node.value = value
+    node.left = left
+    node.right = right
+    node.size = size
+    table[key] = node
+    return node
 
 
 def Atom(i):
     # checked before the lookup: True == 1, so Atom(True) would find Atom(1)
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ValueError(f"atom index must be a natural number, got {i!r}")
-    return _node(ATOM, i, None, None)
+    return _atoms.get(i) or _new(_atoms, i, ATOM, i, None, None)
 
 
+# KeyError: a new node; TypeError: an unhashable operand, which _new names.
 def Not(f):
-    return _node(NOT, None, f, None)
+    try:
+        return _nots[f]
+    except (KeyError, TypeError):
+        return _new(_nots, f, NOT, None, f, None)
 
 
 def And(a, b):
-    return _node(AND, None, a, b)
+    try:
+        return _ands[a, b]
+    except (KeyError, TypeError):
+        return _new(_ands, (a, b), AND, None, a, b)
 
 
 def K(f):
-    return _node(KMOD, None, f, None)
+    try:
+        return _ks[f]
+    except (KeyError, TypeError):
+        return _new(_ks, f, KMOD, None, f, None)
 
 
 def Box(f):
-    return _node(BOXMOD, None, f, None)
+    try:
+        return _boxes[f]
+    except (KeyError, TypeError):
+        return _new(_boxes, f, BOXMOD, None, f, None)
 
 
 def Or(a, b):
@@ -132,12 +143,12 @@ def _check(f):
 
 def true_formula():
     """Canonical always-true formula: !(x0 & !x0)."""
-    return Not(And(Atom(0), Not(Atom(0))))
+    return _TRUE
 
 
 def false_formula():
     """Canonical always-false formula: (x0 & !x0)."""
-    return And(Atom(0), Not(Atom(0)))
+    return _FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +200,46 @@ _REUSE_MIN = 32
 
 def render(f):
     """Canonical text for f.  parse(render(f)) == f."""
-    reuse = _check(f).size >= _REUSE_MIN  # else no node of f is long
+    return next(render_all([f]))
+
+
+def render_all(formulas):
+    """Yield the canonical texts of formulas, in one walk: a long
+    subformula's text is joined once for all of them."""
     out = []
     # long node -> (start, end) of its first text in out; its joined text
     # from its second occurrence on
     texts = {}
-    stack = [f]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is str:
-            out.append(t)
-            continue
-        if t.__class__ is tuple:  # the end of a long node's first text
-            texts[t[0]] = (t[1], len(out))
-            continue
-        if reuse and t.size >= _REUSE_MIN:
-            got = texts.get(t)
-            if got is not None:
-                if got.__class__ is tuple:
-                    got = texts[t] = "".join(out[got[0]:got[1]])
-                out.append(got)
+    for f in formulas:
+        start = len(out)
+        reuse = _check(f).size >= _REUSE_MIN  # else no node of f is long
+        stack = [f]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is str:
+                out.append(t)
                 continue
-            stack.append((t, len(out)))
-        kind = t.kind
-        if kind == ATOM:
-            out.append("x" + format(t.value, "b"))
-        elif kind == AND:
-            out.append("(")
-            stack.extend([")", t.right, " & ", t.left])
-        else:
-            out.append(_PREFIX_TEXT[kind])
-            stack.append(t.left)
-    return "".join(out)
+            if t.__class__ is tuple:  # the end of a long node's first text
+                texts[t[0]] = (t[1], len(out))
+                continue
+            if reuse and t.size >= _REUSE_MIN:
+                got = texts.get(t)
+                if got is not None:
+                    if got.__class__ is tuple:
+                        got = texts[t] = "".join(out[got[0]:got[1]])
+                    out.append(got)
+                    continue
+                stack.append((t, len(out)))
+            kind = t.kind
+            if kind == ATOM:
+                out.append("x" + format(t.value, "b"))
+            elif kind == AND:
+                out.append("(")
+                stack.extend([")", t.right, " & ", t.left])
+            else:
+                out.append(_PREFIX_TEXT[kind])
+                stack.append(t.left)
+        yield "".join(out[start:])
 
 
 def _text_prefix(f, n):
@@ -359,7 +378,8 @@ def parse(text):
         elif tok in _CONSTANTS:
             settle(_CONSTANTS[tok](), off)
         else:
-            settle(_node(ATOM, int(tok[1:], 2), None, None), off)
+            i = int(tok[1:], 2)
+            settle(_atoms.get(i) or _new(_atoms, i, ATOM, i, None, None), off)
 
     if len(frames) != 1:
         raise ParseError("unclosed parenthesis", frames[-1][4])
@@ -414,13 +434,15 @@ class FormulaVector:
 # ---------------------------------------------------------------------------
 # Deterministic conjunction/disjunction folding.  The canonical TRUE/FALSE
 # units are dropped when other parts are present, so emitted formulas carry
-# no vacuous conjuncts.
+# no vacuous conjuncts.  The units are built once, here.
+_FALSE = And(Atom(0), Not(Atom(0)))
+_TRUE = Not(_FALSE)
+
 
 def conj(parts):
-    unit = true_formula()
-    parts = [p for p in parts if p is not unit]
+    parts = [p for p in parts if p is not _TRUE]
     if not parts:
-        return unit
+        return _TRUE
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
@@ -428,10 +450,9 @@ def conj(parts):
 
 
 def disj(parts):
-    unit = false_formula()
-    parts = [p for p in parts if p is not unit]
+    parts = [p for p in parts if p is not _FALSE]
     if not parts:
-        return unit
+        return _FALSE
     out = parts[0]
     for p in parts[1:]:
         out = Or(out, p)

@@ -564,7 +564,7 @@ def _read_lines(text):
             rel_l.append((parts[1], parts[2]))
         elif head == "world" and len(parts) == 2:
             worlds.append(parts[1])
-        elif head == "val" and len(parts) >= 2 and _is_int(parts[1]):
+        elif head == "val" and len(parts) >= 2 and _is_atom_id(parts[1]):
             valuation[int(parts[1])] = set(parts[2:])
         elif head == "class" and len(parts) == 2:
             frame_class = parts[1]
@@ -576,12 +576,9 @@ def _read_lines(text):
             frame_class, designated)
 
 
-def _is_int(text):
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+def _is_atom_id(text):
+    # int() alone would also take a sign, underscores and other digits
+    return text.isascii() and text.isdigit()
 
 
 # ASCII characters other than space and newline that str.split or
@@ -635,7 +632,7 @@ def _read_blocks(text):
         atom_masks = {}
         for line in text[v:].splitlines():
             parts = line.split()
-            if len(parts) < 2 or parts[0] != "val":
+            if len(parts) < 2 or parts[0] != "val" or not _is_atom_id(parts[1]):
                 return None
             atom_masks[int(parts[1])] = _mask(parts[2:], index)
     except (KeyError, ValueError):

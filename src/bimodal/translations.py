@@ -11,7 +11,7 @@ reflexive loops on the reachable part.
 """
 
 from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, postorder,
-                      conj, render, BOXMOD, ATOM, NOT, AND, KMOD)
+                      conj, render_all, BOXMOD, ATOM, NOT, AND, KMOD)
 from . import relations
 from .relations import bits
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
@@ -135,8 +135,10 @@ def restrict_model_s4s5_to_ssl(model, w, f):
 def t_s4s5_to_k4s5(f):
     """Reflexivity-axiom translation: T-hat(f) = f & AND K(([]psi -> psi)
     & []([]psi -> psi)) over the distinct box subformulas of f, in
-    render-sorted order.  Box-free inputs come back unchanged."""
-    boxes = sorted((t for t in postorder(f) if t.kind == BOXMOD), key=render)
+    render-sorted order.  Box-free inputs come back unchanged.  The texts
+    come from one walk; they are distinct, so no two boxes are compared."""
+    boxes = [t for t in postorder(f) if t.kind == BOXMOD]
+    boxes = [b for _, b in sorted(zip(render_all(boxes), boxes))]
     parts = [f]
     for b in boxes:
         inst = Implies(b, b.left)

@@ -60,6 +60,34 @@ def test_interning_gives_identity_equality():
     assert Atom(3) is not Atom(4)
 
 
+def test_each_connective_interns_its_own_nodes():
+    """Each connective has its own table keyed by the operands alone, so
+    nodes of different connectives over one operand, or a conjunction with
+    its operands swapped, never meet."""
+    f = And(Atom(0), Atom(1))
+    assert len({id(Not(f)), id(K(f)), id(Box(f))}) == 3
+    assert (Not(f).kind, K(f).kind, Box(f).kind) == (fm.NOT, fm.KMOD, fm.BOXMOD)
+    assert And(Atom(0), Atom(1)) is not And(Atom(1), Atom(0))
+
+
+def intern_table_size():
+    return sum(map(len, (fm._atoms, fm._nots, fm._ands, fm._ks, fm._boxes)))
+
+
+def test_units_are_built_once():
+    assert true_formula() is true_formula()
+    assert false_formula() is false_formula()
+    parts = [Atom(1), Atom(2), true_formula()]
+    fm.conj(parts), fm.disj(parts)
+    before = intern_table_size()
+    for _ in range(1000):
+        fm.conj(parts)
+        fm.disj(parts)
+        fm.conj([])
+        fm.disj([])
+    assert intern_table_size() == before
+
+
 def test_derived_connectives_expand_to_core():
     a, b = Atom(0), Atom(1)
     assert Or(a, b) is Not(And(Not(a), Not(b)))
@@ -447,6 +475,25 @@ def test_generated_texts_are_unchanged():
     digests = {name: hashlib.sha256(fm.render(f).encode()).hexdigest()[:32]
                for name, f in generated_formulas().items()}
     assert digests == FORMULA_DIGESTS
+
+
+def test_render_all_matches_one_render_per_formula():
+    """One walk over several formulas reuses a long subformula's text
+    across them and gives each formula the text `render` gives it."""
+    long = And(Implies(Atom(5), K(Atom(6))), Box(Or(Atom(7), Atom(4))))
+    pair = And(long, Not(long))
+    assert fm.rendered_size(long) >= 32
+    short = [Atom(0), Not(Atom(1)), Box(And(Atom(2), Atom(3)))]
+    assert all(fm.rendered_size(f) < 32 for f in short)
+    rng = random.Random(31)
+    formulas = ([And(long, Atom(1)), K(long)] + short
+                + [long, long, Box(pair), pair, pair, Diamond(pair)]
+                + [random_formula(rng, 6) for _ in range(20)])
+    texts = list(fm.render_all(formulas))
+    assert texts == [fm.render(f) for f in formulas]
+    assert texts == [reference_render(f) for f in formulas]
+    assert all(fm.parse(text) is f for text, f in zip(texts, formulas))
+    assert list(fm.render_all([])) == []
 
 
 def test_rendered_size_builds_no_text():

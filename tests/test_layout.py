@@ -101,6 +101,8 @@ def test_one_constructor_per_connective():
                if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint({"_not", "_and", "_k", "_box", "_or", "_implies",
                                "_iff", "_l", "_diamond"})
+    # one intern table per connective: no shared table or node builder
+    assert not hasattr(fm, "_table") and not hasattr(fm, "_node")
     assert fm._PREFIX_BUILDERS == {"!": fm.Not, "K": fm.K, "[]": fm.Box,
                                    "L": fm.L, "<>": fm.Diamond}
     assert fm._BINOP_BUILDERS == {"&": fm.And, "|": fm.Or, "->": fm.Implies,

@@ -19,7 +19,8 @@ from tests.test_relations import random_model
 
 def reference_load_model(text):
     """The line-by-line reader `load_model` was before it read relation
-    blocks, with a non-integer atom id made a bad line."""
+    blocks, with an atom id that is not a natural number in ASCII decimal
+    digits made a bad line."""
     worlds = []
     rel_d = []
     rel_l = []
@@ -38,11 +39,9 @@ def reference_load_model(text):
         elif head == "world" and len(parts) == 2:
             worlds.append(parts[1])
         elif head == "val" and len(parts) >= 2:
-            try:
-                atom_id = int(parts[1])
-            except ValueError:
-                raise ValueError(f"bad model line {lineno}: {raw!r}") from None
-            valuation[atom_id] = set(parts[2:])
+            if not re.fullmatch(r"[0-9]+", parts[1]):
+                raise ValueError(f"bad model line {lineno}: {raw!r}")
+            valuation[int(parts[1])] = set(parts[2:])
         elif head == "class" and len(parts) == 2:
             frame_class = parts[1]
         elif head == "designated" and len(parts) == 2:
@@ -136,7 +135,8 @@ def _unknown_in(lines, head, rng):
 
 
 BAD_LINES = ("d a", "l a b c", "val abc w", "val", "world", "world a b",
-             "foo bar", "class", "designated a b", "d", "l w0")
+             "foo bar", "class", "designated a b", "d", "l w0", "val -1 w",
+             "val +1 w", "val 1_0 w", "val \u0661 w")
 
 
 def bent(text, rng):
@@ -271,6 +271,22 @@ def test_non_integer_atom_id_is_a_bad_line():
         with pytest.raises(ValueError) as err:
             read(text)
         assert str(err.value) == "bad model line 3: 'val abc w'"
+
+
+@pytest.mark.parametrize("atom_id", ["-1", "+1", "1_0", "\u0661"],
+                         ids=["minus", "plus", "underscore", "arabic-indic"])
+@pytest.mark.parametrize("layout", ["blocks", "lines"])
+def test_atom_id_outside_decimal_digits_is_a_bad_line(atom_id, layout):
+    """int() takes these spellings, but no formula names atom -1, and the
+    others would save back as another text."""
+    text = f"world w\nl w w\nval {atom_id} w\n"
+    if layout == "lines":
+        text = "# c\n" + text
+    line = 3 if layout == "blocks" else 4
+    for read in (load_model, reference_load_model):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == f"bad model line {line}: 'val {atom_id} w'"
 
 
 # A file in the writer's layout, the same lines in another layout, and a

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bimodal import atm, red_s4s5
 from bimodal import formula as fm
 from bimodal.formula import Atom, Not, And, Or, K, Box, L, Diamond, Implies
 from bimodal.semantics import (validate, CROSS_AXIOM, S4S5_COMMUTATOR,
@@ -14,6 +15,8 @@ from bimodal.translations import (TranslationResult, main_var, t_ssl_to_s4s5,
                                   t_s4s5_to_k4s5, k4_to_s4_model)
 from bimodal.satbound import bounded_sat
 from bimodal.red_ssl import gen_counter_ssl, build_counter_ssl_model
+from bimodal.reduction import ReductionParams
+from tests.conftest import M1_PATH, ROOT
 
 
 UNARY = {"not": Not, "K": K, "box": Box, "dia": Diamond, "L": L}
@@ -149,6 +152,37 @@ def test_box_translation_adds_reflexivity_instances():
     assert result.box_subformulas == (f,)
     inst = Implies(f, Atom(0))
     assert result.formula is And(f, K(And(inst, Box(inst))))
+
+
+def reference_k4s5(f):
+    """The box subformulas of f sorted by their texts, one render each,
+    and the translation built from them."""
+    boxes = sorted((t for t in fm.subformulas(f) if t.kind == fm.BOXMOD),
+                   key=fm.render)
+    insts = [Implies(b, b.left) for b in boxes]
+    return tuple(boxes), fm.conj([f] + [K(And(i, Box(i))) for i in insts])
+
+
+def k4s5_inputs():
+    rng = random.Random(2027)
+    for _ in range(60):
+        a = random_formula(rng, max_atoms=3, depth=4)
+        b = random_formula(rng, max_atoms=3, depth=4)
+        # nested boxes, and a box shared by two places
+        yield And(Box(And(a, Box(b))), K(Not(Box(b))))
+    bounce = ROOT / "bench" / "machines" / "bounce.atm"
+    for path, w, poly in [(M1_PATH, "ab", (2, 1)), (bounce, "bab", (1, 1))]:
+        params = ReductionParams(atm.parse_atm(path.read_text()), poly, w)
+        yield red_s4s5.gen_f_s4s5(params)[0]
+
+
+def test_box_translation_keeps_the_render_sorted_order():
+    for f in k4s5_inputs():
+        boxes, expected = reference_k4s5(f)
+        assert len(boxes) >= 2
+        result = t_s4s5_to_k4s5(f)
+        assert result.box_subformulas == boxes
+        assert result.formula is expected
 
 
 def test_s4_witnesses_satisfy_translation_unchanged():
