@@ -354,7 +354,9 @@ def gen_formula(red, params):
 
 def _reachable_restriction(model, r0):
     """Submodel on the points reachable from r0 over both relations; on
-    validated models this is exactly the part the formula constrains."""
+    validated models this is exactly the part the formula constrains.
+    When every point is reachable it is the model itself, whose cache
+    already holds what was evaluated on it."""
     seen = frontier = 1 << model.index[r0]
     while frontier:
         reach = 0
@@ -362,6 +364,8 @@ def _reachable_restriction(model, r0):
             reach |= model._succ_l[i] | model._succ_d[i]
         frontier = reach & ~seen
         seen |= frontier
+    if seen == (1 << len(model.worlds)) - 1:
+        return model
     return submodel(model, seen, model.frame_class, r0)
 
 

@@ -284,10 +284,10 @@ class Check:
 class Report:
     """Named pass/fail checks, printed as an optional header line, one
     `name: pass|fail [counterexample]` line per check and a `result:`
-    line."""
+    line.  The checks are kept as a tuple: a report may be shared."""
 
     def __init__(self, checks, header=None):
-        self.checks = checks
+        self.checks = tuple(checks)
         self.header = header
 
     @property

@@ -17,7 +17,9 @@ keyed by subformula identity, so repeated checks are cheap even for very
 large generated formulas; it also groups each relation's rows by value
 for the boxes.
 Validation composes D;D, D;L, L;L and L;D once and compares rows: L;L
-inside L, D;D inside D, D;L inside L;D and L;D inside D;L.
+inside L, D;D inside D, D;L inside L;D and L;D inside D;L.  A model never
+changes, so it keeps the report of each class it is validated for, and
+validating it again returns that report.
 
 A product model is recognised by its world names, not by how it was
 built: every product the package builds names its worlds "v|x", and the
@@ -26,17 +28,17 @@ relations are the products of the factor relations read off that grid.
 
 A model file has one line per world, relation pair and atom.  The writer
 joins each row's lines into one string.  The reader takes a file in the
-writer's layout a block at a time: it splits each relation's block once
-into columns, and a source whose targets repeat the source before reuses
-its row.  Any other file is read line by line, to the same model or the
-same error.
+writer's layout a block at a time, and each relation's block a source's
+run of lines at a time: a run that reads exactly as the writer would
+write the targets of the run before is that row again, found by one
+comparison of text, and any other run is split on its own.  Any other
+file is read line by line, to the same model or the same error.
 """
 
-from bisect import bisect_right
+import re
 from collections.abc import Mapping, Set
 from functools import reduce
-from itertools import repeat
-from operator import lshift, or_
+from operator import or_
 
 from .formula import Formula
 from . import relations
@@ -219,6 +221,8 @@ class BimodalModel:
         self.frame_class = frame_class
         self.designated = designated
         self._mask_cache = {}
+        # the report of each frame class validated so far (see `validate`)
+        self._reports = {}
 
     # -- pair views --------------------------------------------------------
 
@@ -300,10 +304,19 @@ def validate(model, frame_class):
     """Check the frame properties required by the given class.
 
     Failures are data, not errors: the report lists each property with a
-    pass flag and the first counterexample in sorted world order.
+    pass flag and the first counterexample in sorted world order.  A model
+    never changes, so it keeps the report of each class and a repeat call
+    returns the same report.
     """
     if frame_class not in FRAME_CLASSES:
         raise ValueError(f"unknown frame class {frame_class!r}")
+    report = model._reports.get(frame_class)
+    if report is None:
+        report = model._reports[frame_class] = _validate(model, frame_class)
+    return report
+
+
+def _validate(model, frame_class):
     succ_d, succ_l = model._succ_d, model._succ_l
     dd, dl = relations.compose(succ_d, succ_d, succ_l)
     ll, ld = relations.compose(succ_l, succ_l, succ_d)
@@ -585,11 +598,6 @@ def _is_atom_id(text):
 # str.splitlines takes for a separator.
 _OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
-# The heads of the lines read by column: no world may be named one (see
-# `_columns`).
-_COLUMN_HEADS = frozenset({"world", "d", "l"})
-
-
 def _read_blocks(text):
     """What `_read_lines` returns, for a text in the writer's layout, or
     None for any other text.
@@ -597,9 +605,9 @@ def _read_blocks(text):
     The layout is ASCII text whose only whitespace is spaces and line
     ends, ending in a line end: class and designated lines, then a block
     of world lines in ascending order, then blocks of d, l and val lines.
-    The world, d and l blocks are each split once into columns.  The
-    pairs of each source's run of d or l lines become its row, and a run
-    whose targets equal those of the run before reuses that row."""
+    The world block is split once into a column of names; the d and l
+    blocks are read a source's run of lines at a time (see
+    `_block_rows`)."""
     if (not text.endswith("\n") or not text.isascii()
             or any(c in text for c in _OTHER_SPACE)):
         return None
@@ -618,23 +626,21 @@ def _read_blocks(text):
             designated = parts[1]
         else:
             return None
-    columns = _columns(text[w:d], "world", 2)
-    if columns is None:
+    worlds = _world_column(text[w:d])
+    if worlds is None:
         return None
-    worlds = columns[0]
-    index = {x: i for i, x in enumerate(worlds)}
-    if (len(index) != len(worlds) or worlds != sorted(worlds)
-            or not _COLUMN_HEADS.isdisjoint(index)):
+    bit = {x: 1 << i for i, x in enumerate(worlds)}
+    if len(bit) != len(worlds) or worlds != sorted(worlds) or "world" in bit:
         return None
     try:
-        succ_d = _block_rows(text[d:l], "d", index)
-        succ_l = _block_rows(text[l:v], "l", index)
+        succ_d = _block_rows(text[d:l], "d", bit)
+        succ_l = _block_rows(text[l:v], "l", bit)
         atom_masks = {}
         for line in text[v:].splitlines():
             parts = line.split()
             if len(parts) < 2 or parts[0] != "val" or not _is_atom_id(parts[1]):
                 return None
-            atom_masks[int(parts[1])] = _mask(parts[2:], index)
+            atom_masks[int(parts[1])] = _mask(parts[2:], bit)
     except (KeyError, ValueError):
         return None
     if succ_d is None or succ_l is None:
@@ -651,49 +657,74 @@ def _line_start(text, prefix, start):
     return len(text) if at < 0 else at + 1
 
 
-def _columns(block, head, width):
-    """For a block of lines that each hold head and width - 1 names, the
-    list of the names in each place; None when the counts show otherwise.
-    The block is empty or starts with head and a space, its only
-    whitespace is spaces and line ends, and it ends in a line end.
+def _world_column(block):
+    """The names of a block of `world <name>` lines, or None when the
+    counts show otherwise.  The block is empty or starts with "world ",
+    its only whitespace is spaces and line ends, and it ends in a line
+    end.
 
-    When every line end but the last is followed by head and a space,
-    every line starts with the token head.  The caller then checks that
-    no name is head: so the line starts are the tokens at every width-th
-    place, and each line holds width tokens."""
+    When every line end but the last is followed by "world ", every line
+    starts with the token world.  The caller then checks that no name is
+    world: so the line starts are every other token, and each line holds
+    two tokens."""
     tokens = block.split()
     lines = block.count("\n")
-    if (len(tokens) != width * lines
-            or block.count("\n" + head + " ") != max(lines - 1, 0)):
+    if len(tokens) != 2 * lines or block.count("\nworld ") != max(lines - 1, 0):
         return None
-    return [tokens[k::width] for k in range(1, width)]
+    return tokens[1::2]
 
 
-def _block_rows(block, head, index):
-    """The rows of a block of relation lines (see `_columns`), or None; a
-    KeyError for a name that is not in index.  bisect_right ends each run
-    at a greater source, so once each run is checked to hold one source,
-    the sources are known to ascend."""
-    columns = _columns(block, head, 3)
-    if columns is None:
-        return None
-    sources, targets = columns
-    rows = [0] * len(index)
-    start = 0
-    last = row = None
-    while start < len(sources):
-        source = sources[start]
-        stop = bisect_right(sources, source, start)
-        if sources[start:stop].count(source) != stop - start:
+# One source's run of relation lines: head, the source and a target on
+# the first line, head, the same source and a target on every other.
+_RUNS = {head: re.compile(rf"{head} ([^ \n]+) [^ \n]+\n(?:{head} \1 [^ \n]+\n)*")
+         for head in ("d", "l")}
+
+
+def _block_rows(block, head, bit):
+    """The rows of a block of `head source target` lines, or None; a
+    KeyError for a name that is not in bit, the map from each world to its
+    bit.
+
+    A source's run of lines that reads exactly as `save_model` writes the
+    targets of the run before is that run's row again, and is not split.
+    Any other run is matched as a whole and split at its line starts.
+    Sources must ascend, so each holds one run."""
+    rows = [0] * len(bit)
+    lead = head + " "
+    first = len(lead)
+    run = _RUNS[head]
+    pos = 0
+    last = 0
+    names = row = None
+    while pos < len(block):
+        if not block.startswith(lead, pos):
             return None
-        run = targets[start:stop]
-        if run != last:
-            last, row = run, _mask(run, index)
-        rows[index[source]] = row
-        start = stop
+        cut = block.find(" ", pos + first) + 1
+        prefix = block[pos:cut]
+        if names is not None and block.startswith(names[0] + "\n", cut):
+            again = prefix + ("\n" + prefix).join(names) + "\n"
+            if (block.startswith(again, pos)
+                    and not block.startswith(prefix, pos + len(again))):
+                source = bit[prefix[first:-1]]
+                if source <= last:
+                    return None
+                rows[source.bit_length() - 1] = row
+                last = source
+                pos += len(again)
+                continue
+        match = run.match(block, pos)
+        if match is None:
+            return None
+        source = bit[match[1]]
+        if source <= last:
+            return None
+        names = block[cut:match.end() - 1].split("\n" + prefix)
+        rows[source.bit_length() - 1] = row = _mask(names, bit)
+        last = source
+        pos = match.end()
     return rows
 
 
-def _mask(names, index):
+def _mask(names, bit):
     """The mask of the worlds names; a KeyError for an unknown name."""
-    return reduce(or_, map(lshift, repeat(1), map(index.__getitem__, names)), 0)
+    return reduce(or_, map(bit.__getitem__, names), 0)

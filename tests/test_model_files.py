@@ -184,7 +184,45 @@ def bent(text, rng):
         # count of tokens, spaces and line heads as it was
         out.append((f"{head}-named-line-end", text.replace(
             f"\n{head} {head} ", f" {head}\n{head} ", 1)))
+    repeat = _repeated_run(lines, rng)
+    if repeat is not None:
+        # a row that repeats the row before is read without a split: edit
+        # it so that it no longer does, or so that it moves to that source
+        start, stop, before = repeat
+        head, source, target = lines[stop - 1].split()
+        worlds = [line.split()[1] for line in lines if line.startswith("world ")]
+        targets = {line.split()[2] for line in lines[start:stop]}
+        extra = rng.choice([w for w in worlds if w not in targets] or worlds)
+        other = rng.choice([w for w in worlds if w != target])
+        kept = lines[start:stop - 1]
+        for what, run in (
+                ("repeat-last-dropped", kept),
+                ("repeat-line-added",
+                 lines[start:stop] + [f"{head} {source} {extra}"]),
+                ("repeat-last-retargeted", kept + [f"{head} {source} {other}"]),
+                ("repeat-source-before", [f"{head} {before} {line.split()[2]}"
+                                          for line in lines[start:stop]])):
+            out.append((what, "\n".join(lines[:start] + run + lines[stop:]) + "\n"))
     return out
+
+
+def _repeated_run(lines, rng):
+    """(start, stop, source of the run before) of a run of d or l lines,
+    drawn from rng, whose targets are those of the run just before it
+    with the same head; None when there is none."""
+    runs = []  # [head, source, start, stop, targets]
+    for k, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] not in ("d", "l"):
+            continue
+        if runs and runs[-1][:2] == parts[:2] and runs[-1][3] == k:
+            runs[-1][3] = k + 1
+            runs[-1][4].append(parts[2])
+        else:
+            runs.append([parts[0], parts[1], k, k + 1, [parts[2]]])
+    repeats = [(b[2], b[3], a[1]) for a, b in zip(runs, runs[1:])
+               if a[0] == b[0] and a[3] == b[2] and a[4] == b[4]]
+    return rng.choice(repeats) if repeats else None
 
 
 def assert_readers_agree(text, rng):
@@ -238,10 +276,11 @@ def test_saved_files_never_reach_the_line_reader(monkeypatch, branch_witnesses):
         raise AssertionError("a saved file reached the line reader")
 
     models = [w[2] for w in WITNESSES] + [w[1] for w in branch_witnesses]
-    # a world named after the head of a block read by column, or a name
-    # that is not ASCII, sends a saved file line by line
+    # a world named world, the head of the block read by column, or a
+    # name that is not ASCII, sends a saved file line by line
     models += [m for m in random_models(900, 100)
-               if {"world", "d", "l", "\xe9"}.isdisjoint(m.worlds)]
+               if {"world", "\xe9"}.isdisjoint(m.worlds)]
+    assert any({"d", "l"} & set(m.worlds) for m in models)
     monkeypatch.setattr(semantics, "_read_lines", refuse)
     for model in models:
         text = save_model(model)
@@ -287,6 +326,22 @@ def test_atom_id_outside_decimal_digits_is_a_bad_line(atom_id, layout):
         with pytest.raises(ValueError) as err:
             read(text)
         assert str(err.value) == f"bad model line {line}: 'val {atom_id} w'"
+
+
+@pytest.mark.parametrize("layout", ["blocks", "lines"])
+def test_atom_id_is_saved_in_the_writers_spelling(layout):
+    """The readers take what a hand-written file may vary (comments, blank
+    lines, line order, leading zeros in an atom id) and save the model in
+    the writer's layout: only a file in that layout comes back byte for
+    byte."""
+    text = "world w\nl w w\nval 007 w\n"
+    if layout == "lines":
+        text = "# c\n" + text
+    for read in (load_model, reference_load_model):
+        assert dict(read(text).valuation) == {7: frozenset({"w"})}
+    saved = save_model(load_model(text))
+    assert saved == "world w\nl w w\nval 7 w\n"
+    assert save_model(load_model(saved)) == saved
 
 
 # A file in the writer's layout, the same lines in another layout, and a

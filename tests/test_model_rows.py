@@ -3,20 +3,25 @@ constructor, the file format and the model transforms agree with one
 another and with pair-set references, and the pair views behave like
 frozensets of the same pairs."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
 from bimodal import atm as am
 from bimodal.red_ssl import (ReductionParams, build_counter_ssl_model,
-                             build_f_ssl_model, gen_counter_ssl, gen_f_ssl)
+                             build_f_ssl_model, extract_accepting_tree_ssl,
+                             gen_counter_ssl, gen_f_ssl)
 from bimodal.red_s4s5 import (build_counter_s4s5_model, build_f_s4s5_model,
-                              gen_counter_s4s5, gen_f_s4s5)
+                              extract_accepting_tree_s4s5, gen_counter_s4s5,
+                              gen_f_s4s5)
 from bimodal.formula import atoms
+from bimodal.reduction import _reachable_restriction
 from bimodal.semantics import (BimodalModel, FRAME_CLASSES, CROSS_AXIOM,
-                               S4S5_COMMUTATOR, validate, save_model,
-                               load_model)
+                               S4S5_COMMUTATOR, S4S5_PRODUCT, validate,
+                               save_model, load_model)
 from bimodal.translations import (t_ssl_to_s4s5, lift_model_ssl_to_s4s5,
                                   restrict_model_s4s5_to_ssl, k4_to_s4_model)
 from tests.conftest import M1_PATH
@@ -198,6 +203,38 @@ def test_transforms_match_pair_set_references(name, logic, model, point, f):
     else:
         k4, _ = k4_to_s4_model(model, point, f)
         assert save_model(k4) == save_model(ref_k4_to_s4(model, point))
+
+
+@pytest.mark.parametrize("name, logic, model, point, f", WITNESSES,
+                         ids=[w[0] for w in WITNESSES])
+def test_every_world_of_a_witness_is_reachable(name, logic, model, point, f):
+    """Extraction then evaluates on the witness itself, through its own
+    cache, not on a copy."""
+    assert point == model.designated
+    assert _reachable_restriction(model, point) is model
+
+
+@pytest.mark.parametrize("logic", ["ssl", "s4s5"])
+def test_nothing_outside_a_model_keeps_it_alive(logic):
+    """Reports and evaluated masks are kept on the model, so they go
+    with it."""
+    build, gen, extract, frame_class = {
+        "ssl": (build_f_ssl_model, gen_f_ssl, extract_accepting_tree_ssl,
+                CROSS_AXIOM),
+        "s4s5": (build_f_s4s5_model, gen_f_s4s5, extract_accepting_tree_s4s5,
+                 S4S5_PRODUCT)}[logic]
+    m1 = am.parse_atm(M1_PATH.read_text())
+    params = ReductionParams(m1, [2, 1], "ab")
+    tree = am.find_accepting_tree(m1, "ab", 2 ** params.N - 1)
+    model, point = build(params, tree)
+    assert validate(model, frame_class).ok
+    assert model.eval(point, gen(params)[0])
+    got, _ = extract(model, point, params)
+    assert am.trees_label_equal(got, tree)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_from_rows_rejects_malformed_rows():

@@ -18,6 +18,7 @@ from bimodal.red_s4s5 import build_counter_s4s5_model
 from bimodal.reduction import _reachable_restriction
 from tests.conftest import (mutants, reference_commutes, reference_transitive,
                             rewired)
+from tests.test_model_rows import WITNESSES
 
 
 def refl(worlds):
@@ -235,6 +236,7 @@ def test_product_provenance_is_read_from_the_names():
     assert validate(reloaded, S4S5_PRODUCT).ok
     # the part reachable from a point is the product of the factors' parts
     part = _reachable_restriction(model, "1|2")
+    assert part is not model
     assert len(part.worlds) == 12 and validate(part, S4S5_PRODUCT).ok
     # without one []-pair the world it leaves has a row no product has
     dropped = BimodalModel(model.worlds, model.rel_d - {("1|2", "3|2")},
@@ -308,6 +310,32 @@ def scanned_lines(model, frame_class, scans):
     if frame_class == S4S5_PRODUCT:
         checks.append(Check("product-provenance", semantics._provenance(model)))
     return Report(checks, f"class: {frame_class}").lines()
+
+
+def test_validate_keeps_one_report_per_model_and_class():
+    """A model never changes, so it keeps its report of each class; every
+    rewired copy of a witness is another model with its own report, which
+    names the copy's own counterexamples."""
+    rng = random.Random(20)
+    new_lines = set()
+    for name, _, witness, _, _ in WITNESSES:
+        if name not in ("counter-ssl-3", "counter-s4s5-3", "m1-ab-ssl",
+                        "m1-ab-s4s5"):
+            continue
+        reports = {c: validate(witness, c) for c in FRAME_CLASSES}
+        for frame_class, report in reports.items():
+            assert validate(witness, frame_class) is report
+            assert type(report.checks) is tuple
+        for copy in rewired(witness, rng, 4):
+            scans = row_scans(copy)
+            for frame_class in FRAME_CLASSES:
+                report = validate(copy, frame_class)
+                assert report is not reports[frame_class]
+                assert validate(copy, frame_class) is report
+                assert report.lines() == scanned_lines(copy, frame_class, scans)
+                new_lines.update(set(report.lines())
+                                 - set(reports[frame_class].lines()))
+    assert any(": fail " in line for line in new_lines)
 
 
 def test_witness_reports_match_row_scans(branch_witnesses):
