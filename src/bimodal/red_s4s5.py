@@ -16,7 +16,8 @@ from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       rightmost_one, unique, lt, leq, gt_binary,
                       persistent_macro, shared_s4s5, ones)
 from .catalog import VariableCatalog
-from .semantics import product_model, S4S5_PRODUCT
+from .semantics import (BimodalModel, product_grid, product_point,
+                        product_rows, S4S5_PRODUCT)
 from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
                         everywhere, computation, fresh_cell_symbols,
                         no_reject, gen_formula, grow_tree, check_morphism,
@@ -284,27 +285,38 @@ def build_f_s4s5_model(params, tree):
 def _product_witness(nodes, parent, atoms, first, second, active=None):
     """The product witness over a tree whose nodes come parents first,
     with parent links (None at the root): the first factor is the tree
-    under ancestry, the second the same nodes under the full relation.
-    Of the atoms, first(v) hold on v's row (v, *), second(x) on x's column
-    (*, x), and active, if given, on the ancestry cells (v, x) with v on
-    x's root path.  The designated world is (root, root)."""
-    path = {}
-    ancestry = []
-    for x in nodes:
-        path[x] = path.get(parent[x], []) + [x]
-        ancestry += [(v, x) for v in path[x]]
-    valuation = {atom: set() for atom in atoms}
+    under ancestry, the second the same nodes under the full relation,
+    built as rows by `product_rows` in `product_grid`'s cell order.  Of
+    the atoms, first(v) hold on v's whole row of cells (v, *), second(x)
+    on x's whole column (*, x), and active, if given, on the ancestry
+    cells (v, x) with v on x's root path.  The designated world is
+    (root, root)."""
+    firsts, seconds, names = product_grid(nodes, nodes)
+    m = len(firsts)
+    row_of = {v: i for i, v in enumerate(firsts)}
+    column_of = {x: j for j, x in enumerate(seconds)}
+    # v's subtree as a mask over rows and over columns, from the leaves up
+    rows = {v: 1 << row_of[v] for v in nodes}
+    columns = {x: 1 << column_of[x] for x in nodes}
+    for v in reversed(nodes):
+        if parent[v] is not None:
+            rows[parent[v]] |= rows[v]
+            columns[parent[v]] |= columns[v]
+    full = (1 << m) - 1
+    first_column = sum(1 << i * m for i in range(m))
+    masks = dict.fromkeys(atoms, 0)
     for w in nodes:
         for atom in first(w):
-            valuation[atom].update((w, x) for x in nodes)
+            masks[atom] |= full << row_of[w] * m
         for atom in second(w):
-            valuation[atom].update((v, w) for v in nodes)
+            masks[atom] |= first_column << column_of[w]
     if active is not None:
-        valuation[active].update(ancestry)
-    model = product_model((nodes, ancestry),
-                          (nodes, [(v, x) for v in nodes for x in nodes]),
-                          valuation, designated=(nodes[0], nodes[0]))
-    return model, model.designated
+        masks[active] |= sum(columns[v] << row_of[v] * m for v in nodes)
+    designated = product_point(nodes[0], nodes[0])
+    model = BimodalModel.from_rows(
+        names, *product_rows([rows[v] for v in firsts], [full] * m), masks,
+        frame_class=S4S5_PRODUCT, designated=designated)
+    return model, designated
 
 
 # ---------------------------------------------------------------------------

@@ -196,22 +196,13 @@ def classes(succ):
         seen |= row
     else:
         return blocks, None
-    failure = first_failure(succ, ("reflexive", "symmetric", "transitive"))
-    if failure is None:
-        raise AssertionError("relation is an equivalence but failed the class scan")
-    return None, failure
-
-
-def first_failure(succ, names):
-    """The first property in names ("reflexive", "symmetric" or
-    "transitive") that succ lacks, with its counterexample, or None."""
-    checks = {"reflexive": reflexive, "symmetric": symmetric,
-              "transitive": lambda s: transitive(s, compose(s, s, s)[0])}
-    for name in names:
-        bad = checks[name](succ)
+    for name, check in (("reflexive", reflexive), ("symmetric", symmetric),
+                        ("transitive",
+                         lambda s: transitive(s, compose(s, s, s)[0]))):
+        bad = check(succ)
         if bad is not None:
-            return name, bad
-    return None
+            return None, (name, bad)
+    raise AssertionError("relation is an equivalence but failed the class scan")
 
 
 def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):

@@ -21,12 +21,17 @@ inside L, D;D inside D, D;L inside L;D and L;D inside D;L.  A model never
 changes, so it keeps the report of each class it is validated for, and
 validating it again returns that report.
 
-A product model is recognised by its world names, not by how it was
-built: every product the package builds names its worlds "v|x", and the
-s4s5-product class checks that the names form a full grid and that both
-relations are the products of the factor relations read off that grid.
+A product is built from the rows of its factors: `product_grid` orders
+the cells and names them "v|x", and `product_rows` gives both relations;
+the factors' frame properties are checked by `validate`, as for any
+model.  A product model is recognised by its world names, not by how it
+was built: the s4s5-product class checks that the names form a full grid
+and that both relations are the products of the factor relations read
+off that grid.
 
-A model file has one line per world, relation pair and atom.  The writer
+A model file has one line per world, relation pair and atom, so a model
+accepts only world names that are one whitespace-free token and only a
+known frame class: every model saves to a file that reads back.  The writer
 joins each row's lines into one string.  The reader takes a file in the
 writer's layout a block at a time, and each relation's block a source's
 run of lines at a time: a run that reads exactly as the writer would
@@ -135,19 +140,19 @@ def _order(w):
     return (str(w), repr(w))
 
 
-def _pair_rows(pairs, size, rows, columns, error):
+def _pair_rows(pairs, size, index):
     """size rows of bits from pairs of names: the pair (a, b) sets bit
-    columns[b] of row rows[a].  When pairs name unknown worlds, a
-    ValueError with the message error(a, b) for the least such pair."""
+    index[b] of row index[a].  When pairs name unknown worlds, a
+    ValueError naming the least such pair."""
     succ = [0] * size
     try:
         for a, b in pairs:
-            succ[rows[a]] |= 1 << columns[b]
+            succ[index[a]] |= 1 << index[b]
     except KeyError:
         a, b = min([(a, b), *((v, x) for v, x in pairs
-                              if v not in rows or x not in columns)],
+                              if v not in index or x not in index)],
                    key=lambda pair: tuple(map(_order, pair)))
-        raise ValueError(error(a, b)) from None
+        raise ValueError(f"relation pair ({a!r}, {b!r}) mentions unknown world") from None
     return succ
 
 
@@ -156,9 +161,7 @@ def _named_rows(worlds, rel_d, rel_l, valuation):
     pairs of names and sets of names."""
     worlds = tuple(sorted(worlds, key=_world_id))
     index = {w: i for i, w in enumerate(worlds)}
-    rows = [_pair_rows(rel, len(worlds), index, index, lambda a, b:
-                       f"relation pair ({a!r}, {b!r}) mentions unknown world")
-            for rel in (rel_d, rel_l)]
+    rows = [_pair_rows(rel, len(worlds), index) for rel in (rel_d, rel_l)]
     atom_masks = {}
     for atom_id, members in valuation.items():
         mask = 0
@@ -197,11 +200,19 @@ class BimodalModel:
 
     def _init(self, worlds, succ_d, succ_l, atom_masks,
               frame_class, designated):
+        if frame_class is not None and frame_class not in FRAME_CLASSES:
+            raise ValueError(f"unknown frame class {frame_class!r}")
         worlds = tuple(map(_world_id, worlds))
         for a, b in zip(worlds, worlds[1:]):
             if a >= b:
                 raise ValueError("duplicate world ids" if a == b
                                  else "worlds are not in ascending order")
+        # a model file separates names by whitespace, so each name must be
+        # one token: splitting all the names joined by spaces gives them
+        # back exactly when none is empty or holds whitespace
+        if tuple(" ".join(worlds).split()) != worlds:
+            bad = next(w for w in worlds if w.split() != [w])
+            raise ValueError(f"world name {bad!r} is empty or holds whitespace")
         limit = 1 << len(worlds)
         succ_d, succ_l = tuple(succ_d), tuple(succ_l)
         for name, rows in (("d", succ_d), ("l", succ_l)):
@@ -449,6 +460,17 @@ def product_point(v, x):
     return f"{v}|{x}"
 
 
+def product_grid(firsts, seconds):
+    """The factor points in cell order and the product's world names in
+    that order.  First-factor points sort as the "v|" that begins their
+    names and second-factor points as their own names, so the cells row
+    by row are in sorted order: "10|" < "1|" although "1" < "10"."""
+    firsts = sorted(firsts, key=lambda v: product_point(v, ""))
+    seconds = sorted(seconds, key=str)
+    return firsts, seconds, [product_point(v, x)
+                             for v in firsts for x in seconds]
+
+
 def product_rows(succ1, succ2):
     """[] and K rows of the product of the relations succ1 and succ2, in
     cell order: cell v * len(succ2) + x is the point (v, x), which moves
@@ -461,59 +483,6 @@ def product_rows(succ1, succ2):
             succ_d.append(column << x)
             succ_l.append(row2 << v * m2)
     return succ_d, succ_l
-
-
-def product_model(frame1, frame2, valuation, designated=None):
-    """Product of a preordered frame with an equivalence frame.
-
-    frame1 and frame2 are (worlds, relation_pairs) with relation given
-    explicitly.  Worlds of the product are "v|x" strings, so no factor
-    world may contain "|".  The valuation maps atom ids to sets of (v, x)
-    pairs.
-    """
-    factors = []
-    for which, (worlds, rel), key, names in (
-            ("first", frame1, lambda v: f"{v}|", ("reflexive", "transitive")),
-            ("second", frame2, str, ("reflexive", "symmetric", "transitive"))):
-        for w in worlds:
-            if "|" in str(w):
-                raise ValueError(f"{which} frame world {w!r} contains '|'")
-        worlds = sorted(worlds, key=key)
-        index = {w: i for i, w in enumerate(worlds)}
-        succ = _pair_rows(rel, len(worlds), index, index, lambda a, b: (
-            f"{which} frame pair {(a, b)!r} mentions unknown "
-            f"world {b if a in index else a!r}"))
-        failure = relations.first_failure(succ, names)
-        if failure is not None:
-            at = tuple(worlds[i] for i in failure[1])
-            raise ValueError(f"{which} frame is not {failure[0]} at "
-                             f"{at[0] if len(at) == 1 else at!r}")
-        factors.append((worlds, index, succ))
-    (worlds1, index1, succ1), (worlds2, index2, succ2) = factors
-    m2 = len(worlds2)
-
-    def cell(v, x, error):
-        if v in index1 and x in index2:
-            return index1[v] * m2 + index2[x]
-        raise ValueError(error.format(product_point(v, x)))
-
-    # an atom's cells gathered by first-factor world, as small masks over
-    # the second factor, then placed one row at a time
-    atom_masks = {}
-    for atom_id, members in valuation.items():
-        rows = _pair_rows(members, len(worlds1), index1, index2, lambda v, x: (
-            f"valuation of atom {atom_id} mentions "
-            f"unknown world {product_point(v, x)!r}"))
-        atom_masks[atom_id] = sum(row << i * m2
-                                  for i, row in enumerate(rows) if row)
-    # with the first factor sorted as the "v|" that begins its names, the
-    # cells row by row are in the sorted order of their names
-    names = [product_point(v, x) for v in worlds1 for x in worlds2]
-    return BimodalModel.from_rows(
-        names, *product_rows(succ1, succ2), atom_masks,
-        frame_class=S4S5_PRODUCT,
-        designated=None if designated is None
-        else names[cell(*designated, "designated world {!r} unknown")])
 
 
 # ---------------------------------------------------------------------------

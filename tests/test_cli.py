@@ -220,6 +220,18 @@ def test_check_rejects_a_file_that_only_claims_a_product(tmp_path, capsys):
     assert "product-provenance: fail a" in out.splitlines()
 
 
+def test_check_rejects_an_unknown_class_line(tmp_path, capsys):
+    model_file = tmp_path / "model.txt"
+    formula_file = tmp_path / "f.txt"
+    formula_file.write_text("(x0 | !x0)\n")
+    model_file.write_text("class cross-axoim\nworld a\nl a a\n")
+    code, out, err = run(capsys, "check", "--model", str(model_file),
+                         "--formula", str(formula_file), "--point", "a")
+    assert code == 1
+    assert out == ""
+    assert "unknown frame class 'cross-axoim'" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "nonsense"])

@@ -1,7 +1,8 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, keeps no product flag, builds each connective through one
+in one place, builds products only from factor rows and checks frames in
+one place, keeps no product flag, builds each connective through one
 constructor, walks formulas through one postorder and prints every
 pass/fail check through one report class; and
 the benchmark worker still finds every library function it calls by
@@ -15,7 +16,7 @@ import tokenize
 
 import pytest
 
-from bimodal import formula as fm
+from bimodal import formula as fm, relations, semantics
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bimodal"
@@ -67,11 +68,18 @@ def test_models_are_built_from_rows(path):
 
 
 @pytest.mark.parametrize("module, constructor", [("red_ssl.py", "from_rows"),
-                                                 ("red_s4s5.py", "product_model")])
+                                                 ("red_s4s5.py", "from_rows")])
 def test_one_witness_builder_per_logic(module, constructor):
     """Each logic builds its counter and machine witnesses through one
     builder, so its model constructor is called in exactly one place."""
     assert len(list(calls_to(PACKAGE / module, constructor))) == 1
+
+
+def test_one_product_path():
+    """Products are built from factor rows by `product_rows`; no product
+    constructor from pairs, with its own factor checks, creeps back in."""
+    assert not hasattr(semantics, "product_model")
+    assert not hasattr(relations, "first_failure")
 
 
 def test_one_report_class():

@@ -24,13 +24,15 @@ from bimodal.semantics import (BimodalModel, FRAME_CLASSES, CROSS_AXIOM,
                                save_model, load_model)
 from bimodal.translations import (t_ssl_to_s4s5, lift_model_ssl_to_s4s5,
                                   restrict_model_s4s5_to_ssl, k4_to_s4_model)
-from tests.conftest import M1_PATH
+from tests.conftest import FAN_PATH, M1_PATH
 from tests.test_relations import random_model
 
 # SHA-256 prefixes of the saved witnesses, as written when relations were
 # still stored as pair sets (counter n=4 and m1 on "b" and "aba": as
-# written when each logic had separate counter and machine builders): the
-# files must not change.
+# written when each logic had separate counter and machine builders; fan
+# on "bbb", a branching tree with two-digit node ids: as written when the
+# product witness was still built from sets of pairs): the files must not
+# change.
 SAVED_DIGESTS = {
     "counter-ssl-1": "1ff92164aa9c483800b36f9d03eb5123",
     "counter-s4s5-1": "e0d39d753a8ed2265e521d49768daa65",
@@ -48,6 +50,8 @@ SAVED_DIGESTS = {
     "m1-b-s4s5": "e9a34a16f39270fe8dbcdaba8f9caad9",
     "m1-aba-ssl": "84c87d85320803f303b397a949d86a67",
     "m1-aba-s4s5": "3746a8641579f1e86811444d0442ce1e",
+    "fan-bbb-ssl": "701a4ebcd23ffba20e286c9037993945",
+    "fan-bbb-s4s5": "1b2710aa4c39e47286239d2396521e2b",
 }
 
 
@@ -67,6 +71,13 @@ def witnesses():
                     gen_f_ssl(params)[0]))
         out.append((f"m1-{w}-s4s5", "s4s5", *build_f_s4s5_model(params, tree),
                     gen_f_s4s5(params)[0]))
+    fan = am.parse_atm(FAN_PATH.read_text())
+    params = ReductionParams(fan, [0, 1], "bbb")
+    tree = am.find_accepting_tree(fan, "bbb", 2 ** params.N - 1)
+    out.append(("fan-bbb-ssl", "ssl", *build_f_ssl_model(params, tree),
+                gen_f_ssl(params)[0]))
+    out.append(("fan-bbb-s4s5", "s4s5", *build_f_s4s5_model(params, tree),
+                gen_f_s4s5(params)[0]))
     return out
 
 

@@ -9,8 +9,9 @@ from bimodal import formula as fm, relations, semantics
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond
 from bimodal.relations import Check, Report
 from bimodal.semantics import (BimodalModel, validate, clouds,
-                               induced_cloud_relation, product_point,
-                               product_model, save_model, load_model,
+                               induced_cloud_relation, product_grid,
+                               product_point, product_rows, save_model,
+                               load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
                                S4S5_PRODUCT, FRAME_CLASSES, D_REFLEXIVE,
                                RIGHT_COMMUTATIVE, PERSISTENT_ATOMS)
@@ -146,76 +147,53 @@ def test_world_ids_must_be_strings():
         BimodalModel([0, 1], [(0, 0)], [(0, 0)], {0: {0}})
 
 
+def product_of(succ1, succ2, masks, designated=None):
+    """The product of two factors on points 0, 1, ... given as rows, with
+    atom masks over its cells."""
+    _, _, names = product_grid(range(len(succ1)), range(len(succ2)))
+    return BimodalModel.from_rows(names, *product_rows(succ1, succ2), masks,
+                                  frame_class=S4S5_PRODUCT,
+                                  designated=designated)
+
+
 def test_product_model_construction():
-    frame1 = (["0", "1"], [("0", "0"), ("0", "1"), ("1", "1")])
-    frame2 = (["s", "t"], [("s", "s"), ("s", "t"), ("t", "s"), ("t", "t")])
-    valuation = {0: {("1", "t")}}
-    m = product_model(frame1, frame2, valuation, designated=("0", "s"))
+    # 0 <= 1 on the first factor, the full relation on the second; atom 0
+    # holds at (1, 1) only
+    m = product_of([0b11, 0b10], [0b11, 0b11], {0: 1 << 3}, designated="0|0")
     assert len(m.worlds) == 4
     report = validate(m, S4S5_PRODUCT)
     assert "product-provenance: pass" in report.lines()
     assert report.ok
-    assert m.eval("0|s", Diamond(L(Atom(0))))
-    assert m.eval("0|s", L(Diamond(Atom(0))))
+    assert m.eval("0|0", Diamond(L(Atom(0))))
+    assert m.eval("0|0", L(Diamond(Atom(0))))
 
 
 def test_product_rejects_bad_factors():
-    # second factor must be an equivalence relation
-    frame1 = (["0"], [("0", "0")])
-    frame2 = (["s", "t"], [("s", "s"), ("t", "t"), ("s", "t")])
-    with pytest.raises(ValueError):
-        product_model(frame1, frame2, {})
-
-
-@pytest.mark.parametrize("frame1, frame2, message", [
-    ((["0", "1"], [("0", "0")]), (["s"], [("s", "s")]),
-     "first frame is not reflexive at '1'"),
-    ((["0", "1", "2"], [("0", "0"), ("1", "1"), ("2", "2"), ("0", "1"), ("1", "2")]),
-     (["s"], [("s", "s")]),
-     "first frame is not transitive at ('0', '1', '2')"),
-    ((["0"], [("0", "0")]), (["s", "t"], [("s", "s"), ("t", "t"), ("s", "t")]),
-     "second frame is not symmetric at ('s', 't')"),
-    # "0|s" and "t" would name the point ("0", "s|t") as well
-    ((["0", "0|s"], [("0", "0"), ("0|s", "0|s")]), (["s"], [("s", "s")]),
-     "first frame world '0|s' contains '|'"),
-    ((["0"], [("0", "0")]), (["s|t"], [("s|t", "s|t")]),
-     "second frame world 's|t' contains '|'"),
-    ((["0"], [("0", "0"), ("0", "9")]), (["s"], [("s", "s")]),
-     "first frame pair ('0', '9') mentions unknown world '9'"),
-])
-def test_product_rejection_names_the_worlds(frame1, frame2, message):
-    with pytest.raises(ValueError) as excinfo:
-        product_model(frame1, frame2, {})
-    assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("valuation, designated, message", [
-    ({0: {("0", "s"), ("2", "s")}}, None,
-     "valuation of atom 0 mentions unknown world '2|s'"),
-    ({0: {("0", "s")}, 3: {("1", "s"), ("1", "u")}}, None,
-     "valuation of atom 3 mentions unknown world '1|u'"),
-    ({0: {("0", "s")}}, ("1", "u"), "designated world '1|u' unknown"),
-])
-def test_product_names_unknown_cells(valuation, designated, message):
-    frame1 = (["0", "1"], [("0", "0"), ("1", "1")])
-    frame2 = (["s"], [("s", "s")])
-    with pytest.raises(ValueError) as excinfo:
-        product_model(frame1, frame2, valuation, designated)
-    assert str(excinfo.value) == message
+    # a first factor that is not a preorder or a second factor that is not
+    # an equivalence fails the product class's frame checks, which name
+    # the worlds
+    m = product_of([0b1, 0b0], [0b1], {})
+    assert "d-reflexive: fail 1|0" in validate(m, S4S5_PRODUCT).lines()
+    m = product_of([0b1], [0b11, 0b10], {})
+    assert "l-symmetric: fail 0|0 0|1" in validate(m, S4S5_PRODUCT).lines()
 
 
 def test_product_valuation_holds_exactly_its_cells():
-    # parts of unequal length, so sorted names differ from the grid order
-    firsts, seconds = ["b", "a", "ab"], ["y", "xy", "x", "yx"]
+    # factor points of unequal length, so the grid order differs from
+    # plain sorted order on the first factor ("10|" < "1|") and the names
+    # come out sorted only in product_grid's order
+    firsts, seconds, names = product_grid(["1", "10", "2"], ["10", "1", "2"])
+    assert firsts == ["10", "1", "2"] and seconds == ["1", "10", "2"]
+    assert names == sorted(names)
     rng = random.Random(7)
-    cells = [(v, x) for v in firsts for x in seconds]
-    valuation = {a: set(rng.sample(cells, rng.randint(0, len(cells))))
-                 for a in range(4)}
-    model = product_model((firsts, [(v, v) for v in firsts]),
-                          (seconds, [(x, y) for x in seconds for y in seconds]),
-                          valuation)
-    assert model.valuation == {a: frozenset(f"{v}|{x}" for v, x in members)
-                               for a, members in valuation.items()}
+    masks = {a: rng.getrandbits(len(names)) for a in range(4)}
+    model = BimodalModel.from_rows(names, *product_rows([1, 2, 4], [7] * 3),
+                                   masks)
+    assert model.valuation == {
+        a: frozenset(product_point(firsts[i // 3], seconds[i % 3])
+                     for i in range(9) if mask >> i & 1)
+        for a, mask in masks.items()}
+    assert validate(model, S4S5_PRODUCT).ok
 
 
 def test_product_provenance_check(two_cloud_model):
