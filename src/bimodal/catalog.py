@@ -6,7 +6,7 @@ A family key is either a bit position (int), a state or symbol name (str),
 or None for scalar families such as the class marker B.
 """
 
-from .formula import Atom, FormulaVector
+from .formula import Atom, FormulaVector, ones
 
 
 class CatalogError(KeyError):
@@ -47,15 +47,16 @@ class VariableCatalog:
         return FormulaVector.of_atoms(
             [self.atom(family, k) for k in range(length - 1, -1, -1)])
 
+    def bits(self, family, value):
+        """The atoms of a bit family at the positions where value has a one."""
+        return [self.atom(family, k) for k in ones(value)]
+
     def entries(self):
         """All (family, key, atom) triples in ascending atom order."""
         return [(fam, key, a) for a, (fam, key) in sorted(self._names.items())]
 
     def __len__(self):
         return len(self._atoms)
-
-    def __contains__(self, entry):
-        return entry in self._atoms
 
     def dump(self):
         lines = []

@@ -15,7 +15,8 @@ from .semantics import FRAME_CLASSES, load_model, save_model, validate
 from . import atm as atm_mod
 from . import red_ssl, red_s4s5
 from .reduction import (ReductionParams, ExtractionError, gen_formula,
-                        grow_tree, size_parameter)
+                        grow_tree, size_parameter, gen_counter,
+                        extract_counter)
 from . import translations
 from . import satbound
 
@@ -88,19 +89,25 @@ def _emit_formula(report, f, out):
         report.append(f"formula: {text}")
 
 
+def _emit(report, out, kind, text):
+    """Write text() to the file `out`, if one is given, and name the file
+    in the report."""
+    if out:
+        _write(out, text())
+        report.append(f"{kind}-file: {out}")
+
+
 def _gen(args):
     family, logic = args.kind.split("-", 1)
     red = REDUCTIONS[logic]
     if family == "counter":
-        f, cat = red.gen_counter(_counter_width(args, "gen counter-*"))
+        f, cat = gen_counter(red, _counter_width(args, "gen counter-*"))
     else:
         f, cat = gen_formula(red, _load_params(args))
     report = [f"command: gen {args.kind}", f"size: {fm.rendered_size(f)}",
               f"atoms: {len(cat)}"]
     _emit_formula(report, f, args.out)
-    if args.catalog:
-        _write(args.catalog, cat.dump())
-        report.append(f"catalog-file: {args.catalog}")
+    _emit(report, args.catalog, "catalog", cat.dump)
     _conclude(report, True)
 
 
@@ -119,12 +126,8 @@ def _build(args):
               f"worlds: {len(model.worlds)}",
               f"designated: {point}",
               f"formula-holds: {'pass' if holds else 'fail'}"]
-    if args.out:
-        _write(args.out, save_model(model))
-        report.append(f"model-file: {args.out}")
-    if args.tree_out:
-        _write(args.tree_out, atm_mod.save_tree(tree))
-        report.append(f"tree-file: {args.tree_out}")
+    _emit(report, args.out, "model", lambda: save_model(model))
+    _emit(report, args.tree_out, "tree", lambda: atm_mod.save_tree(tree))
     _conclude(report, holds, "generated formula is false on its witness model")
 
 
@@ -164,7 +167,7 @@ def _extract(args):
     model, point = _model_and_point(args)
     red = REDUCTIONS[args.logic]
     if args.kind == "trace":
-        p_points, p_prime = red.extract_counter(model, point, n)
+        p_points, p_prime = extract_counter(red, model, point, n)
         report = [f"command: extract trace {args.logic}",
                   f"steps: {len(p_points)}"]
         for i, p in enumerate(p_points):
@@ -177,9 +180,7 @@ def _extract(args):
         report = [f"command: extract tree {args.logic}",
                   f"nodes: {len(tree.configs)}",
                   f"height: {tree.height()}"]
-        if args.out:
-            _write(args.out, atm_mod.save_tree(tree))
-            report.append(f"tree-file: {args.out}")
+        _emit(report, args.out, "tree", lambda: atm_mod.save_tree(tree))
         _conclude(report, True)
 
 
@@ -206,9 +207,7 @@ def _lift(args):
     holds = lifted.eval(point, result.formula)
     report = [f"command: lift", f"worlds: {len(lifted.worlds)}",
               f"translated-holds: {'pass' if holds else 'fail'}"]
-    if args.out:
-        _write(args.out, save_model(lifted))
-        report.append(f"model-file: {args.out}")
+    _emit(report, args.out, "model", lambda: save_model(lifted))
     _conclude(report, holds, "translated formula is false on the lifted model")
 
 
@@ -219,9 +218,7 @@ def _restrict(args):
     holds = restricted.eval(point, f)
     report = [f"command: restrict", f"worlds: {len(restricted.worlds)}",
               f"formula-holds: {'pass' if holds else 'fail'}"]
-    if args.out:
-        _write(args.out, save_model(restricted))
-        report.append(f"model-file: {args.out}")
+    _emit(report, args.out, "model", lambda: save_model(restricted))
     _conclude(report, holds, "formula is false on the restricted model")
 
 
@@ -239,9 +236,7 @@ def _sat(args):
         report.append("verdict: sat")
         report.append(f"worlds: {len(verdict.model.worlds)}")
         report.append(f"point: {verdict.point}")
-        if args.out:
-            _write(args.out, save_model(verdict.model))
-            report.append(f"model-file: {args.out}")
+        _emit(report, args.out, "model", lambda: save_model(verdict.model))
     else:
         report.append("verdict: unsat-within-bound")
         report.append(f"max-points: {verdict.max_points}")
@@ -262,9 +257,7 @@ def _atm_run(args):
     report.append("accepts: pass")
     report.append(f"tree-nodes: {len(tree.configs)}")
     report.append(f"tree-height: {tree.height()}")
-    if args.out:
-        _write(args.out, atm_mod.save_tree(tree))
-        report.append(f"tree-file: {args.out}")
+    _emit(report, args.out, "tree", lambda: atm_mod.save_tree(tree))
     _conclude(report, True)
 
 

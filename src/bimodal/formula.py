@@ -291,11 +291,27 @@ def _lexical_error(m):
     return ParseError(f"unexpected character {m[3]!r}", m.start(3))
 
 
-def _repeated_span(spans, text, off):
-    """(length, formula) of a parsed span whose text recurs at off, or None."""
-    for start, length, value in spans.get(text[off:off + _REUSE_MIN], ()):
-        if text.startswith(text[start:start + length], off):
-            return length, value
+# A left-nested chain opens with a run of parentheses as long as the chain:
+# a key that the run fills runs on past it, so each link gets a key of its own.
+_PAREN_RUN = re.compile(rb"\(*")
+_PARENS = b"(" * _REUSE_MIN
+
+
+def _span_key(data, off):
+    key = data[off:off + _REUSE_MIN]
+    if key == _PARENS:
+        key = data[off:_PAREN_RUN.match(data, off).end() + _REUSE_MIN]
+    return key
+
+
+def _repeated_span(spans, data, off):
+    """(length, formula) of the span recorded under the key at off if its
+    text recurs there, or None: one comparison, in place."""
+    got = spans.get(_span_key(data, off))
+    if got is not None:
+        start, end, value = got
+        if data.startswith(memoryview(data)[start:end], off):
+            return end - start, value
     return None
 
 
@@ -305,9 +321,11 @@ def parse(text):
     pos = 0  # where the next token's match starts
     # Frame: [left, op, right, pending_prefixes, open_offset]
     frames = [[None, None, None, [], 0]]
-    # first _REUSE_MIN characters of a parsed parenthesized span ->
-    # [(offset, length, formula)]; the span text itself is not kept
+    # key -> (start, end, formula) of the first parsed parenthesized span
+    # with that key, as offsets into the ASCII encoding of the text; other
+    # texts are parsed without reuse
     spans = {}
+    data = text.encode("ascii") if text.isascii() else None
 
     def error(message, off):
         # a lexical error in the text not yet scanned comes first
@@ -358,15 +376,14 @@ def parse(text):
                 combined = _BINOP_BUILDERS[fr[1]](fr[0], fr[2])
             frames.pop()
             start = fr[4]
-            if pos - start >= _REUSE_MIN:
-                spans.setdefault(text[start:start + _REUSE_MIN], []).append(
-                    (start, pos - start, combined))
+            if pos - start >= _REUSE_MIN and data is not None:
+                spans.setdefault(_span_key(data, start), (start, pos, combined))
             settle(combined, off)
         # the rest start an operand, which must not follow a complete one
         elif fr[0] is not None and fr[1] is None:
             raise error("expected an operator or closing parenthesis", off)
         elif tok == "(":
-            repeat = spans and _repeated_span(spans, text, off)
+            repeat = spans and _repeated_span(spans, data, off)
             if repeat:  # it parses the same way here: skip past it
                 length, value = repeat
                 pos = off + length

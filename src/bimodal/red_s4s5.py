@@ -1,8 +1,8 @@
-"""Product-logic side of the machine reduction: the binary-counter formula
-on product frames, its witness model and trace extraction, and the
+"""Product-logic side of the reductions: the counter spec, and the
 machine-encoding formula's vocabulary, named conjuncts, step queries and
-product witness model.  `S4S5` hands them to the shared generator and
-extractor in `bimodal.reduction`.
+product witness model.  `S4S5` hands them to the engine in
+`bimodal.reduction`, which builds the counter and the machine encoding
+from them.
 
 The encoding's shared variables are LA over carrier atoms A
 (`shared_s4s5`); persistent X vectors carry values across []-steps, and
@@ -11,76 +11,41 @@ builder, `_product_witness`, makes both witnesses: the counter's is the
 machine witness's product over the path of counter values.
 """
 
-from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
-                      conj, disj, eq_vector, eq_binary, rightmost_zero,
-                      rightmost_one, unique, lt, leq, gt_binary,
-                      persistent_macro, shared_s4s5, ones)
-from .catalog import VariableCatalog
+from .formula import (Not, And, Box, L, Diamond, Implies, conj, disj,
+                      eq_vector, eq_binary, rightmost_zero, unique, lt, leq,
+                      gt_binary, persistent_macro, shared_s4s5,
+                      shared_var_s4s5)
 from .semantics import (BimodalModel, product_grid, product_point,
                         product_rows, S4S5_PRODUCT)
-from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
-                        everywhere, computation, fresh_cell_symbols,
-                        no_reject, gen_formula, grow_tree, check_morphism,
-                        counter_steps, _staircase, _pos_guard, _pos_move)
-# The shared engine's public names stay importable from here.
-from .reduction import (ExtractionError, ReductionParams, window_pos,  # noqa: F401
-                        entries_left_then_right)
-
-
-# ---------------------------------------------------------------------------
-# Binary counter: formula, witness model, trace extraction.
-
-def counter_catalog_s4s5(n):
-    cat = VariableCatalog()
-    for k in range(n):
-        cat.assign("A", k, k)
-    for k in range(n):
-        cat.assign("X", k, n + k)
-    return cat
-
-
-def _counter_vectors(n, cat):
-    alpha = FormulaVector([shared_s4s5(cat.formula("A", k))
-                           for k in range(n - 1, -1, -1)])
-    x = cat.vector("X", n)
-    return alpha, x
+from .reduction import (Reduction, Counter, Vocabulary, family_catalog,
+                        witness_data, everywhere, computation,
+                        fresh_cell_symbols, no_reject, gen_formula, grow_tree,
+                        gen_counter, build_counter, extract_counter,
+                        increment_at, moved_at, _pos_guard)
 
 
 def gen_counter_s4s5(n):
-    """Formula satisfiable exactly by models that count from 0 to 2^n - 1
-    along a staircase, with the persistent vector X carrying the
-    incremented value across each []-step."""
-    if n < 1:
-        raise ValueError("counter width must be at least 1")
-    cat = counter_catalog_s4s5(n)
-    alpha, x = _counter_vectors(n, cat)
-    f = conj([persistent_macro(x), eq_binary(alpha, 0),
-              K(Box(counter_steps(n, alpha, x)))])
-    return f, cat
+    """The product-logic counter formula, its persistent vector X carrying
+    the incremented value across each []-step (see `reduction.gen_counter`)."""
+    return gen_counter(S4S5, n)
 
 
 def build_counter_s4s5_model(n):
-    """Product witness model on {0..2^n-1} x {0..2^n-1}: the machine
-    witness's construction over the path of counter values, so the first
-    factor carries the counter value (<=-ordered), the second the
-    persistent X."""
-    if n < 1:
-        raise ValueError("counter width must be at least 1")
-    top = 2 ** n
-    cat = counter_catalog_s4s5(n)
-    return _product_witness(
-        range(top), [None, *range(top - 1)], [atom for _, _, atom in cat.entries()],
-        lambda i: [cat.atom("A", k) for k in ones(i)],
-        lambda j: [cat.atom("X", k) for k in ones(j)])
+    """The counter's product witness (see `reduction.build_counter`)."""
+    return build_counter(S4S5, n)
 
 
 def extract_counter_trace_s4s5(model, p0, n):
-    """Staircase trace for the product-logic counter: points p_0..p_{2^n-1}
-    with counter values 0..2^n-1, the incremented value carried along each
-    []-step by the persistent vector X."""
-    cat = counter_catalog_s4s5(n)
-    alpha, x = _counter_vectors(n, cat)
-    return _staircase(model, p0, n, alpha, x, marker=None)
+    """The product-logic counter's trace (see `reduction.extract_counter`)."""
+    return extract_counter(S4S5, model, p0, n)
+
+
+def _counter_witness(cat, n, values, parent):
+    """The machine witness's product over the path of counter values, so
+    the first factor carries the counter value (<=-ordered), the second
+    the persistent X."""
+    return _product_witness(cat, values, parent, lambda i: cat.bits("A", i),
+                            lambda j: cat.bits("X", j))
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +121,6 @@ def _read_a_symbol(v):
                  staying_inactive, storing])
 
 
-def _time_step_s4s5(v, k):
-    """alpha_time is the carried x_prevtime plus one, given that bit k is
-    x_prevtime's lowest zero."""
-    return And(eq_vector(v.alpha_time, v.x_prevtime, k),
-               rightmost_one(v.alpha_time, k))
-
-
-def _pos_step_s4s5(v, direction, l):
-    """alpha_pos is the carried x_prevpos moved one cell in the direction,
-    given that bit l is the bit the move flips."""
-    return And(eq_vector(v.alpha_pos, v.x_prevpos, l),
-               _pos_move(direction)(v.alpha_pos, l))
-
-
 def _after_s4s5(v, r, theta):
     """The successor cloud records the previous position, the new state
     and the written symbol."""
@@ -210,10 +161,11 @@ def _compstep_s4s5(v, r, theta, direction):
     pos_guard = _pos_guard(direction)
     guard = And(disj([rightmost_zero(v.alpha_time, k) for k in range(N)]),
                 disj([pos_guard(v.alpha_pos, l) for l in range(N + 1)]))
-    body = conj([Implies(rightmost_zero(v.x_prevtime, k), _time_step_s4s5(v, k))
+    body = conj([Implies(rightmost_zero(v.x_prevtime, k),
+                         increment_at(v.alpha_time, v.x_prevtime, k))
                  for k in range(N)]
                 + [Implies(pos_guard(v.x_prevpos, l),
-                           _pos_step_s4s5(v, direction, l))
+                           moved_at(v.alpha_pos, v.x_prevpos, direction, l))
                    for l in range(N + 1)]
                 + [_after_s4s5(v, r, theta)])
     return Implies(guard, L(And(_compstep_mid_s4s5(v), Diamond(body))))
@@ -256,41 +208,37 @@ def build_f_s4s5_model(params, tree):
     cat = f_s4s5_catalog(params)
     root = tree.root
 
-    def bits(fam, value):
-        return [cat.atom(fam, k) for k in ones(value)]
-
     def first(v):
         d = data[v]
-        out = (bits("A_time", d["time"]) + bits("A_pos", d["pos"])
+        out = (cat.bits("A_time", d["time"]) + cat.bits("A_pos", d["pos"])
                + [cat.atom("A_state", d["state"]), cat.atom("A_read", d["read"]),
                   cat.atom("A_written", d["written"])])
         if v != root:
-            out += bits("A_prevpos", data[tree.parent[v]]["pos"])
+            out += cat.bits("A_prevpos", data[tree.parent[v]]["pos"])
         return out
 
     def second(x):
         d = data[x]
-        out = (bits("X_tapv", d["tapv"]) + bits("X_pos", d["pos"])
+        out = (cat.bits("X_tapv", d["tapv"]) + cat.bits("X_pos", d["pos"])
                + [cat.atom("X_read", d["read"])])
         if x != root:
-            out += (bits("X_prevtime", d["time"] - 1)
-                    + bits("X_prevpos", data[tree.parent[x]]["pos"]))
+            out += (cat.bits("X_prevtime", d["time"] - 1)
+                    + cat.bits("X_prevpos", data[tree.parent[x]]["pos"]))
         return out
 
-    return _product_witness(tree.nodes(), tree.parent,
-                            [atom for _, _, atom in cat.entries()], first,
-                            second, active=cat.atom("B_active"))
+    return _product_witness(cat, tree.nodes(), tree.parent, first, second,
+                            active=cat.atom("B_active"))
 
 
-def _product_witness(nodes, parent, atoms, first, second, active=None):
+def _product_witness(cat, nodes, parent, first, second, active=None):
     """The product witness over a tree whose nodes come parents first,
     with parent links (None at the root): the first factor is the tree
     under ancestry, the second the same nodes under the full relation,
     built as rows by `product_rows` in `product_grid`'s cell order.  Of
-    the atoms, first(v) hold on v's whole row of cells (v, *), second(x)
-    on x's whole column (*, x), and active, if given, on the ancestry
-    cells (v, x) with v on x's root path.  The designated world is
-    (root, root)."""
+    the catalog's atoms, first(v) hold on v's whole row of cells (v, *),
+    second(x) on x's whole column (*, x), and active, if given, on the
+    ancestry cells (v, x) with v on x's root path.  The designated world
+    is (root, root)."""
     firsts, seconds, names = product_grid(nodes, nodes)
     m = len(firsts)
     row_of = {v: i for i, v in enumerate(firsts)}
@@ -304,7 +252,7 @@ def _product_witness(nodes, parent, atoms, first, second, active=None):
             columns[parent[v]] |= columns[v]
     full = (1 << m) - 1
     first_column = sum(1 << i * m for i in range(m))
-    masks = dict.fromkeys(atoms, 0)
+    masks = dict.fromkeys((atom for _, _, atom in cat.entries()), 0)
     for w in nodes:
         for atom in first(w):
             masks[atom] |= full << row_of[w] * m
@@ -329,7 +277,8 @@ def _step_query_s4s5(v, entry, k, l):
     carries, given the live time bit k and position bit l."""
     r, theta, direction = entry
     return (_compstep_mid_s4s5(v),
-            conj([_time_step_s4s5(v, k), _pos_step_s4s5(v, direction, l),
+            conj([increment_at(v.alpha_time, v.x_prevtime, k),
+                  moved_at(v.alpha_pos, v.x_prevpos, direction, l),
                   _after_s4s5(v, r, theta)]))
 
 
@@ -343,18 +292,12 @@ S4S5 = Reduction(frame_class=S4S5_PRODUCT,
                  conjuncts=_CONJUNCTS, step_query=_step_query_s4s5,
                  node_check=("prevpos-and-written", _prevpos_and_written),
                  build_model=build_f_s4s5_model,
-                 gen_counter=gen_counter_s4s5,
-                 extract_counter=extract_counter_trace_s4s5)
+                 counter=Counter(marker=None, shared=shared_var_s4s5,
+                                 lead=lambda b, x: persistent_macro(x),
+                                 witness=_counter_witness))
 
 
 def extract_accepting_tree_s4s5(model, r0, params):
     """Accepting tree and morphism from any commutator model of the
     machine-encoding formula (see `reduction.grow_tree`)."""
     return grow_tree(S4S5, model, r0, params)
-
-
-def check_morphism_s4s5(model, r0, params, tree, pi):
-    """Root anchoring, edge preservation, the previous-position and
-    written-symbol shared variables, and the configurations (see
-    `reduction.check_morphism`)."""
-    return check_morphism(S4S5, model, r0, params, tree, pi)

@@ -1,7 +1,7 @@
-"""Subset-space side of the machine reduction: the binary-counter formula,
-its witness model and trace extraction, and the machine-encoding formula's
-vocabulary, named conjuncts, step queries and witness model.  `SSL` hands
-them to the shared generator and extractor in `bimodal.reduction`.
+"""Subset-space side of the reductions: the counter spec, and the
+machine-encoding formula's vocabulary, named conjuncts, step queries and
+witness model.  `SSL` hands them to the engine in `bimodal.reduction`,
+which builds the counter and the machine encoding from them.
 
 The encoding's shared variables are L(A & []LB) over carrier atoms A and
 the class marker B (`shared_ssl`); the witness model has one cloud per
@@ -10,76 +10,42 @@ tree node plus a final cloud of carrier points.  One builder,
 witness's construction over the path of counter values.
 """
 
-from .formula import (And, K, Box, L, Diamond, Implies, FormulaVector, conj,
-                      disj, eq_vector, eq_binary, rightmost_zero,
-                      rightmost_one, unique, neq, lt, leq, neq_plus1,
-                      gt_binary, shared_ssl, ones)
-from .catalog import VariableCatalog
+from .formula import (And, Implies, L, Diamond, conj, disj, eq_vector,
+                      eq_binary, rightmost_zero, unique, neq, lt, leq,
+                      neq_plus1, gt_binary, shared_ssl, shared_var_ssl, ones)
 from .semantics import BimodalModel, CROSS_AXIOM
 from .atm import BLANK
-from .reduction import (Reduction, Vocabulary, family_catalog, witness_data,
-                        everywhere, computation, fresh_cell_symbols,
-                        no_reject, gen_formula, grow_tree, check_morphism,
-                        counter_steps, _staircase, _pos_guard, _pos_move)
+from .reduction import (Reduction, Counter, Vocabulary, family_catalog,
+                        witness_data, everywhere, computation,
+                        fresh_cell_symbols, no_reject, gen_formula, grow_tree,
+                        gen_counter, build_counter, extract_counter,
+                        increment_at, moved_at, _pos_guard)
 # The shared engine's public names stay importable from here.
 from .reduction import (ExtractionError, ReductionParams, window_offset,  # noqa: F401
                         window_pos, entries_left_then_right)
 
 
-# ---------------------------------------------------------------------------
-# Binary counter: formula, witness model, trace extraction.
-
-def counter_catalog(n):
-    cat = VariableCatalog()
-    cat.assign("B", None, 0)
-    for k in range(n):
-        cat.assign("A", k, 1 + k)
-    for k in range(n):
-        cat.assign("X", k, 1 + n + k)
-    return cat
-
-
-def _counter_vectors(n, cat):
-    b = cat.formula("B")
-    alpha = FormulaVector([shared_ssl(cat.formula("A", k), b)
-                           for k in range(n - 1, -1, -1)])
-    x = cat.vector("X", n)
-    return b, alpha, x
-
-
 def gen_counter_ssl(n):
-    """Formula satisfiable exactly by models that count from 0 to 2^n - 1
-    along a staircase of L- and []-steps."""
-    if n < 1:
-        raise ValueError("counter width must be at least 1")
-    cat = counter_catalog(n)
-    b, alpha, x = _counter_vectors(n, cat)
-    f = conj([b, eq_binary(alpha, 0), K(Box(counter_steps(n, alpha, x, b)))])
-    return f, cat
+    """The subset-space counter formula (see `reduction.gen_counter`)."""
+    return gen_counter(SSL, n)
 
 
 def build_counter_ssl_model(n):
-    """Witness model of the counter formula: the machine witness's
-    construction over the path of counter values 0..2^n-1, with carrier k
-    for bit k of the value and the final cloud 2^n."""
-    if n < 1:
-        raise ValueError("counter width must be at least 1")
-    top = 2 ** n
-    cat = counter_catalog(n)
-    x_atoms = [cat.atom("X", k) for k in range(n)]
-    return _cloud_witness(
-        cat.atom("B"), range(top), [None, *range(top - 1)], top,
-        [(k, cat.atom("A", k)) for k in range(n)], ones, x_atoms,
-        lambda j: [x_atoms[k] for k in ones(j)])
+    """The counter's cloud witness (see `reduction.build_counter`)."""
+    return build_counter(SSL, n)
 
 
 def extract_counter_trace(model, p0, n):
-    """Staircase trace for the subset-space counter: points p_0..p_{2^n-1}
-    with counter values 0..2^n-1, linked by L-steps to the p'_i points and
-    []-steps onward."""
-    cat = counter_catalog(n)
-    b, alpha, x = _counter_vectors(n, cat)
-    return _staircase(model, p0, n, alpha, x, marker=b)
+    """The subset-space counter's trace (see `reduction.extract_counter`)."""
+    return extract_counter(SSL, model, p0, n)
+
+
+def _counter_witness(cat, n, values, parent):
+    """The machine witness's construction over the path of counter values,
+    with carrier k for bit k of the value and the final cloud 2^n."""
+    return _cloud_witness(cat, values, parent, len(values),
+                          [(k, cat.atom("A", k)) for k in range(n)], ones,
+                          lambda j: cat.bits("X", j))
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +101,6 @@ def _get_the_right_symbol(v):
     return And(fresh, revisit)
 
 
-def _time_step_ssl(v, k):
-    """x_time is alpha_time plus one, given that bit k is alpha_time's
-    lowest zero."""
-    return And(eq_vector(v.x_time, v.alpha_time, k), rightmost_one(v.x_time, k))
-
-
-def _pos_step_ssl(v, direction, l):
-    """x_pos is alpha_pos moved one cell in the direction, given that bit
-    l is the bit the move flips."""
-    return And(eq_vector(v.x_pos, v.alpha_pos, l),
-               _pos_move(direction)(v.x_pos, l))
-
-
 def _after_ssl(v, r, theta):
     """The successor cloud's shared vectors take over the persistent
     values: time, position and read symbol, plus the new state and the
@@ -181,8 +134,9 @@ def _compstep_ssl(v, r, theta, direction):
     tg = [rightmost_zero(v.alpha_time, k) for k in range(N)]
     pg = [pos_guard(v.alpha_pos, l) for l in range(N + 1)]
     body = conj([v.b]
-                + [Implies(tg[k], _time_step_ssl(v, k)) for k in range(N)]
-                + [Implies(pg[l], _pos_step_ssl(v, direction, l))
+                + [Implies(tg[k], increment_at(v.x_time, v.alpha_time, k))
+                   for k in range(N)]
+                + [Implies(pg[l], moved_at(v.x_pos, v.alpha_pos, direction, l))
                    for l in range(N + 1)]
                 + [Diamond(_after_ssl(v, r, theta))])
     return Implies(conj([v.b, disj(tg), disj(pg)]), L(body))
@@ -224,9 +178,6 @@ def build_f_ssl_model(params, tree):
     carriers = [(f"{fam}_{key}", atom) for fam, key, atom in cat.entries()
                 if fam.startswith("A_")]
 
-    def bits(fam, value):
-        return [cat.atom(fam, k) for k in ones(value)]
-
     def stoppers(v):
         d = data[v]
         return ([f"A_time_{k}" for k in ones(d["time"])]
@@ -236,30 +187,27 @@ def build_f_ssl_model(params, tree):
 
     def x_true(x):
         d = data[x]
-        return (bits("X_time", d["time"])
-                + bits("X_tapv", d["tapv"])
-                + bits("X_pos", d["pos"]) + [cat.atom("X_read", d["read"])])
+        return (cat.bits("X_time", d["time"]) + cat.bits("X_tapv", d["tapv"])
+                + cat.bits("X_pos", d["pos"]) + [cat.atom("X_read", d["read"])])
 
-    return _cloud_witness(
-        cat.atom("B"), tree.nodes(), tree.parent, "T", carriers, stoppers,
-        [atom for fam, _, atom in cat.entries() if fam.startswith("X_")],
-        x_true)
+    return _cloud_witness(cat, tree.nodes(), tree.parent, "T", carriers,
+                          stoppers, x_true)
 
 
-def _cloud_witness(marker, nodes, parent, top, carriers, stoppers, x_atoms,
-                   x_true):
+def _cloud_witness(cat, nodes, parent, top, carriers, stoppers, x_true):
     """The cross-axiom witness over a tree whose nodes come parents first,
-    with parent links (None at the root).  carriers are (label, atom)
-    pairs, stoppers(v) the carrier labels stopped at node v.
+    with parent links (None at the root), on the atoms of the catalog cat.
+    carriers are (label, atom) pairs, stoppers(v) the carrier labels
+    stopped at node v.
 
     Node v's cloud holds p_v_x for each descendant-or-self x, u_v_c for
     each carrier label c and s_v_c for each stopper c of v; the final
     cloud top holds only the u_top_c.  p_v_x sees p_v'_x for each v' from
     v down to x; u_v_c sees u_v'_c and s_v'_c for each descendant-or-self
-    v', and u_top_c; an s-point sees itself.  The marker holds at every
+    v', and u_top_c; an s-point sees itself.  The marker B holds at every
     p-point, a carrier's atom at its u- and s-points, and x_true(x), a
-    list drawn from x_atoms, at the p-points p_v_x.  The designated world
-    is p_root_root."""
+    list of atoms of the X families, at the p-points p_v_x.  The
+    designated world is p_root_root."""
     path = {}
     for x in nodes:
         path[x] = path.get(parent[x], []) + [x]
@@ -273,6 +221,8 @@ def _cloud_witness(marker, nodes, parent, top, carriers, stoppers, x_atoms,
     bit = {w: 1 << i for i, w in enumerate(worlds)}
 
     succ_d = dict(bit)  # the rows of the s-points and of the final cloud
+    marker = cat.atom("B")
+    x_atoms = [atom for fam, _, atom in cat.entries() if fam.startswith("X")]
     masks = dict.fromkeys([marker, *(atom for _, atom in carriers), *x_atoms], 0)
     # each row is the next one's plus its own point, so p rows build up
     # from x towards the root and u rows from the leaves up
@@ -313,7 +263,8 @@ def _step_query_ssl(v, entry, k, l):
     """The L-neighbour of a step holds the new time and position in its
     persistent vectors; its []-successor is the successor's cloud."""
     r, theta, direction = entry
-    return (conj([v.b, _time_step_ssl(v, k), _pos_step_ssl(v, direction, l)]),
+    return (conj([v.b, increment_at(v.x_time, v.alpha_time, k),
+                  moved_at(v.x_pos, v.alpha_pos, direction, l)]),
             _after_ssl(v, r, theta))
 
 
@@ -325,17 +276,12 @@ SSL = Reduction(frame_class=CROSS_AXIOM, catalog=f_ssl_catalog,
                 vocab=_SslVocab, conjuncts=_CONJUNCTS,
                 step_query=_step_query_ssl,
                 node_check=("written-symbols", _written_symbol),
-                build_model=build_f_ssl_model, gen_counter=gen_counter_ssl,
-                extract_counter=extract_counter_trace)
+                build_model=build_f_ssl_model,
+                counter=Counter(marker="B", shared=shared_var_ssl,
+                                lead=lambda b, x: b, witness=_counter_witness))
 
 
 def extract_accepting_tree_ssl(model, r0, params):
     """Accepting tree and morphism from any model of the machine-encoding
     formula (see `reduction.grow_tree`)."""
     return grow_tree(SSL, model, r0, params)
-
-
-def check_morphism_ssl(model, r0, params, tree, pi):
-    """Root anchoring, edge preservation, the written-symbol shared
-    variable and the configurations (see `reduction.check_morphism`)."""
-    return check_morphism(SSL, model, r0, params, tree, pi)

@@ -1,10 +1,11 @@
-"""Logic-neutral machinery of the two machine reductions: parameters and
-tape-window coordinates, the shared shape of the step relation, the
-counter staircase, and the tree-growing extractor with its morphism check.
+"""Logic-neutral machinery of the two reductions: parameters and
+tape-window coordinates, the binary counter, the shared shape of the step
+relation, and the tree-growing extractor with its morphism check.
 
 Each logic describes its side of the construction in a `Reduction`
-record (vocabulary, named conjuncts, step queries, witness model); the
-functions here take that record and do the rest the same way for both.
+record (vocabulary, named conjuncts, step queries, witness model, and a
+`Counter` spec of what the two counters differ in); the functions here
+take that record and do the rest the same way for both.
 
 The machine encoding views a computation through a tape window
 [0, 2^(N+1)-2] with the head starting at cell 2^N-1, where N = p(n) for
@@ -185,7 +186,66 @@ class Vocabulary:
 
 
 # ---------------------------------------------------------------------------
-# Binary counter: step block and staircase extraction.
+# Binary counter: catalog, formula, witness model and staircase extraction.
+
+class Counter(NamedTuple):
+    """What a logic's binary counter differs in: the class-marker family
+    (or None); shared(k, cat), shared variable k; lead(b, x), the leading
+    conjunct, given the marker formula b (or None) and the persistent
+    vector x; and witness(cat, n, values, parent), the logic's witness
+    model over the path of counter values."""
+    marker: str | None
+    shared: Callable
+    lead: Callable
+    witness: Callable
+
+
+def counter_catalog(red, n):
+    """Atom layout of the n-bit counter: the class marker B first when the
+    logic has one, then A_0..A_{n-1}, then X_0..X_{n-1}."""
+    if n < 1:
+        raise ValueError("counter width must be at least 1")
+    cat = VariableCatalog()
+    if red.counter.marker is not None:
+        cat.assign_next(red.counter.marker, None)
+    for fam in ("A", "X"):
+        for k in range(n):
+            cat.assign_next(fam, k)
+    return cat
+
+
+def _counter_vectors(red, n):
+    """The counter's catalog, marker formula (or None), shared vector and
+    persistent vector, most significant bit first."""
+    cat = counter_catalog(red, n)
+    marker = red.counter.marker
+    b = None if marker is None else cat.formula(marker)
+    alpha = FormulaVector([red.counter.shared(k, cat) for k in range(n - 1, -1, -1)])
+    return cat, b, alpha, cat.vector("X", n)
+
+
+def gen_counter(red, n):
+    """Formula satisfiable exactly by models that count from 0 to 2^n - 1
+    along a staircase of L- and []-steps."""
+    cat, b, alpha, x = _counter_vectors(red, n)
+    return conj([red.counter.lead(b, x), eq_binary(alpha, 0),
+                 K(Box(counter_steps(n, alpha, x, b)))]), cat
+
+
+def build_counter(red, n):
+    """The logic's witness model over the path of counter values 0..2^n-1."""
+    top = 2 ** n
+    return red.counter.witness(counter_catalog(red, n), n, range(top),
+                               [None, *range(top - 1)])
+
+
+def extract_counter(red, model, p0, n):
+    """Staircase trace of the counter from p0: points p_0..p_{2^n-1} with
+    counter values 0..2^n-1, linked by L-steps to the p'_i points and
+    []-steps onward."""
+    _, b, alpha, x = _counter_vectors(red, n)
+    return _staircase(model, p0, n, alpha, x, b)
+
 
 def _marked(marker, parts):
     """Conjunction of parts, led by marker unless it is None."""
@@ -264,10 +324,16 @@ def _pos_guard(direction):
     return rightmost_zero if direction == RIGHT else rightmost_one
 
 
-def _pos_move(direction):
-    """Macro stating that the new position has the opposite lowest bit at
-    the bit the move flipped."""
-    return rightmost_one if direction == RIGHT else rightmost_zero
+def increment_at(new, old, k):
+    """new is old plus one, given that bit k is old's lowest zero."""
+    return And(eq_vector(new, old, k), rightmost_one(new, k))
+
+
+def moved_at(new, old, direction, l):
+    """new is old moved one cell in the direction, given that bit l is the
+    bit the move flips."""
+    move = rightmost_one if direction == RIGHT else rightmost_zero
+    return And(eq_vector(new, old, l), move(new, l))
 
 
 def entries_left_then_right(atm, q, a):
@@ -332,6 +398,7 @@ class Reduction(NamedTuple):
     L-neighbour satisfies mid and its []-successor satisfies target.
     node_check is (name, builder) for the per-node morphism condition,
     builder(v, data, nid, parent) giving the formula pi(nid) must satisfy.
+    counter is the logic's binary-counter spec.
     """
     frame_class: str
     catalog: Callable
@@ -340,8 +407,7 @@ class Reduction(NamedTuple):
     step_query: Callable
     node_check: tuple
     build_model: Callable
-    gen_counter: Callable
-    extract_counter: Callable
+    counter: Counter
 
 
 def gen_formula(red, params):

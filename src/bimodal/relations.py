@@ -23,12 +23,14 @@ from .formula import ATOM, NOT, AND, KMOD, postorder
 # within each class; a cache hit skips the Python loop.
 @lru_cache(maxsize=64)
 def bits(mask):
-    """Indices of the set bits of mask, ascending, as a tuple."""
+    """Indices of the set bits of mask, ascending, as a tuple: the ones of
+    its binary numeral read from the low end, found by `str.find`."""
+    digits = bin(mask)[:1:-1]
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return tuple(out)
 
 

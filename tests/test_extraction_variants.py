@@ -17,7 +17,7 @@ import pytest
 
 from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
-from bimodal.reduction import ReductionParams, grow_tree
+from bimodal.reduction import ReductionParams, check_morphism, grow_tree
 from bimodal.semantics import (BimodalModel, validate, CROSS_AXIOM,
                                S4S5_COMMUTATOR)
 
@@ -27,13 +27,13 @@ MACHINES = {"m1": ROOT / "fixtures" / "m1.atm",
             "fan": ROOT / "bench" / "machines" / "fan.atm"}
 INPUTS = [("m1", "a", (2, 1)), ("m1", "ab", (2, 1)), ("bounce", "bab", (2, 1)),
           ("fan", "bbb", (0, 1))]
-# builder, extractor, morphism check, and the class every variant keeps
+# builder, extractor, reduction, and the class every variant keeps
 # (a product with renamed or copied worlds is no longer a grid)
 LOGICS = {
     "ssl": (red_ssl.build_f_ssl_model, red_ssl.extract_accepting_tree_ssl,
-            red_ssl.check_morphism_ssl, CROSS_AXIOM),
+            red_ssl.SSL, CROSS_AXIOM),
     "s4s5": (red_s4s5.build_f_s4s5_model, red_s4s5.extract_accepting_tree_s4s5,
-             red_s4s5.check_morphism_s4s5, S4S5_COMMUTATOR),
+             red_s4s5.S4S5, S4S5_COMMUTATOR),
 }
 
 
@@ -99,13 +99,13 @@ def with_copies(model, p0, rng, frame_class):
                          ids=[f"{m}-{w}" for m, w, _ in INPUTS])
 def test_extraction_from_a_witness_variant(machine, w, poly, logic, variant, seed):
     params, tree, model, p0 = witness(machine, w, poly, logic)
-    _, extract, check_morphism, frame_class = LOGICS[logic]
+    _, extract, red, frame_class = LOGICS[logic]
     rng = random.Random(f"{machine}/{w}/{logic}/{variant.__name__}/{seed}")
     changed, point = variant(model, p0, rng, frame_class)
     assert validate(changed, frame_class).ok
     got, pi = extract(changed, point, params)
     assert am.trees_label_equal(got, tree)
-    assert check_morphism(changed, point, params, got, pi).ok
+    assert check_morphism(red, changed, point, params, got, pi).ok
 
 
 @pytest.mark.parametrize("logic, red", [("ssl", red_ssl.SSL), ("s4s5", red_s4s5.S4S5)],

@@ -578,6 +578,36 @@ def test_grammar_error_after_reused_span_yields_to_lexical(monkeypatch, text,
     assert outcome(reference_parse, text) == expected
 
 
+
+def test_parse_finds_spans_that_share_their_first_32_characters(monkeypatch):
+    """Chains of 40 to 80 conjuncts over the same atoms, conjoined: every
+    chain's text opens with at least 32 parentheses, so all their spans
+    share their first 32 characters and differ in length.  Each chain is
+    the one before it with one more conjunct, so after the first chain the
+    parser finds each shorter chain inside the next one in one lookup."""
+    atoms = [Atom(i) for i in range(80)]
+    f = fm.conj([fm.conj(atoms[:m]) for m in range(40, 81)])
+    text = fm.render(f)
+    found = []
+
+    def spy(*args):
+        found.append(repeated_span(*args))
+        return found[-1]
+
+    repeated_span = fm._repeated_span
+    monkeypatch.setattr(fm, "_repeated_span", spy)
+    assert fm.parse(text) is f
+    assert [length for length, _ in filter(None, found)] == [
+        len(fm.render(fm.conj(atoms[:m]))) for m in range(40, 80)]
+    # nothing is looked up before the first chain is parsed; then each
+    # longer chain misses at its own opening parenthesis and finds the
+    # chain before it at the next one
+    assert len(found) == 2 * 40
+    # the same spans in a different order, and one chain of another
+    # length that shares them, parse like the reference
+    again = fm.render(fm.conj([fm.conj(atoms[:m]) for m in (70, 45, 70, 60, 45)]))
+    assert outcome(fm.parse, again) == outcome(reference_parse, again)
+
 # --- numeric helpers ---------------------------------------------------------
 
 def test_ones_bit_bin_str():

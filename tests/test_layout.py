@@ -1,11 +1,11 @@
 """Package layout: the library imports nothing but the standard library
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
-in one place, builds products only from factor rows and checks frames in
-one place, keeps no product flag, builds each connective through one
-constructor, walks formulas through one postorder and prints every
-pass/fail check through one report class; and
-the benchmark worker still finds every library function it calls by
+in one place, keeps the binary counter in the shared engine, builds
+products only from factor rows and checks frames in one place, keeps no
+product flag, builds each connective through one constructor, walks
+formulas through one postorder and prints every pass/fail check through
+one report class; and the benchmark worker still finds every library function it calls by
 name."""
 
 import ast
@@ -74,6 +74,20 @@ def test_one_witness_builder_per_logic(module, constructor):
     builder, so its model constructor is called in exactly one place."""
     assert len(list(calls_to(PACKAGE / module, constructor))) == 1
 
+
+@pytest.mark.parametrize("module", ["red_ssl.py", "red_s4s5.py"])
+def test_one_counter_in_the_engine(module):
+    """The binary counter's catalog, formula and staircase live in
+    `reduction`; a logic module only fills in its counter spec, so no
+    second counter creeps back in."""
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not any("counter_catalog" in name or "counter_vectors" in name
+                   for name in defined)
+    for callee in ("VariableCatalog", "counter_steps", "_staircase"):
+        assert list(calls_to(path, callee)) == []
 
 def test_one_product_path():
     """Products are built from factor rows by `product_rows`; no product

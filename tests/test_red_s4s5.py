@@ -13,12 +13,12 @@ from bimodal.formula import (And, K, Box, L, Diamond, Implies, conj,
                              rightmost_one)
 from bimodal.semantics import validate, clouds, S4S5_PRODUCT, BimodalModel
 from bimodal.red_ssl import ReductionParams, ExtractionError
-from bimodal.red_s4s5 import (counter_catalog_s4s5, gen_counter_s4s5,
+from bimodal.red_s4s5 import (S4S5, gen_counter_s4s5,
                               build_counter_s4s5_model,
                               extract_counter_trace_s4s5, f_s4s5_catalog,
                               gen_f_s4s5, build_f_s4s5_model,
-                              extract_accepting_tree_s4s5,
-                              check_morphism_s4s5)
+                              extract_accepting_tree_s4s5)
+from bimodal.reduction import check_morphism, counter_catalog
 from tests.conftest import M1_PATH, mutants, pinned
 
 
@@ -68,7 +68,7 @@ def test_counter_trace_decodes_to_all_values(n):
 
 
 def test_counter_catalog_layout():
-    cat = counter_catalog_s4s5(2)
+    cat = counter_catalog(S4S5, 2)
     assert cat.atom("A", 0) == 0 and cat.atom("A", 1) == 1
     assert cat.atom("X", 0) == 2 and cat.atom("X", 1) == 3
 
@@ -115,7 +115,7 @@ def test_f_s4s5_extraction_round_trip(s4s5_setup):
     extracted, pi = extract_accepting_tree_s4s5(model, p0, params)
     assert am.validate_tree(params.atm, params.w, extracted).ok
     assert am.trees_label_equal(extracted, tree)
-    assert check_morphism_s4s5(model, p0, params, extracted, pi).ok
+    assert check_morphism(S4S5, model, p0, params, extracted, pi).ok
 
 
 def test_f_s4s5_extraction_flags_wrong_start(s4s5_setup):
@@ -161,14 +161,14 @@ def test_f_s4s5_extraction_names_a_broken_l_relation(s4s5_setup):
 def test_f_s4s5_morphism_report_lines(s4s5_setup):
     params, f, cat, tree, model, p0 = s4s5_setup
     extracted, pi = extract_accepting_tree_s4s5(model, p0, params)
-    assert check_morphism_s4s5(model, p0, params, extracted, pi).lines() == [
+    assert check_morphism(S4S5, model, p0, params, extracted, pi).lines() == [
         "root-anchored: pass", "edges-preserved: pass",
         "prevpos-and-written: pass", "configurations: pass", "result: pass"]
     # node 3 is a leaf under node 1; the root's cloud is not below node 1's
     assert extracted.parent[3] == 1
     moved = dict(pi)
     moved[3] = p0
-    assert check_morphism_s4s5(model, p0, params, extracted, moved).lines() == [
+    assert check_morphism(S4S5, model, p0, params, extracted, moved).lines() == [
         "root-anchored: pass", "edges-preserved: fail (1, 3)",
         "prevpos-and-written: fail 3", "configurations: fail 3",
         "result: fail"]

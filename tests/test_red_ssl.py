@@ -11,13 +11,13 @@ from bimodal import red_ssl, satbound
 from bimodal.formula import (Atom, And, L, Diamond, Implies, conj, eq_vector,
                              eq_binary, rightmost_zero, rightmost_one)
 from bimodal.semantics import validate, clouds, CROSS_AXIOM
-from bimodal.red_ssl import (ReductionParams, ExtractionError,
-                             counter_catalog, gen_counter_ssl,
-                             build_counter_ssl_model, extract_counter_trace,
-                             f_ssl_catalog, gen_f_ssl, build_f_ssl_model,
-                             extract_accepting_tree_ssl, check_morphism_ssl,
+from bimodal.red_ssl import (ReductionParams, ExtractionError, SSL,
+                             gen_counter_ssl, build_counter_ssl_model,
+                             extract_counter_trace, f_ssl_catalog, gen_f_ssl,
+                             build_f_ssl_model, extract_accepting_tree_ssl,
                              entries_left_then_right, window_offset,
                              window_pos)
+from bimodal.reduction import check_morphism, counter_catalog
 from tests.conftest import mutants, pinned
 
 
@@ -76,7 +76,7 @@ def test_counter_trace_from_a_five_point_oracle_hit(five_point_frames):
 
 
 def test_counter_catalog_layout():
-    cat = counter_catalog(2)
+    cat = counter_catalog(SSL, 2)
     assert cat.atom("B") == 0
     assert cat.atom("A", 0) == 1 and cat.atom("A", 1) == 2
     assert cat.atom("X", 0) == 3 and cat.atom("X", 1) == 4
@@ -165,7 +165,7 @@ def test_f_ssl_extraction_round_trip(ssl_setup):
     extracted, pi = extract_accepting_tree_ssl(model, p0, params)
     assert am.validate_tree(params.atm, params.w, extracted).ok
     assert am.trees_label_equal(extracted, tree)
-    report = check_morphism_ssl(model, p0, params, extracted, pi)
+    report = check_morphism(SSL, model, p0, params, extracted, pi)
     assert report.ok
 
 
@@ -213,14 +213,14 @@ def test_f_ssl_extraction_names_a_broken_l_relation(ssl_setup):
 def test_f_ssl_morphism_report_lines(ssl_setup):
     params, f, cat, tree, model, p0 = ssl_setup
     extracted, pi = extract_accepting_tree_ssl(model, p0, params)
-    assert check_morphism_ssl(model, p0, params, extracted, pi).lines() == [
+    assert check_morphism(SSL, model, p0, params, extracted, pi).lines() == [
         "root-anchored: pass", "edges-preserved: pass",
         "written-symbols: pass", "configurations: pass", "result: pass"]
     # node 3 is a leaf under node 1; the root's cloud is not below node 1's
     assert extracted.parent[3] == 1
     moved = dict(pi)
     moved[3] = p0
-    assert check_morphism_ssl(model, p0, params, extracted, moved).lines() == [
+    assert check_morphism(SSL, model, p0, params, extracted, moved).lines() == [
         "root-anchored: pass", "edges-preserved: fail (1, 3)",
         "written-symbols: fail 3", "configurations: fail 3", "result: fail"]
 

@@ -6,6 +6,9 @@ run on a word with a b in the universal phase has a rejecting branch and
 the mutant accepts neither "bbb" nor "abbb", where fan accepts both.  The
 formula of the mutant must then be false at every world of fan's
 witnesses, and the CLI must refuse to build a witness for it.
+
+The m1 and bounce fixtures get the same treatment: each near miss points
+the move its accepting runs end with at the rejecting state.
 """
 
 import pytest
@@ -14,11 +17,18 @@ from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
 from bimodal.cli import main
 from bimodal.reduction import ReductionParams
-from tests.conftest import FAN_PATH
+from tests.conftest import FAN_PATH, M1_PATH, ROOT
 
 FAN_TEXT = FAN_PATH.read_text()
 NEAR_MISS_TEXT = FAN_TEXT.replace("delta: q0 b -> q0 a R\n",
                                   "delta: q0 b -> qrej a R\n")
+# machine -> (text, the move pointed at qrej, word, witness worlds by logic)
+FIXTURES = {
+    "m1": (M1_PATH.read_text(), "delta: q1 a -> qacc b L", "ab",
+           {"ssl": 118, "s4s5": 16}),
+    "bounce": ((ROOT / "bench" / "machines" / "bounce.atm").read_text(),
+               "delta: q1 # -> qacc # R", "bab", {"ssl": 342, "s4s5": 100}),
+}
 LOGICS = {"ssl": (red_ssl.gen_f_ssl, red_ssl.build_f_ssl_model),
           "s4s5": (red_s4s5.gen_f_s4s5, red_s4s5.build_f_s4s5_model)}
 
@@ -58,3 +68,51 @@ def test_build_model_refuses_a_rejected_input(tmp_path, capsys, logic):
     assert ("the machine does not accept 'bbb' within 7 steps"
             in capsys.readouterr().err)
     assert not out_file.exists()
+
+
+def fixture_near_miss(machine):
+    """The fixture's text and its near miss's."""
+    text, move, _, _ = FIXTURES[machine]
+    return text, text.replace(move + "\n", move.replace("qacc", "qrej") + "\n")
+
+
+@pytest.mark.parametrize("machine", sorted(FIXTURES))
+def test_fixture_near_miss_differs_in_one_transition(machine):
+    text, near_miss = fixture_near_miss(machine)
+    move = FIXTURES[machine][1]
+    changed = set(near_miss.splitlines()) ^ set(text.splitlines())
+    assert changed == {move, move.replace("qacc", "qrej")}
+
+
+@pytest.mark.parametrize("logic", sorted(LOGICS))
+@pytest.mark.parametrize("machine", sorted(FIXTURES))
+def test_fixture_near_miss_formula_holds_nowhere_on_the_witness(machine, logic):
+    gen, build = LOGICS[logic]
+    text, near_miss_text = fixture_near_miss(machine)
+    _, _, w, worlds = FIXTURES[machine]
+    machine_spec = am.parse_atm(text)
+    near_miss = am.parse_atm(near_miss_text)
+    params = ReductionParams(machine_spec, [1, 1], w)
+    bound = 2 ** params.N - 1
+    assert am.find_accepting_tree(near_miss, w, bound) is None
+    model, point = build(params, am.find_accepting_tree(machine_spec, w, bound))
+    assert len(model.worlds) == worlds[logic]
+    assert model.eval(point, gen(params)[0])
+    f_near_miss, _ = gen(ReductionParams(near_miss, [1, 1], w))
+    assert model.sat_set(f_near_miss) == []
+
+
+@pytest.mark.parametrize("logic", sorted(LOGICS))
+@pytest.mark.parametrize("machine", sorted(FIXTURES))
+def test_build_model_refuses_a_fixture_near_miss(tmp_path, capsys, machine,
+                                                 logic):
+    _, near_miss = fixture_near_miss(machine)
+    w = FIXTURES[machine][2]
+    atm_file = tmp_path / "near_miss.atm"
+    atm_file.write_text(near_miss)
+    code = main(["build", "model", "--logic", logic, "--atm", str(atm_file),
+                 "--w", w, "--poly", "1,1"])
+    assert code == 1
+    steps = 2 ** (1 + len(w)) - 1
+    assert (f"the machine does not accept {w!r} within {steps} steps"
+            in capsys.readouterr().err)
