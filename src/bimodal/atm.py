@@ -83,9 +83,6 @@ class AtmSpec:
         """Right-hand sides for (q, a), in declaration order."""
         return list(self._delta_map.get((q, a), []))
 
-    def max_branching(self):
-        return max((len(v) for v in self._delta_map.values()), default=1)
-
 
 class Configuration:
     """Instantaneous description: state, head cell, and a default-blank tape
@@ -301,12 +298,6 @@ def find_accepting_tree(atm, w, time_bound):
                 child = tree.add_child(v, s)
                 pending.append((child, s, fuel - 1))
     return tree
-
-
-def accepts(atm, w, time_bound):
-    """Whether the machine accepts w within time_bound steps: the same
-    iterative search `find_accepting_tree` runs first, with a fresh memo."""
-    return _accepts(atm, initial_config(atm, w), time_bound, {})
 
 
 # ---------------------------------------------------------------------------

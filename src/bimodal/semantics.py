@@ -32,12 +32,13 @@ off that grid.
 A model file has one line per world, relation pair and atom, so a model
 accepts only world names that are one whitespace-free token and only a
 known frame class: every model saves to a file that reads back.  The writer
-joins each row's lines into one string.  The reader takes a file in the
-writer's layout a block at a time, and each relation's block a source's
-run of lines at a time: a run that reads exactly as the writer would
+joins each row's lines into one string.  One reader takes any file in one
+pass over its lines: a source's run of relation lines in the writer's
+form is taken whole, and a run that reads exactly as the writer would
 write the targets of the run before is that row again, found by one
-comparison of text, and any other run is split on its own.  Any other
-file is read line by line, to the same model or the same error.
+comparison of text; any other line is split on its own.  Rows and atom
+masks are made as their lines are read and carried to the sorted order
+of the worlds at the end.
 """
 
 import re
@@ -515,47 +516,127 @@ def save_model(model):
 
 
 def load_model(text):
-    """The model that text describes.  A text in the layout `save_model`
-    writes is read a relation block at a time, any other line by line;
-    both give the same model or raise the same ValueError."""
-    worlds, succ_d, succ_l, atom_masks, frame_class, designated = (
-        _read_blocks(text) or _read_lines(text))
+    """The model that text describes: one line per world, relation pair
+    and atom, in any order, with blank lines and `#` comments skipped.
+    A bad line, a name that is not a world, an unknown frame class or
+    designated world, or a repeated world is a ValueError.
+
+    The lines are read in one pass.  A source's run of relation lines in
+    the writer's form is taken whole, and one that reads exactly as the
+    writer writes the targets of the run before is that run's row again;
+    a run of world lines is split once; any other line is split on its
+    own.  A source may have several runs, which are ORed.  Rows and
+    atom masks are made as their lines are read, over the worlds read so
+    far; a line that names a world not yet read waits until the end.  The
+    rows are then carried to the sorted order of the worlds."""
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        # the line ends of splitlines, so that line numbers match it
+        text = "\n".join(text.splitlines()) + "\n"
+    elif not text.endswith("\n"):
+        text += "\n"
+    read = []  # world names in the order read
+    bit = {}  # world name -> 1 << its place among the distinct names read
+    succ = {"d": [], "l": []}
+    waiting = {"d": [], "l": []}  # pairs naming a world not yet read
+    atom_masks = {}  # atom id -> mask, or the set of names while it waits
+    frame_class = designated = None
+    names = row = None  # the targets and row of the last run taken whole
+
+    def add_worlds(new):
+        read.extend(new)
+        for name in new:
+            bit.setdefault(name, 1 << len(bit))
+        for rows in succ.values():
+            rows.extend([0] * (len(bit) - len(rows)))
+
+    def add_run(head, source, targets, mask=None):
+        try:
+            if mask is None:
+                mask = _mask(targets, bit)
+            rows, i = succ[head], bit[source].bit_length() - 1
+            # a source's first run keeps the mask itself: the rows of
+            # repeated runs are then one int, which the row comparisons of
+            # validation and evaluation settle by identity
+            rows[i] = rows[i] | mask if rows[i] else mask
+        except KeyError:
+            waiting[head].extend((source, t) for t in targets)
+        return mask
+
+    pos = 0
+    while pos < len(text):
+        if names and text.startswith(("d ", "l "), pos):
+            # the targets of the last run again, under another source
+            cut = text.find(" ", pos + 2) + 1
+            if text.startswith(names[0] + "\n", cut):
+                prefix = text[pos:cut]
+                again = prefix + ("\n" + prefix).join(names) + "\n"
+                if (text.startswith(again, pos)
+                        and _NAME.fullmatch(text, pos + 2, cut - 1)):
+                    add_run(text[pos], prefix[2:-1], names, row)
+                    pos += len(again)
+                    continue
+        run = _RUN.match(text, pos)
+        if run:
+            first, stop = run.end(2) + 1, run.end()
+            names = text[first:stop - 1].split("\n" + text[pos:first])
+            row = add_run(run[1], run[2], names)
+            pos = stop
+            continue
+        block = _WORLDS.match(text, pos)
+        if block:
+            add_worlds(block[0].split()[1::2])
+            pos = block.end()
+            continue
+        stop = text.index("\n", pos)
+        raw = text[pos:stop]
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            pass
+        elif parts[0] in succ and len(parts) == 3:
+            add_run(parts[0], parts[1], parts[2:])
+        elif parts[0] == "world" and len(parts) == 2:
+            add_worlds(parts[1:])
+        elif parts[0] == "val" and len(parts) >= 2 and _is_atom_id(parts[1]):
+            try:
+                atom_masks[int(parts[1])] = _mask(parts[2:], bit)
+            except KeyError:
+                atom_masks[int(parts[1])] = set(parts[2:])
+        elif parts[0] == "class" and len(parts) == 2:
+            frame_class = parts[1]
+        elif parts[0] == "designated" and len(parts) == 2:
+            designated = parts[1]
+        else:
+            lineno = text.count("\n", 0, pos) + 1
+            raise ValueError(f"bad model line {lineno}: {raw!r}")
+        pos = stop + 1
+    if waiting["d"] or waiting["l"]:
+        # the least unknown pair of d, then of l, is the error
+        index = {name: b.bit_length() - 1 for name, b in bit.items()}
+        for head, rows in succ.items():
+            for i, extra in enumerate(_pair_rows(waiting[head], len(bit), index)):
+                rows[i] |= extra
+    for atom_id, mask in atom_masks.items():
+        if isinstance(mask, set):
+            try:
+                atom_masks[atom_id] = _mask(mask, bit)
+            except KeyError:
+                # raises, naming the least unknown world
+                _named_rows(read, (), (), {atom_id: mask})
+    worlds = sorted(read)
+    succ_d, succ_l = succ["d"], succ["l"]
+    if worlds != read:
+        # carry the rows and masks to sorted order (with a repeated world
+        # the constructor raises before it reads them)
+        order = [bit[name].bit_length() - 1 for name in worlds]
+        moved = [0] * len(bit)  # read place -> bit of the sorted place
+        for new, old in enumerate(order):
+            moved[old] = 1 << new
+        succ_d, succ_l = ([_mask(bits(rows[i]), moved) for i in order]
+                          for rows in (succ_d, succ_l))
+        atom_masks = {a: _mask(bits(m), moved) for a, m in atom_masks.items()}
     return BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
                                   frame_class=frame_class,
                                   designated=designated)
-
-
-def _read_lines(text):
-    """The sorted worlds, rows, atom masks, class and designated world of
-    a model text, read one line at a time: blank lines and `#` comments
-    are skipped and the lines may come in any order."""
-    worlds = []
-    rel_d = []
-    rel_l = []
-    valuation = {}
-    frame_class = None
-    designated = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        head = parts[0]
-        if head == "d" and len(parts) == 3:
-            rel_d.append((parts[1], parts[2]))
-        elif head == "l" and len(parts) == 3:
-            rel_l.append((parts[1], parts[2]))
-        elif head == "world" and len(parts) == 2:
-            worlds.append(parts[1])
-        elif head == "val" and len(parts) >= 2 and _is_atom_id(parts[1]):
-            valuation[int(parts[1])] = set(parts[2:])
-        elif head == "class" and len(parts) == 2:
-            frame_class = parts[1]
-        elif head == "designated" and len(parts) == 2:
-            designated = parts[1]
-        else:
-            raise ValueError(f"bad model line {lineno}: {raw!r}")
-    return (*_named_rows(worlds, rel_d, rel_l, valuation),
-            frame_class, designated)
 
 
 def _is_atom_id(text):
@@ -563,135 +644,12 @@ def _is_atom_id(text):
     return text.isascii() and text.isdigit()
 
 
-# ASCII characters other than space and newline that str.split or
-# str.splitlines takes for a separator.
-_OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-def _read_blocks(text):
-    """What `_read_lines` returns, for a text in the writer's layout, or
-    None for any other text.
-
-    The layout is ASCII text whose only whitespace is spaces and line
-    ends, ending in a line end: class and designated lines, then a block
-    of world lines in ascending order, then blocks of d, l and val lines.
-    The world block is split once into a column of names; the d and l
-    blocks are read a source's run of lines at a time (see
-    `_block_rows`)."""
-    if (not text.endswith("\n") or not text.isascii()
-            or any(c in text for c in _OTHER_SPACE)):
-        return None
-    w = _line_start(text, "world ", 0)
-    v = _line_start(text, "val ", w)
-    l = min(_line_start(text, "l ", w), v)
-    d = min(_line_start(text, "d ", w), l)
-    frame_class = designated = None
-    for line in text[:w].splitlines():
-        parts = line.split()
-        if len(parts) != 2:
-            return None
-        if parts[0] == "class":
-            frame_class = parts[1]
-        elif parts[0] == "designated":
-            designated = parts[1]
-        else:
-            return None
-    worlds = _world_column(text[w:d])
-    if worlds is None:
-        return None
-    bit = {x: 1 << i for i, x in enumerate(worlds)}
-    if len(bit) != len(worlds) or worlds != sorted(worlds) or "world" in bit:
-        return None
-    try:
-        succ_d = _block_rows(text[d:l], "d", bit)
-        succ_l = _block_rows(text[l:v], "l", bit)
-        atom_masks = {}
-        for line in text[v:].splitlines():
-            parts = line.split()
-            if len(parts) < 2 or parts[0] != "val" or not _is_atom_id(parts[1]):
-                return None
-            atom_masks[int(parts[1])] = _mask(parts[2:], bit)
-    except (KeyError, ValueError):
-        return None
-    if succ_d is None or succ_l is None:
-        return None
-    return worlds, succ_d, succ_l, atom_masks, frame_class, designated
-
-
-def _line_start(text, prefix, start):
-    """The start of the first line at or after `start`, itself a line
-    start, that begins with prefix; len(text) when there is none."""
-    if text.startswith(prefix, start):
-        return start
-    at = text.find("\n" + prefix, start)
-    return len(text) if at < 0 else at + 1
-
-
-def _world_column(block):
-    """The names of a block of `world <name>` lines, or None when the
-    counts show otherwise.  The block is empty or starts with "world ",
-    its only whitespace is spaces and line ends, and it ends in a line
-    end.
-
-    When every line end but the last is followed by "world ", every line
-    starts with the token world.  The caller then checks that no name is
-    world: so the line starts are every other token, and each line holds
-    two tokens."""
-    tokens = block.split()
-    lines = block.count("\n")
-    if len(tokens) != 2 * lines or block.count("\nworld ") != max(lines - 1, 0):
-        return None
-    return tokens[1::2]
-
-
-# One source's run of relation lines: head, the source and a target on
-# the first line, head, the same source and a target on every other.
-_RUNS = {head: re.compile(rf"{head} ([^ \n]+) [^ \n]+\n(?:{head} \1 [^ \n]+\n)*")
-         for head in ("d", "l")}
-
-
-def _block_rows(block, head, bit):
-    """The rows of a block of `head source target` lines, or None; a
-    KeyError for a name that is not in bit, the map from each world to its
-    bit.
-
-    A source's run of lines that reads exactly as `save_model` writes the
-    targets of the run before is that run's row again, and is not split.
-    Any other run is matched as a whole and split at its line starts.
-    Sources must ascend, so each holds one run."""
-    rows = [0] * len(bit)
-    lead = head + " "
-    first = len(lead)
-    run = _RUNS[head]
-    pos = 0
-    last = 0
-    names = row = None
-    while pos < len(block):
-        if not block.startswith(lead, pos):
-            return None
-        cut = block.find(" ", pos + first) + 1
-        prefix = block[pos:cut]
-        if names is not None and block.startswith(names[0] + "\n", cut):
-            again = prefix + ("\n" + prefix).join(names) + "\n"
-            if (block.startswith(again, pos)
-                    and not block.startswith(prefix, pos + len(again))):
-                source = bit[prefix[first:-1]]
-                if source <= last:
-                    return None
-                rows[source.bit_length() - 1] = row
-                last = source
-                pos += len(again)
-                continue
-        match = run.match(block, pos)
-        if match is None:
-            return None
-        source = bit[match[1]]
-        if source <= last:
-            return None
-        names = block[cut:match.end() - 1].split("\n" + prefix)
-        rows[source.bit_length() - 1] = row = _mask(names, bit)
-        last = source
-        pos = match.end()
-    return rows
+# A source's run of relation lines in the writer's form: head, the
+# source and a target on the first line, the same head and source and a
+# target on every other; and a run of world lines.
+_RUN = re.compile(r"([dl]) (\S+) \S+\n(?:\1 \2 \S+\n)*")
+_WORLDS = re.compile(r"(?:world \S+\n)+")
+_NAME = re.compile(r"\S+")
 
 
 def _mask(names, bit):

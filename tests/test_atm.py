@@ -8,7 +8,7 @@ import pytest
 from bimodal import atm as am
 from bimodal.atm import (BLANK, LEFT, RIGHT, Configuration, initial_config,
                          apply_entry, successors, find_accepting_tree,
-                         accepts, validate_tree, trees_label_equal,
+                         validate_tree, trees_label_equal,
                          parse_atm, render_atm, save_tree,
                          load_tree, AtmError)
 from bimodal.reduction import ReductionParams, node_table, window_pos
@@ -34,10 +34,6 @@ def test_delta_for_keeps_declaration_order(m1):
     assert [(e[0], e[1], e[2]) for e in entries] == [
         ("qacc", "a", RIGHT), ("qacc", "b", LEFT)]
     assert m1.delta_for("qacc", "a") == []
-
-
-def test_max_branching(m1):
-    assert m1.max_branching() == 2
 
 
 def test_initial_config(m1):
@@ -71,7 +67,6 @@ def test_successors_are_deduped(m1):
 def test_find_accepting_tree_and_accepts(m1):
     tree = find_accepting_tree(m1, "a", 7)
     assert tree is not None
-    assert accepts(m1, "a", 7)
     report = validate_tree(m1, "a", tree)
     assert report.ok
     # the universal q1/a node must carry both transition branches
@@ -84,7 +79,6 @@ def test_rejecting_input():
         "symbols: # a\ninput: a\nstates: q0 qacc qrej\n"
         "exists: q0\nforall:\naccept: qacc\nreject: qrej\ninit: q0\n"
         "delta: q0 # -> qrej # R\ndelta: q0 a -> qrej a R\n")
-    assert not accepts(machine, "", 5)
     assert find_accepting_tree(machine, "", 5) is None
 
 

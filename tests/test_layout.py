@@ -2,10 +2,11 @@
 and itself, so it runs with no third-party package installed, builds
 every model through one rows constructor, builds each logic's witnesses
 in one place, keeps the binary counter in the shared engine, builds
-products only from factor rows and checks frames in one place, keeps no
-product flag, builds each connective through one constructor, walks
-formulas through one postorder and prints every pass/fail check through
-one report class; and the benchmark worker still finds every library function it calls by
+products only from factor rows, reads model files through one reader
+and checks frames in one place, keeps no product flag, builds each
+connective through one constructor, walks formulas through one
+postorder and prints every pass/fail check through one report class;
+and the benchmark worker still finds every library function it calls by
 name."""
 
 import ast
@@ -94,6 +95,13 @@ def test_one_product_path():
     constructor from pairs, with its own factor checks, creeps back in."""
     assert not hasattr(semantics, "product_model")
     assert not hasattr(relations, "first_failure")
+
+
+def test_one_model_reader():
+    """`load_model` reads every model file in one pass; no second reader,
+    for the writer's layout or for any other, creeps back in."""
+    for name in ("_read_lines", "_read_blocks", "_block_rows", "_world_column"):
+        assert not hasattr(semantics, name), name
 
 
 def test_one_report_class():

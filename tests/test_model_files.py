@@ -1,6 +1,7 @@
-"""Model files: the block reader gives what the line-by-line reader gives,
-the same model or the same error, on saved files and on every way of
-bending them; saved files never reach the line reader."""
+"""Model files: the reader gives what a plain line-by-line reader gives,
+the same model or the same error, on saved files, on every way of bending
+them and on every way of regrouping their lines; saved files read back
+byte for byte."""
 
 import os
 import random
@@ -10,7 +11,6 @@ import sys
 
 import pytest
 
-from bimodal import semantics
 from bimodal.semantics import BimodalModel, load_model, save_model
 from tests.conftest import ROOT
 from tests.test_model_rows import WITNESSES
@@ -206,11 +206,10 @@ def bent(text, rng):
     return out
 
 
-def _repeated_run(lines, rng):
-    """(start, stop, source of the run before) of a run of d or l lines,
-    drawn from rng, whose targets are those of the run just before it
-    with the same head; None when there is none."""
-    runs = []  # [head, source, start, stop, targets]
+def _runs(lines):
+    """[head, source, start, stop, targets] for each source's run of d or l
+    lines, in file order."""
+    runs = []
     for k, line in enumerate(lines):
         parts = line.split()
         if parts[0] not in ("d", "l"):
@@ -220,9 +219,56 @@ def _repeated_run(lines, rng):
             runs[-1][4].append(parts[2])
         else:
             runs.append([parts[0], parts[1], k, k + 1, [parts[2]]])
+    return runs
+
+
+def _repeated_run(lines, rng):
+    """(start, stop, source of the run before) of a run of d or l lines,
+    drawn from rng, whose targets are those of the run just before it
+    with the same head; None when there is none."""
+    runs = _runs(lines)
     repeats = [(b[2], b[3], a[1]) for a, b in zip(runs, runs[1:])
                if a[0] == b[0] and a[3] == b[2] and a[4] == b[4]]
     return rng.choice(repeats) if repeats else None
+
+
+def regrouped(text, rng):
+    """(what, text) for ways to regroup the lines of a saved file that
+    keep its model and that `bent` does not make: CRLF line ends, a
+    source's run of lines split in two by another line, and the world
+    lines moved after the lines that name them, out of sorted order."""
+    lines = text.splitlines()
+    out = [("crlf", text.replace("\n", "\r\n"))]
+    runs = [run for run in _runs(lines) if run[3] - run[2] > 1]
+    if runs:  # a saved file with relation lines has world lines too
+        _, _, start, stop, _ = rng.choice(runs)
+        k = rng.choice([k for k in range(len(lines)) if not start <= k < stop])
+        rest = lines[:k] + lines[k + 1:]
+        cut = rng.randint(start + 1, stop - 1) - (k < start)
+        out.append(("run-split", "\n".join(rest[:cut] + [lines[k]] + rest[cut:]) + "\n"))
+    worlds = [line for line in lines if line.startswith("world ")]
+    if len(worlds) > 1:
+        moved = rng.sample(worlds, len(worlds))
+        if moved == worlds:
+            moved.reverse()
+        out.append(("worlds-last", "\n".join(
+            [line for line in lines if not line.startswith("world ")] + moved) + "\n"))
+    return out
+
+
+def repeat_continued(text, rng):
+    """The saved text with two more lines of a source whose run repeats
+    the targets of the run before, just after that run: one repeats a
+    pair and one adds a target drawn from rng; None when no run repeats."""
+    lines = text.splitlines()
+    repeat = _repeated_run(lines, rng)
+    if repeat is None:
+        return None
+    start, stop, _ = repeat
+    head, source, target = lines[start].split()
+    world = rng.choice([line.split()[1] for line in lines if line.startswith("world ")])
+    return "\n".join(lines[:stop] + [f"{head} {source} {target}", f"{head} {source} {world}"]
+                     + lines[stop:]) + "\n"
 
 
 def assert_readers_agree(text, rng):
@@ -275,21 +321,28 @@ def test_branch_witness_files_read_alike(branch_witnesses, which):
     assert_readers_agree(save_model(model), random.Random(which))
 
 
-def test_saved_files_never_reach_the_line_reader(monkeypatch, branch_witnesses):
-    def refuse(text):
-        raise AssertionError("a saved file reached the line reader")
-
+def test_saved_files_read_back_byte_for_byte(branch_witnesses):
+    """A saved file reads to the model the line-by-line reader gives and
+    saves back to the same text; its lines regrouped read to the same
+    model, and a repeated run with more lines of its source after it reads
+    alike."""
     models = [w[2] for w in SMALL_WITNESSES] + [w[1] for w in branch_witnesses]
-    # a world named world, the head of the block read by column, or a
-    # name that is not ASCII, sends a saved file line by line
-    models += [m for m in random_models(900, 100)
-               if {"world", "\xe9"}.isdisjoint(m.worlds)]
-    assert any({"d", "l"} & set(m.worlds) for m in models)
-    monkeypatch.setattr(semantics, "_read_lines", refuse)
+    models += random_models(900, 100)
+    assert {"d", "l", "world", "\xe9"} <= {w for m in models for w in m.worlds}
+    rng = random.Random(900)
+    continued = 0
     for model in models:
         text = save_model(model)
-        assert outcome(load_model, text) == outcome(reference_load_model, text)
+        saved = outcome(load_model, text)
+        assert saved == outcome(reference_load_model, text)
         assert save_model(load_model(text)) == text
+        for what, t in regrouped(text, rng):
+            assert outcome(load_model, t) == outcome(reference_load_model, t) == saved, what
+        t = repeat_continued(text, rng)
+        if t is not None:
+            continued += 1
+            assert outcome(load_model, t) == outcome(reference_load_model, t)
+    assert continued > 20
 
 
 @pytest.mark.parametrize("text", [

@@ -5,11 +5,16 @@ points one of them, `q0 b -> q0 a R`, at the rejecting state, so every
 run on a word with a b in the universal phase has a rejecting branch and
 the mutant accepts neither "bbb" nor "abbb", where fan accepts both.  The
 formula of the mutant must then be false at every world of fan's
-witnesses, and the CLI must refuse to build a witness for it.
+witnesses, of those witnesses saved and read back, and of their renamed
+and copied variants read back, and the CLI must refuse to build a
+witness for it.
 
 The m1 and bounce fixtures get the same treatment: each near miss points
 the move its accepting runs end with at the rejecting state.
 """
+
+import functools
+import random
 
 import pytest
 
@@ -17,7 +22,9 @@ from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
 from bimodal.cli import main
 from bimodal.reduction import ReductionParams
+from bimodal.semantics import load_model, save_model
 from tests.conftest import FAN_PATH, M1_PATH, ROOT
+from tests.test_extraction_variants import LOGICS as VARIANT_LOGICS, renamed, with_copies
 
 FAN_TEXT = FAN_PATH.read_text()
 NEAR_MISS_TEXT = FAN_TEXT.replace("delta: q0 b -> q0 a R\n",
@@ -39,10 +46,11 @@ def test_near_miss_differs_in_one_transition():
     assert changed == {"delta: q0 b -> q0 a R", "delta: q0 b -> qrej a R"}
 
 
-@pytest.mark.parametrize("logic", sorted(LOGICS))
-@pytest.mark.parametrize("w, worlds", [("bbb", {"ssl": 701, "s4s5": 576}),
-                                       ("abbb", {"ssl": 812, "s4s5": 625})])
-def test_near_miss_formula_holds_nowhere_on_the_witness(w, worlds, logic):
+@functools.lru_cache(maxsize=None)
+def fan_near_miss(w, logic):
+    """fan's witness for w in logic, its designated point, fan's formula
+    and the near miss's, at the same window size, so the same vocabulary
+    over the same atoms."""
     gen, build = LOGICS[logic]
     fan = am.parse_atm(FAN_TEXT)
     near_miss = am.parse_atm(NEAR_MISS_TEXT)
@@ -50,11 +58,36 @@ def test_near_miss_formula_holds_nowhere_on_the_witness(w, worlds, logic):
     bound = 2 ** params.N - 1
     assert am.find_accepting_tree(near_miss, w, bound) is None
     model, point = build(params, am.find_accepting_tree(fan, w, bound))
+    return model, point, gen(params)[0], gen(ReductionParams(near_miss, [0, 1], w))[0]
+
+
+@pytest.mark.parametrize("logic", sorted(LOGICS))
+@pytest.mark.parametrize("w, worlds", [("bbb", {"ssl": 701, "s4s5": 576}),
+                                       ("abbb", {"ssl": 812, "s4s5": 625})])
+def test_near_miss_formula_holds_nowhere_on_the_witness(w, worlds, logic):
+    model, point, f, f_near_miss = fan_near_miss(w, logic)
     assert len(model.worlds) == worlds[logic]
-    assert model.eval(point, gen(params)[0])
-    # the same window size, so the same vocabulary over the same atoms
-    f_near_miss, _ = gen(ReductionParams(near_miss, [0, 1], w))
+    assert model.eval(point, f)
     assert model.sat_set(f_near_miss) == []
+
+
+@pytest.mark.parametrize("variant", [None, renamed, with_copies],
+                         ids=["witness", "renamed", "copies"])
+@pytest.mark.parametrize("logic", sorted(LOGICS))
+@pytest.mark.parametrize("w", ["bbb", "abbb"])
+def test_near_miss_formula_holds_nowhere_after_a_read(w, logic, variant):
+    """The witness, or a seeded variant of it, saved and read back: the
+    reader must not make a world where the near miss's formula holds."""
+    model, point, f, f_near_miss = fan_near_miss(w, logic)
+    if variant is not None:
+        rng = random.Random(f"{w}/{logic}/{variant.__name__}")
+        frame_class = VARIANT_LOGICS[logic][3]  # the class every variant keeps
+        model, point = variant(model, point, rng, frame_class)
+    text = save_model(model)
+    loaded = load_model(text)
+    assert save_model(loaded) == text
+    assert loaded.eval(point, f)
+    assert loaded.sat_set(f_near_miss) == []
 
 
 @pytest.mark.parametrize("logic", sorted(LOGICS))
