@@ -7,7 +7,9 @@ counterexample as a tuple of point indices, or None when the property
 holds.  Transitivity and commutativity compare rows of compositions
 made once by `compose`, looking into the first row that escapes only to
 name the counterexample; the evaluator decides a box once per group of
-equal rows.
+equal rows and once per set of points where its body fails.  `bits`
+caches the ascending set bits of the small rows asked for again and
+again; a row visited once is decoded by `ones`, top bit first.
 The model checker, the frame validators and the bounded oracle all work
 through this module.  Frame validation, tree validation and the
 extractor's morphism check all report through `Report`.
@@ -23,15 +25,22 @@ from .formula import ATOM, NOT, AND, KMOD, postorder
 # within each class; a cache hit skips the Python loop.
 @lru_cache(maxsize=64)
 def bits(mask):
-    """Indices of the set bits of mask, ascending, as a tuple: the ones of
-    its binary numeral read from the low end, found by `str.find`."""
-    digits = bin(mask)[:1:-1]
+    """Indices of the set bits of mask, ascending, as a tuple."""
+    return tuple(reversed(ones(mask)))
+
+
+def ones(mask):
+    """Indices of the set bits of mask, descending, as a list: the top bit
+    is found by `bit_length` and cleared, so each step works on a mask no
+    wider than the bit it finds, and no numeral is made or reversed.
+    `compose` and the model file writer and reader decode the rows they
+    visit once with it, where `bits`' cache would only miss."""
     out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return tuple(out)
+    while mask:
+        j = mask.bit_length() - 1
+        out.append(j)
+        mask ^= 1 << j
+    return out
 
 
 def _lowest(mask):
@@ -77,14 +86,15 @@ def _asymmetric_pair(succ):
 
 def compose(a, b, c):
     """The rows of a;b and of a;c, in one pass over the pairs of a: row i
-    of a;b is the union of the b-rows of i's a-successors.  A row equal to
-    the one before it shares its unions: a class that is a run costs one."""
+    of a;b is the union of the b-rows of i's a-successors, found by `ones`
+    (a union does not care about order).  A row equal to the one before it
+    shares its unions: a class that is a run costs one."""
     ab, ac, last = [], [], None
     for row in a:
         if row != last:
             last = row
             x = y = 0
-            for j in bits(row):
+            for j in ones(row):
                 x |= b[j]
                 y |= c[j]
         ab.append(x)
@@ -215,10 +225,13 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     subformulas are evaluated in `postorder`, each after its operands, and
     those the cache already holds are skipped.
 
-    With one valuation (lane 1) the cache also holds, under the box's
-    kind, that relation's rows grouped by value (one group per class of an
-    equivalence): a box holds at each group whose row misses no point of
-    the body.
+    With one valuation (lane 1) a box whose body holds everywhere holds
+    everywhere.  Otherwise the cache holds, under the box's kind, that
+    relation's rows grouped by value (one group per class of an
+    equivalence) and a map from each miss set (the points where a body
+    fails) to its box: a box holds at each group whose row misses no
+    point of the miss set, and a box whose miss set was met before is one
+    lookup.
 
     A lane other than 1 packs many valuations of the same frame into each
     mask: lane has bit v*n set for every valuation v, whose points are
@@ -242,24 +255,30 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
         else:
             succ = succ_l if kind == KMOD else succ_d
             body = cache[t.left]
-            v = 0
-            if lane == 1:
-                miss = full & ~body
-                groups = cache.get(kind)
-                if groups is None:
-                    by_row = {}
-                    for i, row in enumerate(succ):
-                        by_row[row] = by_row.get(row, 0) | 1 << i
-                    groups = cache[kind] = by_row.items()
-                for row, members in groups:
-                    if not row & miss:
-                        v |= members
-            else:
+            if lane != 1:
+                v = 0
                 for i, row in enumerate(succ):
                     box = lane
                     for j in bits(row):
                         box &= body >> j
                     v |= box << i
+            elif not (miss := full & ~body):
+                v = full  # the body holds everywhere
+            else:
+                entry = cache.get(kind)
+                if entry is None:
+                    by_row = {}
+                    for i, row in enumerate(succ):
+                        by_row[row] = by_row.get(row, 0) | 1 << i
+                    entry = cache[kind] = by_row.items(), {}
+                groups, decided = entry
+                v = decided.get(miss)
+                if v is None:
+                    v = 0
+                    for row, members in groups:
+                        if not row & miss:
+                            v |= members
+                    decided[miss] = v
         cache[t] = v
     return cache[f]
 

@@ -15,7 +15,9 @@ Evaluation computes, per distinct subformula, the set of worlds where it
 holds as a bitmask over the sorted world list.  The per-model cache is
 keyed by subformula identity, so repeated checks are cheap even for very
 large generated formulas; it also groups each relation's rows by value
-for the boxes.
+for the boxes and keeps each box decided per miss set (the worlds where
+its body fails), so a box whose miss set was met before, or is empty,
+scans no rows.
 Validation composes D;D, D;L, L;L and L;D once and compares rows: L;L
 inside L, D;D inside D, D;L inside L;D and L;D inside D;L.  A model never
 changes, so it keeps the report of each class it is validated for, and
@@ -31,14 +33,16 @@ off that grid.
 
 A model file has one line per world, relation pair and atom, so a model
 accepts only world names that are one whitespace-free token and only a
-known frame class: every model saves to a file that reads back.  The writer
-joins each row's lines into one string.  One reader takes any file in one
-pass over its lines: a source's run of relation lines in the writer's
-form is taken whole, and a run that reads exactly as the writer would
-write the targets of the run before is that row again, found by one
-comparison of text; any other line is split on its own.  Rows and atom
-masks are made as their lines are read and carried to the sorted order
-of the worlds at the end.
+known frame class: every model saves to a file that reads back.  The
+writer decodes each row that differs from the one before it with
+`relations.ones`, joins each row's lines into one string and joins the
+whole text once.  One reader takes any file in one pass over its lines:
+a source's run of relation lines in the writer's form is taken whole,
+and a run that reads exactly as the writer would write the targets of
+the run before is that row again, found by one comparison of text; any
+other line is split on its own.  Rows and atom masks are made as their
+lines are read and carried to the sorted order of the worlds at the
+end, each distinct row once.
 """
 
 import re
@@ -48,7 +52,7 @@ from operator import or_
 
 from .formula import Formula
 from . import relations
-from .relations import Check, Report, bits, eval_masks
+from .relations import Check, Report, bits, eval_masks, ones
 
 CROSS_AXIOM = "cross-axiom"
 S4S5_COMMUTATOR = "s4s5-commutator"
@@ -493,7 +497,7 @@ def save_model(model):
     """The model as text: header lines, then worlds, relation pairs and
     atoms in sorted order (rows in index order are the sorted pairs).
     Each row is written as one string, and a row equal to the one before
-    it reuses that row's target names."""
+    it reuses that row's target names; the text is joined once."""
     lines = []
     if model.frame_class is not None:
         lines.append(f"class {model.frame_class}")
@@ -506,13 +510,16 @@ def save_model(model):
         for w, row in zip(worlds, rows):
             if row:
                 if row != last:
-                    last, names = row, [worlds[j] for j in bits(row)]
+                    last, names = row, [worlds[j] for j in reversed(ones(row))]
                 prefix = f"{head} {w} "
                 lines.append(prefix + ("\n" + prefix).join(names))
     for atom_id in sorted(model._atom_masks):
         members = " ".join(worlds[j] for j in bits(model._atom_masks[atom_id]))
         lines.append(f"val {atom_id} {members}".rstrip())
-    return "\n".join(lines) + "\n"
+    # the final line end, so that the text is joined once; a model with
+    # no lines is saved as that line end alone
+    lines.append("")
+    return "\n".join(lines) or "\n"
 
 
 def load_model(text):
@@ -528,7 +535,8 @@ def load_model(text):
     own.  A source may have several runs, which are ORed.  Rows and
     atom masks are made as their lines are read, over the worlds read so
     far; a line that names a world not yet read waits until the end.  The
-    rows are then carried to the sorted order of the worlds."""
+    rows are then carried to the sorted order of the worlds, each
+    distinct row once, so that rows the file repeats stay one int."""
     if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
         # the line ends of splitlines, so that line numbers match it
         text = "\n".join(text.splitlines()) + "\n"
@@ -631,9 +639,10 @@ def load_model(text):
         moved = [0] * len(bit)  # read place -> bit of the sorted place
         for new, old in enumerate(order):
             moved[old] = 1 << new
-        succ_d, succ_l = ([_mask(bits(rows[i]), moved) for i in order]
+        carried = {row: _mask(ones(row), moved) for row in {*succ_d, *succ_l}}
+        succ_d, succ_l = ([carried[rows[i]] for i in order]
                           for rows in (succ_d, succ_l))
-        atom_masks = {a: _mask(bits(m), moved) for a, m in atom_masks.items()}
+        atom_masks = {a: _mask(ones(m), moved) for a, m in atom_masks.items()}
     return BimodalModel.from_rows(worlds, succ_d, succ_l, atom_masks,
                                   frame_class=frame_class,
                                   designated=designated)

@@ -14,7 +14,7 @@ import pytest
 from bimodal.semantics import BimodalModel, load_model, save_model
 from tests.conftest import ROOT
 from tests.test_model_rows import WITNESSES
-from tests.test_relations import random_model
+from tests.test_relations import SCAN_SIZES, decoded, random_model, scan_rows
 
 
 def reference_load_model(text):
@@ -343,6 +343,57 @@ def test_saved_files_read_back_byte_for_byte(branch_witnesses):
             continued += 1
             assert outcome(load_model, t) == outcome(reference_load_model, t)
     assert continued > 20
+
+
+def test_out_of_order_world_lines_keep_repeated_rows_one_int(branch_witnesses):
+    # carried to sorted order, each distinct row is made once, so the rows
+    # the file repeats are one int as in the file read in order
+    model = next(m for name, m, *_ in branch_witnesses if name == "fan-s4s5")
+    text = save_model(model)
+    lines = text.splitlines(keepends=True)
+    worlds = [line for line in lines if line.startswith("world ")]
+    in_order = load_model(text)
+    out_of_order = load_model("".join(
+        worlds[::-1] + [line for line in lines if not line.startswith("world ")]))
+    assert save_model(out_of_order) == text
+    for rows in ("_succ_d", "_succ_l"):
+        assert (len(set(map(id, getattr(out_of_order, rows))))
+                == len(set(map(id, getattr(in_order, rows)))))
+    assert len(set(map(id, in_order._succ_l))) < len(model.worlds)
+
+
+def reference_save_model(model):
+    """The writer as one line per pair and atom, each with its own line
+    end, with rows decoded digit by digit."""
+    worlds = model.worlds
+    lines = [] if model.frame_class is None else [f"class {model.frame_class}"]
+    if model.designated is not None:
+        lines.append(f"designated {model.designated}")
+    lines += [f"world {w}" for w in worlds]
+    for head, rows in (("d", model._succ_d), ("l", model._succ_l)):
+        lines += [f"{head} {worlds[i]} {worlds[j]}"
+                  for i, row in enumerate(rows) for j in decoded(row)]
+    for atom_id, mask in sorted(model._atom_masks.items()):
+        lines.append(" ".join(["val", str(atom_id)]
+                              + [worlds[j] for j in decoded(mask)]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_saved_text_is_one_line_per_pair(seed):
+    rng = random.Random(seed)
+    for n in SCAN_SIZES + [rng.randint(1, 1100)]:
+        worlds = [f"w{i:04d}" for i in range(n)]
+        model = BimodalModel.from_rows(
+            worlds, scan_rows(rng, n), scan_rows(rng, n),
+            {0: rng.getrandbits(n), 2: 0, 5: 1 << n - 1},
+            frame_class=rng.choice((None, "cross-axiom")),
+            designated=rng.choice((None, worlds[-1])))
+        text = save_model(model)
+        assert text == reference_save_model(model)
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert save_model(load_model(text)) == text
+    assert save_model(BimodalModel([], [], [], {})) == "\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -348,6 +348,50 @@ def test_bits_lists_set_bits_ascending():
     assert relations.bits(0) == ()
     assert relations.bits(0b101101) == (0, 2, 3, 5)
     assert relations.bits(1 << 200 | 1 << 7 | 1) == (0, 7, 200)
+    assert relations.ones(0) == []
+    assert relations.ones(1 << 200 | 1 << 7 | 1) == [200, 7, 0]
+
+
+def decoded(row):
+    """The set bits of row, ascending, read off its numeral one digit at a
+    time: a reference that shares no code with `ones` or `bits`."""
+    return [j for j, digit in enumerate(reversed(bin(row)[2:])) if digit == "1"]
+
+
+# sizes around a 64-bit word and past the widest `branch` witness (1,024)
+SCAN_SIZES = [1, 2, 63, 64, 65, 129, 1100]
+
+
+def scan_rows(rng, n):
+    """n rows over n points: empty, dense and sparse rows, runs of equal
+    rows, and rows with a single bit at 0, 63, 64 or n - 1."""
+    singles = [1 << j for j in (0, 63, 64, n - 1) if j < n]
+    out = []
+    for _ in range(n):
+        pick = rng.random()
+        if out and pick < 0.3:
+            row = out[-1]
+        elif pick < 0.4:
+            row = 0
+        elif pick < 0.45:
+            row = (1 << n) - 1 & ~(rng.getrandbits(n) & rng.getrandbits(n))
+        elif pick < 0.6:
+            row = rng.choice(singles)
+        else:
+            row = sum(1 << j for j in {rng.randrange(n) for _ in range(6)})
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compose_is_the_union_over_decoded_rows(seed):
+    rng = random.Random(seed)
+    for n in SCAN_SIZES + [rng.randint(1, 1100)]:
+        a, b, c = (scan_rows(rng, n) for _ in range(3))
+        assert relations.compose(a, b, c) == tuple(
+            [functools.reduce(int.__or__, [s[j] for j in decoded(row)], 0)
+             for row in a] for s in (b, c))
+        assert all(relations.bits(row) == tuple(decoded(row)) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +640,34 @@ def test_packed_lanes_match_reference_evaluator():
             for v, val in enumerate(valuations):
                 assert ({i for i in range(n) if got >> v * n + i & 1}
                         == ref_sat_set(f, n, rel_d, rel_l, val))
+
+
+def test_boxes_with_one_miss_set_give_what_a_fresh_cache_gives():
+    # Box(x0) and Box(!!x0) fail at the same points, so on one cache the
+    # second box is the first one's decision looked up
+    rng = random.Random(11)
+    x0 = Atom(0)
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        succ_d, succ_l = repeated_rows(rng, n), [rng.getrandbits(n) for _ in range(n)]
+        masks = {0: rng.getrandbits(n)}
+        cache = {}
+        for op in (Box, K):
+            for f in (op(x0), op(Not(Not(x0)))):
+                assert (relations.eval_masks(f, succ_d, succ_l, masks, n, cache)
+                        == relations.eval_masks(f, succ_d, succ_l, masks, n, {}))
+
+
+def test_a_box_over_a_body_that_holds_everywhere_holds_everywhere():
+    # point 1 has no successors and no point reaches itself
+    succ = [0b010, 0, 0b011]
+    rel = {(0, 1), (2, 0), (2, 1)}
+    top = Not(And(Atom(0), Not(Atom(0))))
+    cache = {}
+    for f in (Box(Atom(0)), Box(top), K(top), K(Box(top))):
+        got = relations.eval_masks(f, succ, succ, {0: 0b100}, 3, cache)
+        assert got == sum(1 << i for i in ref_sat_set(f, 3, rel, rel, {0: {2}}))
+    assert cache[Box(top)] == cache[K(top)] == cache[K(Box(top))] == 0b111
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["lane-1", "packed"])

@@ -333,6 +333,12 @@ def test_witness_reports_match_row_scans(branch_witnesses):
 
 def per_world_mask(f, succ_d, succ_l, atom_masks, n):
     """The mask of f with each box decided one world at a time."""
+    return per_world_masks(f, succ_d, succ_l, atom_masks, n)[f]
+
+
+def per_world_masks(f, succ_d, succ_l, atom_masks, n):
+    """The mask of every subformula of f, with each box decided one world
+    at a time."""
     full = (1 << n) - 1
     mask = {}
     for t in sorted(fm.subformulas(f), key=lambda t: t.size):
@@ -346,7 +352,7 @@ def per_world_mask(f, succ_d, succ_l, atom_masks, n):
             succ = succ_l if t.kind == fm.KMOD else succ_d
             miss = full & ~mask[t.left]
             mask[t] = sum(1 << i for i in range(n) if not succ[i] & miss)
-    return mask[f]
+    return mask
 
 
 def test_witness_formulas_match_per_world_evaluation(branch_witnesses):
@@ -357,3 +363,26 @@ def test_witness_formulas_match_per_world_evaluation(branch_witnesses):
             assert model._mask(f) == per_world_mask(
                 f, model._succ_d, model._succ_l, model._atom_masks,
                 len(model.worlds))
+
+
+def test_witness_boxes_match_per_world_evaluation(branch_witnesses):
+    # every box of a witness formula, decided on the model's one cache;
+    # among them are boxes whose body holds everywhere and boxes that share
+    # their miss set with another box of the same kind, which scan no rows
+    rng = random.Random(17)
+    everywhere = repeated = 0
+    for _, witness, _, _, f in branch_witnesses:
+        boxes = [t for t in fm.subformulas(f) if t.kind in (fm.KMOD, fm.BOXMOD)]
+        for model in [witness] + mutants(witness, rng, [], count=2):
+            full = (1 << len(model.worlds)) - 1
+            want = per_world_masks(f, model._succ_d, model._succ_l,
+                                   model._atom_masks, len(model.worlds))
+            model._mask(f)
+            decided = set()
+            for t in boxes:
+                assert model._mask(t) == want[t]
+                miss = full & ~want[t.left]
+                everywhere += not miss
+                repeated += miss != 0 and (t.kind, miss) in decided
+                decided.add((t.kind, miss))
+    assert everywhere and repeated
