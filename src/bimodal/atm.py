@@ -361,6 +361,7 @@ def parse_atm(text):
     fields = {"symbols": None, "input": None, "states": None, "exists": [],
               "forall": [], "accept": None, "reject": None, "init": None}
     delta = []
+    given = set()
     # '#' is the blank tape symbol, so machine files have no comment syntax.
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -372,20 +373,19 @@ def parse_atm(text):
         key = key.strip()
         rest = rest.strip()
         if key == "delta":
-            if "->" not in rest:
-                raise AtmError(f"bad transition on line {lineno}: {raw!r}")
-            lhs, rhs = rest.split("->", 1)
-            lp = lhs.split()
-            rp = rhs.split()
-            if len(lp) != 2 or len(rp) != 3:
+            lhs, arrow, rhs = rest.partition("->")
+            lp, rp = lhs.split(), rhs.split()
+            if not arrow or len(lp) != 2 or len(rp) != 3:
                 raise AtmError(f"bad transition on line {lineno}: {raw!r}")
             delta.append(((lp[0], lp[1]), (rp[0], rp[1], rp[2])))
-        elif key in ("symbols", "input", "states", "exists", "forall"):
-            fields[key] = rest.split()
-        elif key in ("accept", "reject", "init"):
-            fields[key] = rest
-        else:
+        elif key not in fields:
             raise AtmError(f"unknown field {key!r} on line {lineno}")
+        elif key in given:
+            raise AtmError(f"repeated field {key!r} on line {lineno}")
+        else:
+            given.add(key)
+            fields[key] = (rest if key in ("accept", "reject", "init")
+                           else rest.split())
     for req in ("symbols", "input", "states", "accept", "reject", "init"):
         if fields[req] is None:
             raise AtmError(f"machine file is missing the {req!r} field")

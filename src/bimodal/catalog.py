@@ -6,7 +6,8 @@ A family key is either a bit position (int), a state or symbol name (str),
 or None for scalar families such as the class marker B.
 """
 
-from .formula import Atom, FormulaVector, ones
+from .formula import Atom, FormulaVector
+from .relations import ones
 
 
 class CatalogError(KeyError):
@@ -48,7 +49,10 @@ class VariableCatalog:
             [self.atom(family, k) for k in range(length - 1, -1, -1)])
 
     def bits(self, family, value):
-        """The atoms of a bit family at the positions where value has a one."""
+        """The atoms of a bit family at the positions where value has a one,
+        highest first."""
+        if value < 0:
+            raise ValueError(f"bits of {family!r} need a natural number, got {value}")
         return [self.atom(family, k) for k in ones(value)]
 
     def entries(self):

@@ -225,6 +225,8 @@ def _restrict(args):
 def _sat(args):
     if args.bound < 1:
         raise UsageError("--bound must be at least 1")
+    if args.bound > satbound.MAX_POINTS:
+        raise UsageError(f"--bound must be at most {satbound.MAX_POINTS}")
     if args.max_atoms < 1:
         raise UsageError("--max-atoms must be at least 1")
     f = fm.parse(_read(args.formula))

@@ -410,13 +410,6 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # Bit helpers.
 
-def ones(i):
-    """Set of bit positions at which the binary expansion of i has a one."""
-    if i < 0:
-        raise ValueError("ones() requires a natural number")
-    return {k for k in range(i.bit_length()) if (i >> k) & 1}
-
-
 class FormulaVector:
     """A vector F of formulas standing for a binary number.
 
@@ -552,13 +545,9 @@ def lt_binary(F, i):
     l = len(F)
     if not 0 <= i < 2 ** l:
         raise ValueError(f"{i} is not representable in {l} bits")
-    one_set = ones(i)
-    parts = []
-    for k in sorted(one_set):
-        sub = [Not(F.bit(k))] + [Not(F.bit(h)) for h in range(k + 1, l)
-                                 if h not in one_set]
-        parts.append(conj(sub))
-    return disj(parts)
+    return disj([conj([Not(F.bit(k))] + [Not(F.bit(h)) for h in range(k + 1, l)
+                                         if not i >> h & 1])
+                 for k in range(l) if i >> k & 1])
 
 
 def leq_binary(F, i):

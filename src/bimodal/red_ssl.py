@@ -12,7 +12,8 @@ witness's construction over the path of counter values.
 
 from .formula import (And, Implies, L, Diamond, conj, disj, eq_vector,
                       eq_binary, rightmost_zero, unique, neq, lt, leq,
-                      neq_plus1, gt_binary, shared_ssl, shared_var_ssl, ones)
+                      neq_plus1, gt_binary, shared_ssl, shared_var_ssl)
+from .relations import ones
 from .semantics import BimodalModel, CROSS_AXIOM
 from .atm import BLANK
 from .reduction import (Reduction, Counter, Vocabulary, family_catalog,

@@ -17,10 +17,9 @@ from typing import Callable, NamedTuple
 
 from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       conj, disj, eq_vector, eq_binary, leq_binary,
-                      gt_binary, rightmost_zero, rightmost_one, ones)
+                      gt_binary, rightmost_zero, rightmost_one)
 from .catalog import VariableCatalog
-from . import relations
-from .relations import Check, Report, bits
+from .relations import Check, Report, bits, classes, lowest
 from .semantics import _cloud_masks, cloud_steps, submodel
 from .atm import (BLANK, LEFT, RIGHT, ComputationTree, initial_config,
                   apply_entry, validate_tree)
@@ -275,7 +274,7 @@ def _l_then_box(model, i, mid, target):
     for x in bits(model._succ_l[i] & model._mask(mid)):
         row = model._succ_d[x] & hits
         if row:
-            return x, relations._lowest(row)
+            return x, lowest(row)
     return None
 
 
@@ -299,7 +298,7 @@ def _staircase(model, p0, n, alpha, x, marker=None):
     p_points = [model.index[p0]]
     p_prime_points = []
     for m in range(2 ** n - 1):
-        k = min(set(range(n)) - ones(m))
+        k = lowest(~m)
         move = counter_move(alpha, x, k, marker)
         landing = _marked(marker, [eq_vector(x, alpha, -1),
                                    eq_binary(alpha, m + 1)])
@@ -440,7 +439,7 @@ def grow_tree(red, model, r0, params):
     formula, growing a partial tree leaf by leaf and keeping a morphism
     pi from tree nodes to model points (one per cloud)."""
     model = _reachable_restriction(model, r0)
-    _, failure = relations.classes(model._succ_l)
+    _, failure = classes(model._succ_l)
     if failure is not None:
         name, bad = failure
         worlds = " ".join(model.worlds[i] for i in bad)
@@ -468,19 +467,19 @@ def grow_tree(red, model, r0, params):
         if state == atm.reject:
             raise ExtractionError("witness-not-found",
                                   f"no_reject: node {leaf} rejects")
-        free = set(range(N)) - ones(tree.depth(leaf))
-        if not free:
+        k = lowest(~tree.depth(leaf))  # the live time bit
+        if k >= N:
             raise ExtractionError("witness-not-found",
                                   f"computation: node at the time bound ({leaf})")
-        k = min(free)
         j = window_pos(N, config.head)
         universal = state in atm.forall
         seen_configs = set()
         for entry in entries_left_then_right(atm, state, config.read()):
-            l_set = set(range(N + 1)) - ones(j) if entry[2] == RIGHT else ones(j)
+            # the head bit a right move carries into, a left one borrows from
+            l = lowest(~j) if entry[2] == RIGHT else lowest(j)
             found = None
-            if l_set:
-                key = (entry, k, min(l_set))
+            if 0 <= l <= N:
+                key = (entry, k, l)
                 if key not in queries:
                     queries[key] = red.step_query(v, *key)
                 found = _l_then_box(model, point, *queries[key])

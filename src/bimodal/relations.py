@@ -7,9 +7,10 @@ counterexample as a tuple of point indices, or None when the property
 holds.  Transitivity and commutativity compare rows of compositions
 made once by `compose`, looking into the first row that escapes only to
 name the counterexample; the evaluator decides a box once per group of
-equal rows and once per set of points where its body fails.  `bits`
+equal rows.  Bit positions are read one way across the package: `bits`
 caches the ascending set bits of the small rows asked for again and
-again; a row visited once is decoded by `ones`, top bit first.
+again, a row visited once is decoded by `ones`, top bit first, and
+`lowest` gives the lowest set bit (of ~x, the lowest zero of x).
 The model checker, the frame validators and the bounded oracle all work
 through this module.  Frame validation, tree validation and the
 extractor's morphism check all report through `Report`.
@@ -43,7 +44,9 @@ def ones(mask):
     return out
 
 
-def _lowest(mask):
+def lowest(mask):
+    """Index of the lowest set bit of mask, or -1 for 0; lowest(~x) is the
+    lowest zero of a natural number x."""
     return (mask & -mask).bit_length() - 1
 
 
@@ -109,7 +112,7 @@ def transitive(succ, reach):
     for i, row in enumerate(succ):
         extra = reach[i] & ~row
         if extra:
-            k = _lowest(extra)
+            k = lowest(extra)
             return i, next(j for j in bits(row) if succ[j] >> k & 1), k
     return None
 
@@ -121,7 +124,7 @@ def commutes(a, b, ab, cd):
     for p, reach in enumerate(cd):
         if ab[p] & ~reach:
             q = next(q for q in bits(a[p]) if b[q] & ~reach)
-            return p, q, _lowest(b[q] & ~reach)
+            return p, q, lowest(b[q] & ~reach)
     return None
 
 
@@ -130,7 +133,7 @@ def closed(succ, mask):
     for i in bits(mask):
         lost = succ[i] & ~mask
         if lost:
-            return (i, _lowest(lost))
+            return (i, lowest(lost))
     return None
 
 
@@ -228,10 +231,8 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
     With one valuation (lane 1) a box whose body holds everywhere holds
     everywhere.  Otherwise the cache holds, under the box's kind, that
     relation's rows grouped by value (one group per class of an
-    equivalence) and a map from each miss set (the points where a body
-    fails) to its box: a box holds at each group whose row misses no
-    point of the miss set, and a box whose miss set was met before is one
-    lookup.
+    equivalence), and a box holds at each group whose row misses no point
+    of the miss set (the points where its body fails).
 
     A lane other than 1 packs many valuations of the same frame into each
     mask: lane has bit v*n set for every valuation v, whose points are
@@ -265,20 +266,16 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
             elif not (miss := full & ~body):
                 v = full  # the body holds everywhere
             else:
-                entry = cache.get(kind)
-                if entry is None:
+                groups = cache.get(kind)
+                if groups is None:
                     by_row = {}
                     for i, row in enumerate(succ):
                         by_row[row] = by_row.get(row, 0) | 1 << i
-                    entry = cache[kind] = by_row.items(), {}
-                groups, decided = entry
-                v = decided.get(miss)
-                if v is None:
-                    v = 0
-                    for row, members in groups:
-                        if not row & miss:
-                            v |= members
-                    decided[miss] = v
+                    groups = cache[kind] = by_row.items()
+                v = 0
+                for row, members in groups:
+                    if not row & miss:
+                        v |= members
         cache[t] = v
     return cache[f]
 

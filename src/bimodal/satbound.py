@@ -19,7 +19,8 @@ one-point extensions of those on m-1 points; the commutator frames of
 one L-partition filter the list of transitive relations or preorders;
 persistent valuation masks filter all masks of a frame.  Survivors are
 read off in list order, so the lists are those of a candidate-by-
-candidate walk.
+candidate walk.  They stop at MAX_POINTS points: at 6 the transitive
+relations alone outgrow memory.
 
 All valuations of a frame are evaluated together.  On an m-point frame,
 lane v of a packed mask (bits v*m .. v*m+m-1) holds valuation number v,
@@ -39,12 +40,16 @@ import itertools
 from functools import cache, lru_cache
 
 from .formula import atoms as formula_atoms
-from .relations import bits, eval_masks
+from .relations import bits, eval_masks, lowest
 from .semantics import (BimodalModel, S4S5_PRODUCT, FRAME_CLASSES,
                         D_REFLEXIVE, RIGHT_COMMUTATIVE, PERSISTENT_ATOMS,
-                        validate, product_point, product_rows)
+                        validate, product_grid, product_rows)
 
 DEFAULT_MAX_POINTS = 4
+# The m-point frame lists hold every transitive relation on m points:
+# 154,303 at 5, 9,415,189 at 6 (OEIS A006905), which outgrow memory, and
+# they pack rows in bytes, so they cannot hold 8.
+MAX_POINTS = 5
 DEFAULT_MAX_ATOMS = 3
 DEFAULT_MAX_CANDIDATES = 50_000_000
 
@@ -110,8 +115,7 @@ def _partition_succ(blocks, m):
 
 # ---------------------------------------------------------------------------
 # Frame lists by lane filters: candidate v is bit v of a mask.  Rows are
-# read and written as bytes, so m is at most 8 (the lists themselves
-# outgrow memory from 6 points on).
+# read and written as bytes (see MAX_POINTS).
 
 _CLEAR = bytes.maketrans(b"01", b"\1\0")
 # _BIT_CHARS[j] maps a byte to the character "1" if its bit j is set, else "0"
@@ -165,7 +169,7 @@ def _relation_lists(m):
     lanes = [r << 8 * n | sum(1 << 8 * i + n for i in bits(c))
              for r in range(1 << m) for c in range(1 << n)]
     keys = []
-    for sub in _transitive_relations(n):
+    for sub in _relation_lists(n)[0]:
         fails = 0
         for i, reach in enumerate(sub):
             for k in range(n):
@@ -187,14 +191,6 @@ def _relation_lists(m):
         if key & diagonal == diagonal:
             preorders.append(succ)
     return rels, preorders
-
-
-def _transitive_relations(m):
-    return _relation_lists(m)[0]
-
-
-def _preorders(m):
-    return _relation_lists(m)[1]
 
 
 def _commutator_fails(blocks, lanes, need_right):
@@ -223,49 +219,39 @@ def _commutator_fails(blocks, lanes, need_right):
 @cache
 def _frames(frame_class, m):
     """Valid frames of the class on m points in canonical order, as
-    (succ_l, [succ_d, ...], names, masks) groups, names naming the points
-    of the group's frames: one group per partition with the points named
-    "0", "1", ..., or for products one per frame with point v * m2 + x of
-    an m1 x m2 product named "v|x".  Grouping keeps the partition and the
-    names once per group.  Products come by first factor size, then
-    preorders on the first factor and partitions on the second.
-
-    masks is None when every valuation mask is allowed; under atom
-    persistence it lists each frame's `_persistent_masks`, one tuple
-    shared by the frames of each []-relation."""
+    (succ_l, [succ_d, ...], names, [allowed, ...]) groups, one per
+    partition or, for products, one per frame.  names are the points'
+    names, "0", "1", ... or for products the `product_grid` names "v|x"
+    of the cells v * m2 + x; allowed gives, per frame, the masks an atom
+    may take: all of them, or under atom persistence the frame's
+    `_persistent_masks`.  Products come by first factor size, then
+    preorders on the first factor and partitions on the second."""
+    every = range(1 << m)
     out = []
     if frame_class == S4S5_PRODUCT:
         for m1 in range(1, m + 1):
             if m % m1:
                 continue
             m2 = m // m1
-            names = tuple(product_point(v, x)
-                          for v in range(m1) for x in range(m2))
-            for succ1 in _preorders(m1):
+            names = tuple(product_grid(range(m1), range(m2))[2])
+            for succ1 in _relation_lists(m1)[1]:
                 for blocks in _set_partitions(m2):
                     succ_d, succ_l = product_rows(
                         succ1, _partition_succ(blocks, m2))
-                    out.append((succ_l, [succ_d], names, None))
+                    out.append((succ_l, [succ_d], names, [every]))
         return out
     need_right = frame_class in RIGHT_COMMUTATIVE
-    rel_ds = (_preorders(m) if frame_class in D_REFLEXIVE
-              else _transitive_relations(m))
+    rels, preorders = _relation_lists(m)
+    rel_ds = preorders if frame_class in D_REFLEXIVE else rels
     lanes = _edge_lanes(rel_ds, m)
     names = tuple(map(str, range(m)))
-    persistent = (list(map(_persistent_masks, rel_ds))
-                  if frame_class in PERSISTENT_ATOMS else None)
+    allowed = (list(map(_persistent_masks, rel_ds))
+               if frame_class in PERSISTENT_ATOMS else [every] * len(rel_ds))
     for blocks in _set_partitions(m):
         fails = _commutator_fails(blocks, lanes, need_right)
-        masks = None if persistent is None else _survivors(persistent, fails)
         out.append((_partition_succ(blocks, m), _survivors(rel_ds, fails),
-                    names, masks))
+                    names, _survivors(allowed, fails)))
     return out
-
-
-def _frame_groups(frame_class, m):
-    """The frame lists alone: the groups of `_frames` as (succ_l,
-    [succ_d, ...], names)."""
-    return [group[:3] for group in _frames(frame_class, m)]
 
 
 def _persistent_masks(succ_d):
@@ -284,8 +270,8 @@ def _persistent_masks(succ_d):
 
 def _hit_model(frame_class, names, succ_l, succ_d, atom_masks, point_index):
     """The hit as a validated model whose point i is named names[i].  The
-    lists hold at most 8 points, so the names "0" .. "7" and "v|x" sort in
-    index order."""
+    lists hold at most MAX_POINTS points, so the names "0", "1", ... and
+    "v|x" sort in index order."""
     model = BimodalModel.from_rows(names, succ_d, succ_l, atom_masks,
                                    frame_class=frame_class,
                                    designated=names[point_index])
@@ -326,29 +312,41 @@ def _lanes(allowed, k, m):
     return _repeat(1, m, b ** j), fast
 
 
-def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
-    """The one search loop: the first (frame, valuation, point) in
-    canonical order where f holds, counting the valuations tried against
-    max_candidates exactly as a one-at-a-time walk would."""
+def bounded_sat(f, frame_class, max_points=DEFAULT_MAX_POINTS,
+                max_atoms=DEFAULT_MAX_ATOMS,
+                max_candidates=DEFAULT_MAX_CANDIDATES):
+    """Search for a model of f in the given frame class with at most
+    max_points worlds: the first (frame, valuation, point) in canonical
+    order where f holds, counting the valuations tried against
+    max_candidates exactly as a one-at-a-time walk would.  A Sat verdict
+    carries a validated model; an UnsatWithinBound verdict is one-sided."""
+    if frame_class not in FRAME_CLASSES:
+        raise ValueError(f"unknown frame class {frame_class!r}")
+    if max_points < 1:
+        raise ValueError("max_points must be at least 1")
+    if max_points > MAX_POINTS:
+        raise ValueError(f"max_points must be at most {MAX_POINTS}")
+    atom_ids = sorted(formula_atoms(f))
     k = len(atom_ids)
+    if k > max_atoms:
+        raise ResourceCapError(f"formula has {k} atoms, ceiling is {max_atoms}")
     frames = candidates = 0
     for m in range(1, max_points + 1):
-        every = itertools.repeat(range(1 << m))
         for succ_l, succ_ds, names, masks in _frames(frame_class, m):
-            for succ_d, allowed in zip(succ_ds, masks or every):
+            for succ_d, allowed in zip(succ_ds, masks):
                 frames += 1
                 lane, fast = _lanes(allowed, k, m)
                 width = len(allowed) ** len(fast)
                 for slow in itertools.product(allowed, repeat=k - len(fast)):
-                    masks = [mask * lane for mask in slow] + fast
-                    atom_masks = dict(zip(atom_ids, masks))
+                    packed = [mask * lane for mask in slow] + fast
+                    atom_masks = dict(zip(atom_ids, packed))
                     hit = eval_masks(f, succ_d, succ_l, atom_masks, m, {},
                                      lane)
                     left = max_candidates - candidates
                     if width > left:
                         hit &= (1 << max(left, 0) * m) - 1
                     if hit:
-                        v, point = divmod((hit & -hit).bit_length() - 1, m)
+                        v, point = divmod(lowest(hit), m)
                         valuation = {a: mask >> v * m & (1 << m) - 1
                                      for a, mask in atom_masks.items()}
                         model = _hit_model(frame_class, names, succ_l, succ_d,
@@ -364,21 +362,3 @@ def _search(f, frame_class, atom_ids, max_points, max_atoms, max_candidates):
                     candidates += width
     return SatVerdict(False, max_points=max_points, max_atoms=max_atoms,
                       frames=frames, candidates=candidates)
-
-
-def bounded_sat(f, frame_class, max_points=DEFAULT_MAX_POINTS,
-                max_atoms=DEFAULT_MAX_ATOMS,
-                max_candidates=DEFAULT_MAX_CANDIDATES):
-    """Search for a model of f in the given frame class with at most
-    max_points worlds.  A Sat verdict carries a validated model; an
-    UnsatWithinBound verdict is one-sided."""
-    if frame_class not in FRAME_CLASSES:
-        raise ValueError(f"unknown frame class {frame_class!r}")
-    if max_points < 1:
-        raise ValueError("max_points must be at least 1")
-    atom_ids = sorted(formula_atoms(f))
-    if len(atom_ids) > max_atoms:
-        raise ResourceCapError(
-            f"formula has {len(atom_ids)} atoms, ceiling is {max_atoms}")
-    return _search(f, frame_class, atom_ids, max_points, max_atoms,
-                   max_candidates)

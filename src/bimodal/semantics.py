@@ -14,10 +14,9 @@ raw data.
 Evaluation computes, per distinct subformula, the set of worlds where it
 holds as a bitmask over the sorted world list.  The per-model cache is
 keyed by subformula identity, so repeated checks are cheap even for very
-large generated formulas; it also groups each relation's rows by value
-for the boxes and keeps each box decided per miss set (the worlds where
-its body fails), so a box whose miss set was met before, or is empty,
-scans no rows.
+large generated formulas; it also groups each relation's rows by value,
+so a box scans one row per group, and none when its body holds
+everywhere.
 Validation composes D;D, D;L, L;L and L;D once and compares rows: L;L
 inside L, D;D inside D, D;L inside L;D and L;D inside D;L.  A model never
 changes, so it keeps the report of each class it is validated for, and
@@ -40,9 +39,9 @@ whole text once.  One reader takes any file in one pass over its lines:
 a source's run of relation lines in the writer's form is taken whole,
 and a run that reads exactly as the writer would write the targets of
 the run before is that row again, found by one comparison of text; any
-other line is split on its own.  Rows and atom masks are made as their
-lines are read and carried to the sorted order of the worlds at the
-end, each distinct row once.
+other line is split on its own.  Rows are made as their lines are
+read, atom masks from all of an atom's lines at the end, and both are
+carried to the sorted order of the worlds, each distinct row once.
 """
 
 import re
@@ -52,7 +51,7 @@ from operator import or_
 
 from .formula import Formula
 from . import relations
-from .relations import Check, Report, bits, eval_masks, ones
+from .relations import Check, Report, bits, eval_masks, lowest, ones
 
 CROSS_AXIOM = "cross-axiom"
 S4S5_COMMUTATOR = "s4s5-commutator"
@@ -439,23 +438,11 @@ def cloud_steps(succ_d, blocks):
             reach |= succ_d[i]
         found = []
         while reach:
-            c = owner[(reach & -reach).bit_length() - 1]
+            c = owner[lowest(reach)]
             found.append(c)
             reach &= ~blocks[c]
         out.append(sorted(found))
     return out
-
-
-def induced_cloud_relation(model, cloud_list=None):
-    """Pairs (i, j) of cloud indices such that some member of cloud i has a
-    rel_d successor in cloud j."""
-    if cloud_list is None:
-        blocks = _cloud_masks(model)
-    else:
-        blocks = [sum(1 << model.index[w] for w in members)
-                  for members in cloud_list]
-    return [(i, j) for i, steps in enumerate(cloud_steps(model._succ_d, blocks))
-            for j in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +512,20 @@ def save_model(model):
 def load_model(text):
     """The model that text describes: one line per world, relation pair
     and atom, in any order, with blank lines and `#` comments skipped.
-    A bad line, a name that is not a world, an unknown frame class or
-    designated world, or a repeated world is a ValueError.
+    A bad line (a second class or designated line among them), a name
+    that is not a world, an unknown frame class or designated world, or
+    a repeated world is a ValueError.
 
     The lines are read in one pass.  A source's run of relation lines in
     the writer's form is taken whole, and one that reads exactly as the
     writer writes the targets of the run before is that run's row again;
     a run of world lines is split once; any other line is split on its
-    own.  A source may have several runs, which are ORed.  Rows and
-    atom masks are made as their lines are read, over the worlds read so
-    far; a line that names a world not yet read waits until the end.  The
-    rows are then carried to the sorted order of the worlds, each
-    distinct row once, so that rows the file repeats stay one int."""
+    own.  A source may have several runs, and an atom several val lines,
+    which are ORed.  Rows are made as their lines are read, over the
+    worlds read so far; a pair that names a world not yet read waits
+    until the end, as do the atom masks.  The rows are then carried to
+    the sorted order of the worlds, each distinct row once, so that rows
+    the file repeats stay one int."""
     if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
         # the line ends of splitlines, so that line numbers match it
         text = "\n".join(text.splitlines()) + "\n"
@@ -546,7 +535,7 @@ def load_model(text):
     bit = {}  # world name -> 1 << its place among the distinct names read
     succ = {"d": [], "l": []}
     waiting = {"d": [], "l": []}  # pairs naming a world not yet read
-    atom_masks = {}  # atom id -> mask, or the set of names while it waits
+    vals = {}  # atom id -> the names of its val lines
     frame_class = designated = None
     names = row = None  # the targets and row of the last run taken whole
 
@@ -605,13 +594,11 @@ def load_model(text):
         elif parts[0] == "world" and len(parts) == 2:
             add_worlds(parts[1:])
         elif parts[0] == "val" and len(parts) >= 2 and _is_atom_id(parts[1]):
-            try:
-                atom_masks[int(parts[1])] = _mask(parts[2:], bit)
-            except KeyError:
-                atom_masks[int(parts[1])] = set(parts[2:])
-        elif parts[0] == "class" and len(parts) == 2:
+            vals.setdefault(int(parts[1]), []).extend(parts[2:])
+        elif parts[0] == "class" and len(parts) == 2 and frame_class is None:
             frame_class = parts[1]
-        elif parts[0] == "designated" and len(parts) == 2:
+        elif (parts[0] == "designated" and len(parts) == 2
+              and designated is None):
             designated = parts[1]
         else:
             lineno = text.count("\n", 0, pos) + 1
@@ -623,13 +610,13 @@ def load_model(text):
         for head, rows in succ.items():
             for i, extra in enumerate(_pair_rows(waiting[head], len(bit), index)):
                 rows[i] |= extra
-    for atom_id, mask in atom_masks.items():
-        if isinstance(mask, set):
-            try:
-                atom_masks[atom_id] = _mask(mask, bit)
-            except KeyError:
-                # raises, naming the least unknown world
-                _named_rows(read, (), (), {atom_id: mask})
+    atom_masks = {}
+    for atom_id, names in vals.items():
+        try:
+            atom_masks[atom_id] = _mask(names, bit)
+        except KeyError:
+            # raises, naming the least unknown world of the atom's lines
+            _named_rows(read, (), (), {atom_id: set(names)})
     worlds = sorted(read)
     succ_d, succ_l = succ["d"], succ["l"]
     if worlds != read:

@@ -179,7 +179,7 @@ def reference_transitive(succ):
             reach |= succ[j]
         extra = reach & ~row
         if extra:
-            k = relations._lowest(extra)
+            k = relations.lowest(extra)
             for j in relations.bits(row):
                 if succ[j] >> k & 1:
                     return (i, j, k)
@@ -196,5 +196,5 @@ def reference_commutes(a, b, c, d):
         for q in relations.bits(row):
             missing = b[q] & ~reach
             if missing:
-                return (p, q, relations._lowest(missing))
+                return (p, q, relations.lowest(missing))
     return None

@@ -222,6 +222,70 @@ def test_save_load_tree_round_trip(m1):
     assert save_tree(back) == text
 
 
+M1_TEXT = (pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+           / "m1.atm").read_text()
+
+
+def m1_edited(old, new):
+    """m1's machine text with the line old replaced by new (old None:
+    new appended; new None: old dropped)."""
+    lines = M1_TEXT.splitlines()
+    if old is None:
+        lines.append(new)
+    else:
+        lines[lines.index(old):lines.index(old) + 1] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (None, "oops", "bad machine line 16: 'oops'"),
+    ("delta: q0 a -> qacc a R", "delta: q0 a qacc a R",
+     "bad transition on line 10: 'delta: q0 a qacc a R'"),
+    ("delta: q0 a -> qacc a R", "delta: q0 a -> qacc a",
+     "bad transition on line 10: 'delta: q0 a -> qacc a'"),
+    (None, "halt: qacc", "unknown field 'halt' on line 16"),
+    (None, "init: q1", "repeated field 'init' on line 16"),
+    ("forall: q1", "forall: q1\nforall: q1", "repeated field 'forall' on line 6"),
+    ("init: q0", None, "machine file is missing the 'init' field"),
+    ("symbols: # a b", "symbols: # a b a", "duplicate tape symbols"),
+    ("symbols: # a b", "symbols: a b", "tape alphabet must contain the blank '#'"),
+    ("input: a b", "input: a #", "input symbol '#' must be a non-blank tape symbol"),
+    ("states: q0 q1 qacc qrej", "states: q0 q1 qacc qrej q0", "duplicate states"),
+    ("forall: q1", "forall: q1 q0",
+     "existential/universal/accept/reject must partition the states"),
+    ("init: q0", "init: q9", "unknown initial state 'q9'"),
+    ("delta: q0 a -> qacc a R", "delta: q0 a -> q9 a R",
+     "transition uses unknown state: 'q0' or 'q9'"),
+    ("delta: q0 a -> qacc a R", "delta: q0 z -> qacc a R",
+     "transition uses unknown symbol: 'z' or 'a'"),
+    ("delta: q0 a -> qacc a R", "delta: q0 a -> qacc a S",
+     "direction must be L or R, got 'S'"),
+    (None, "delta: qacc a -> qacc a R",
+     "accepting/rejecting state 'qacc' must have no transitions"),
+    ("delta: q0 b -> qrej b R", None, "state 'q0' has no transition on symbol 'b'"),
+], ids=["bad-line", "no-arrow", "short-transition", "unknown-field",
+        "repeated-field", "repeated-list-field", "missing-field",
+        "duplicate-symbols", "no-blank", "blank-input", "duplicate-states",
+        "no-partition", "unknown-init", "unknown-state", "unknown-symbol",
+        "bad-direction", "halting-transition", "missing-transition"])
+def test_malformed_machine_files_are_named(old, new, message):
+    with pytest.raises(AtmError) as err:
+        parse_atm(m1_edited(old, new))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node 0 - q0 0\nleaf 1 0 q1 1\n", "bad tree line 2: 'leaf 1 0 q1 1'"),
+    ("node 0 - q0 0\nnode 0 - q0 0\n", "root already present"),
+    ("node 0 - q0 0\nnode 5 0 q1 1\n",
+     "tree nodes must be listed in id order (line 2)"),
+], ids=["bad-line", "two-roots", "id-order"])
+def test_malformed_tree_files_are_named(text, message):
+    with pytest.raises(ValueError) as err:
+        load_tree(text)
+    assert str(err.value) == message
+
+
 def test_parse_atm_rejects_bad_spec():
     with pytest.raises(AtmError):
         parse_atm("symbols: # a\n")

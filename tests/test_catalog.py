@@ -51,6 +51,17 @@ def test_vector_is_msb_first():
     assert vec.bit(0) is fm.Atom(cat.atom("A", 0))
 
 
+def test_bits_are_the_atoms_at_the_ones_of_a_value():
+    cat = VariableCatalog()
+    for k in range(4):
+        cat.assign_next("A", k)
+    assert cat.bits("A", 0) == []
+    assert cat.bits("A", 0b1011) == [cat.atom("A", 3), cat.atom("A", 1),
+                                     cat.atom("A", 0)]
+    with pytest.raises(ValueError, match="bits of 'A' need a natural number, got -1"):
+        cat.bits("A", -1)
+
+
 def test_dump_load_round_trip():
     cat = VariableCatalog()
     cat.assign("B", None, 0)

@@ -93,6 +93,8 @@ def test_missing_n_exits_two_before_the_model_is_read(capsys):
     (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
       "--bound", "0"], "--bound must be at least 1"),
     (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
+      "--bound", "6"], "--bound must be at most 5"),
+    (["sat", "--formula", "/nonexistent", "--class", "cross-axiom",
       "--max-atoms", "0"], "--max-atoms must be at least 1"),
     (["atm", "run", "--atm", "/nonexistent", "--w", "a", "--fuel", "-1"],
      "--fuel must be at least 0"),
@@ -101,7 +103,7 @@ def test_missing_n_exits_two_before_the_model_is_read(capsys):
     (["gen", "f-ssl", "--atm", "/nonexistent", "--w", "a", "--poly", "0"],
      "need p(n) >= max(n, 1), got p(1) = 0"),
 ], ids=["extract-tree", "extract-trace-n", "gen-n", "sat-bound",
-        "sat-max-atoms", "atm-run-fuel", "poly-coefficient", "poly-too-small"])
+        "sat-bound-above-lists", "sat-max-atoms", "atm-run-fuel", "poly-coefficient", "poly-too-small"])
 def test_usage_errors_exit_two_before_files_are_read(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -371,6 +373,45 @@ def test_verify_pipeline(capsys, m1_path):
     report = report_dict(out)
     assert report["result"] == "pass"
     assert report["extractions-agree"] == "pass"
+
+
+def test_atm_run_names_a_malformed_machine_file(tmp_path, capsys):
+    machine = tmp_path / "twice.atm"
+    machine.write_text(M1_PATH.read_text() + "init: q1\n")
+    code, out, err = run(capsys, "atm", "run", "--atm", str(machine), "--w", "a",
+                         "--fuel", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: repeated field 'init' on line 16\n"
+
+
+def test_translate_s4s5_to_k4s5_counts_box_subformulas(tmp_path, capsys):
+    from bimodal.red_s4s5 import gen_f_s4s5
+    from bimodal.reduction import ReductionParams
+    from bimodal.translations import t_s4s5_to_k4s5
+    f = gen_f_s4s5(ReductionParams(am.parse_atm(M1_PATH.read_text()), [2, 1], "a"))[0]
+    formula_file = tmp_path / "f.txt"
+    formula_file.write_text(fm.render(f) + "\n")
+    code, out, _ = run(capsys, "translate", "s4s5-k4s5",
+                       "--formula", str(formula_file))
+    assert code == 0
+    report = report_dict(out)
+    assert report["command"] == "translate s4s5-k4s5"
+    assert report["box-subformulas"] == str(len(t_s4s5_to_k4s5(f).box_subformulas))
+    assert report["result"] == "pass"
+
+
+def test_verify_pipeline_without_an_accepting_tree_fails(tmp_path, capsys):
+    from tests.test_rejection import NEAR_MISS_TEXT
+    machine = tmp_path / "near_miss.atm"
+    machine.write_text(NEAR_MISS_TEXT)
+    code, out, err = run(capsys, "verify", "pipeline", "--atm", str(machine),
+                         "--w", "bbb", "--poly", "0,1")
+    assert code == 1
+    report = report_dict(out)
+    assert report["accepting-tree-found"] == "fail"
+    assert report["result"] == "fail"
+    assert "no accepting tree" in err
 
 
 def test_missing_file_exits_one(capsys):

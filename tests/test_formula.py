@@ -608,13 +608,6 @@ def test_parse_finds_spans_that_share_their_first_32_characters(monkeypatch):
     again = fm.render(fm.conj([fm.conj(atoms[:m]) for m in (70, 45, 70, 60, 45)]))
     assert outcome(fm.parse, again) == outcome(reference_parse, again)
 
-# --- numeric helpers ---------------------------------------------------------
-
-def test_ones_bit_bin_str():
-    assert fm.ones(0) == set()
-    assert fm.ones(5) == {0, 2}
-
-
 # --- repr ----------------------------------------------------------------------
 
 def test_repr_of_a_short_formula_is_its_text():

@@ -5,9 +5,9 @@ in one place, keeps the binary counter in the shared engine, builds
 products only from factor rows, reads model files through one reader
 and checks frames in one place, keeps no product flag, builds each
 connective through one constructor, walks formulas through one
-postorder and prints every pass/fail check through one report class;
-and the benchmark worker still finds every library function it calls by
-name."""
+postorder, reads bit positions through `relations` and prints every
+pass/fail check through one report class; and the benchmark worker still
+finds every library function it calls by name."""
 
 import ast
 import importlib.util
@@ -17,7 +17,7 @@ import tokenize
 
 import pytest
 
-from bimodal import formula as fm, relations, semantics
+from bimodal import formula as fm, relations, satbound, semantics
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bimodal"
@@ -137,6 +137,27 @@ def test_one_constructor_per_connective():
                                    "L": fm.L, "<>": fm.Diamond}
     assert fm._BINOP_BUILDERS == {"&": fm.And, "|": fm.Or, "->": fm.Implies,
                                   "<->": fm.Iff}
+
+
+@pytest.mark.parametrize("module, name", [
+    (fm, "ones"), (relations, "_lowest"), (satbound, "_transitive_relations"),
+    (satbound, "_preorders"), (satbound, "_frame_groups"), (satbound, "_search"),
+    (semantics, "induced_cloud_relation")])
+def test_deleted_names_stay_deleted(module, name):
+    """Bit positions are read through `relations.ones`, `bits` and
+    `lowest`; the oracle reads its frame lists through `_relation_lists`
+    and `_frames` and searches in `bounded_sat`; the cloud steps are
+    `semantics.cloud_steps`.  No second name for any of them comes back."""
+    assert not hasattr(module, name)
+
+
+def test_box_cache_entry_is_the_row_groups():
+    """A one-valuation box kind caches its relation's rows grouped by value
+    and nothing more: no per-miss-set memo comes back."""
+    cache = {}
+    relations.eval_masks(fm.Box(fm.Atom(0)), [0b011, 0b011, 0b100], [], {0: 1},
+                         3, cache)
+    assert list(cache[fm.BOXMOD]) == [(0b011, 0b011), (0b100, 0b100)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

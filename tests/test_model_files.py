@@ -20,7 +20,8 @@ from tests.test_relations import SCAN_SIZES, decoded, random_model, scan_rows
 def reference_load_model(text):
     """The line-by-line reader `load_model` was before it read relation
     blocks, with an atom id that is not a natural number in ASCII decimal
-    digits made a bad line."""
+    digits made a bad line, the val lines of one atom ORed together, and
+    a second class or designated line made a bad line."""
     worlds = []
     rel_d = []
     rel_l = []
@@ -41,10 +42,10 @@ def reference_load_model(text):
         elif head == "val" and len(parts) >= 2:
             if not re.fullmatch(r"[0-9]+", parts[1]):
                 raise ValueError(f"bad model line {lineno}: {raw!r}")
-            valuation[int(parts[1])] = set(parts[2:])
-        elif head == "class" and len(parts) == 2:
+            valuation.setdefault(int(parts[1]), set()).update(parts[2:])
+        elif head == "class" and len(parts) == 2 and frame_class is None:
             frame_class = parts[1]
-        elif head == "designated" and len(parts) == 2:
+        elif head == "designated" and len(parts) == 2 and designated is None:
             designated = parts[1]
         else:
             raise ValueError(f"bad model line {lineno}: {raw!r}")
@@ -410,6 +411,41 @@ def test_saved_text_is_one_line_per_pair(seed):
         "class-after-world", "val-repeated", "extra-spaces", "blank", "empty"])
 def test_files_near_the_writers_layout_read_alike(text):
     assert outcome(load_model, text) == outcome(reference_load_model, text)
+
+
+@pytest.mark.parametrize("first, second", [("a", "b"), ("b", "a")])
+def test_val_lines_of_one_atom_are_ored_in_either_order(first, second):
+    text = f"world a\nworld b\nl a a\nl b b\nval 0 {first}\nval 0 {second}\n"
+    for read in (load_model, reference_load_model):
+        assert dict(read(text).valuation) == {0: frozenset({"a", "b"})}
+
+
+@pytest.mark.parametrize("text", [
+    "world a\nworld b\nval 0 a zz\nval 0 b\n",
+    "world a\nworld b\nval 0 b\nval 0 a zz\n",
+    "world a\nworld b\nval 0 b zz\nval 0 a yy\n",
+], ids=["unknown-first", "unknown-last", "unknown-in-both"])
+def test_unknown_world_in_any_val_line_of_an_atom_is_named(text):
+    """A later val line of the same atom does not hide an unknown world
+    in an earlier one; the least unknown world of all of them is named."""
+    for read in (load_model, reference_load_model):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        name = "yy" if "yy" in text else "zz"
+        assert str(err.value) == (
+            f"valuation of atom 0 mentions unknown world {name!r}")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("class cross-axiom\nworld a\nclass cross-axiom\nl a a\n", 3),
+    ("world a\ndesignated a\nl a a\ndesignated a\n", 4),
+], ids=["class", "designated"])
+def test_second_header_line_is_a_bad_line(text, line):
+    raw = text.splitlines()[line - 1]
+    for read in (load_model, reference_load_model):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == f"bad model line {line}: {raw!r}"
 
 
 def test_non_integer_atom_id_is_a_bad_line():

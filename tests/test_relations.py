@@ -431,14 +431,14 @@ def ref_frames(frame_class, m):
                                          K4S5_COMMUTATOR])
 def test_oracle_frames_match_pair_set_reference(frame_class, m):
     assert [(succ_l, succ_d)
-            for succ_l, succ_ds, _ in satbound._frame_groups(frame_class, m)
+            for succ_l, succ_ds, *_ in satbound._frames(frame_class, m)
             for succ_d in succ_ds] == ref_frames(frame_class, m)
 
 
 def test_relation_counts_match_oeis():
     # transitive relations: OEIS A006905; preorders: OEIS A000798
-    assert [len(satbound._transitive_relations(m)) for m in range(1, 5)] == [2, 13, 171, 3994]
-    assert [len(satbound._preorders(m)) for m in range(1, 5)] == [1, 4, 29, 355]
+    assert [len(satbound._relation_lists(m)[0]) for m in range(1, 5)] == [2, 13, 171, 3994]
+    assert [len(satbound._relation_lists(m)[1]) for m in range(1, 5)] == [1, 4, 29, 355]
 
 
 # The labelled walk the oracle's lane filters replaced: one kernel call per
@@ -472,8 +472,8 @@ def reference_preorders(m):
 
 
 def reference_frame_groups(frame_class, m):
-    """The groups of `satbound._frame_groups`, commutation checked one
-    relation at a time."""
+    """The groups of `satbound._frames` without their allowed masks,
+    commutation checked one relation at a time."""
     out = []
     if frame_class == S4S5_PRODUCT:
         for m1 in range(1, m + 1):
@@ -510,25 +510,26 @@ def reference_persistent_masks(succ_d):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_relation_lists_match_labelled_walk(m):
-    assert satbound._transitive_relations(m) == reference_transitive_relations(m)
-    assert satbound._preorders(m) == reference_preorders(m)
+    assert satbound._relation_lists(m)[0] == reference_transitive_relations(m)
+    assert satbound._relation_lists(m)[1] == reference_preorders(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("frame_class", FRAME_CLASSES)
 def test_frame_groups_match_labelled_walk(frame_class, m):
-    assert satbound._frame_groups(frame_class, m) == reference_frame_groups(frame_class, m)
+    assert ([group[:3] for group in satbound._frames(frame_class, m)]
+            == reference_frame_groups(frame_class, m))
 
 
 def test_persistent_masks_match_labelled_walk():
     for m in range(1, 5):
-        for succ_d in satbound._transitive_relations(m):
+        for succ_d in satbound._relation_lists(m)[0]:
             assert satbound._persistent_masks(succ_d) == reference_persistent_masks(succ_d)
 
 
 def frame_digest(frame_class, m):
     frames = [(list(succ_l), list(succ_d))
-              for succ_l, succ_ds, _ in satbound._frame_groups(frame_class, m)
+              for succ_l, succ_ds, *_ in satbound._frames(frame_class, m)
               for succ_d in succ_ds]
     return len(frames), hashlib.sha256(repr(frames).encode()).hexdigest()[:16]
 
@@ -548,8 +549,8 @@ def test_frame_lists_at_four_points_are_pinned():
 
 
 def test_frame_lists_at_five_points_are_pinned(five_point_frames):
-    assert len(satbound._transitive_relations(5)) == 154303  # OEIS A006905
-    assert len(satbound._preorders(5)) == 6942  # OEIS A000798
+    assert len(satbound._relation_lists(5)[0]) == 154303  # OEIS A006905
+    assert len(satbound._relation_lists(5)[1]) == 6942  # OEIS A000798
     assert {c: frame_digest(c, 5) for c in FRAME_DIGESTS} == {
         c: pins[5] for c, pins in FRAME_DIGESTS.items()}
 
@@ -643,8 +644,8 @@ def test_packed_lanes_match_reference_evaluator():
 
 
 def test_boxes_with_one_miss_set_give_what_a_fresh_cache_gives():
-    # Box(x0) and Box(!!x0) fail at the same points, so on one cache the
-    # second box is the first one's decision looked up
+    # Box(x0) and Box(!!x0) fail at the same points, and on one cache the
+    # second box is decided over the row groups the first one left there
     rng = random.Random(11)
     x0 = Atom(0)
     for _ in range(80):

@@ -78,6 +78,23 @@ def test_unsat_verdict_reports_bounds():
     assert verdict.max_points == 2
 
 
+@pytest.mark.parametrize("max_points, message", [
+    (0, "max_points must be at least 1"),
+    (satbound.MAX_POINTS + 1, "max_points must be at most 5"),
+    (8, "max_points must be at most 5"),
+])
+def test_point_bounds_outside_the_frame_lists_are_refused(max_points, message):
+    """The frame lists hold every transitive relation on m points, which
+    outgrow memory from 6 points on; a bound above MAX_POINTS is refused
+    before any list is built."""
+    built = satbound._relation_lists.cache_info().currsize
+    with pytest.raises(ValueError) as err:
+        bounded_sat(And(Atom(0), Not(Atom(0))), CROSS_AXIOM,
+                    max_points=max_points)
+    assert str(err.value) == message
+    assert satbound._relation_lists.cache_info().currsize == built
+
+
 def test_atom_ceiling_enforced():
     f = fm.conj([Atom(i) for i in range(DEFAULT_MAX_ATOMS + 1)])
     with pytest.raises(ResourceCapError):
@@ -125,7 +142,7 @@ def product_frames(max_points):
                     for m2 in range(1, max_points + 1)
                     if m1 * m2 <= max_points)
     for m, m1, m2 in shapes:
-        for succ1 in satbound._preorders(m1):
+        for succ1 in satbound._relation_lists(m1)[1]:
             for blocks in satbound._set_partitions(m2):
                 succ2 = satbound._partition_succ(blocks, m2)
                 # product point (v, x) -> index v * m2 + x
@@ -158,7 +175,7 @@ def walk_candidates(f, frame_class, max_points):
                    if frame_class == CROSS_AXIOM else range(1 << m),
                    partial(satbound._hit_model, frame_class, names, succ_l, succ_d))
                   for m in range(1, max_points + 1)
-                  for succ_l, succ_ds, names in satbound._frame_groups(frame_class, m)
+                  for succ_l, succ_ds, names, _ in satbound._frames(frame_class, m)
                   for succ_d in succ_ds)
     for number, (m, succ_l, succ_d, allowed, build) in enumerate(frames, 1):
         for combo in itertools.product(allowed, repeat=len(atom_ids)):

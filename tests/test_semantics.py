@@ -9,7 +9,7 @@ from bimodal import formula as fm, relations, semantics
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond
 from bimodal.relations import Check, Report
 from bimodal.semantics import (BimodalModel, validate, clouds,
-                               induced_cloud_relation, product_grid,
+                               cloud_steps, product_grid,
                                product_point, product_rows, save_model,
                                load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
@@ -138,7 +138,8 @@ def test_clouds_and_induced_relation(two_cloud_model):
     cloud_list = clouds(m)
     assert [sorted(c) for c in cloud_list] == [["a0", "a1"], ["b0", "b1"]]
     assert cloud_list[1] == ("b0", "b1")
-    assert induced_cloud_relation(m, cloud_list) == [(0, 0), (0, 1), (1, 1)]
+    blocks = [sum(1 << m.index[w] for w in c) for c in cloud_list]
+    assert cloud_steps(m._succ_d, blocks) == [[0, 1], [1]]
 
 
 def test_world_ids_must_be_strings():
@@ -367,8 +368,8 @@ def test_witness_formulas_match_per_world_evaluation(branch_witnesses):
 
 def test_witness_boxes_match_per_world_evaluation(branch_witnesses):
     # every box of a witness formula, decided on the model's one cache;
-    # among them are boxes whose body holds everywhere and boxes that share
-    # their miss set with another box of the same kind, which scan no rows
+    # among them are boxes whose body holds everywhere, which scan no rows,
+    # and boxes that share their miss set with another box of the same kind
     rng = random.Random(17)
     everywhere = repeated = 0
     for _, witness, _, _, f in branch_witnesses:
