@@ -3,28 +3,31 @@ translation, bounded satisfiability, and an end-to-end verification
 pipeline.  Every subcommand is a thin composition of library calls and
 prints a plain `key: value` report.
 
-Exit codes: 0 when all checks pass, 1 when a check fails, 2 on usage
-errors.
+Exit codes: 0 when all checks pass; 1 when a check fails or an input is
+wrong (a missing or malformed file, a missing or unknown point), with
+the error on stderr; 2 on usage errors.
 """
 
 import argparse
 import sys
 
-from . import formula as fm
-from .semantics import FRAME_CLASSES, load_model, save_model, validate
-from . import atm as atm_mod
-from . import red_ssl, red_s4s5
-from .reduction import (ReductionParams, ExtractionError, gen_formula,
-                        grow_tree, size_parameter, gen_counter,
-                        extract_counter)
+from . import atm as atm_mod, formula as fm, red_s4s5, red_ssl, satbound
 from . import translations
-from . import satbound
+from .reduction import (ExtractionError, ReductionParams, extract_counter,
+                        gen_counter, gen_formula, grow_tree, size_parameter)
+from .semantics import FRAME_CLASSES, load_model, save_model, validate
 
 # The reductions by logic name: `--logic` choices, `gen` kinds
 # (counter-<logic>, f-<logic>) and the pipeline's logics come from here.
 REDUCTIONS = {"ssl": red_ssl.SSL, "s4s5": red_s4s5.S4S5}
 GEN_KINDS = [f"{family}-{logic}" for family in ("counter", "f")
              for logic in REDUCTIONS]
+# The translations by kind: each one's function and its extra report line.
+TRANSLATIONS = {
+    "ssl-s4s5": (translations.t_ssl_to_s4s5,
+                 lambda r: f"main-atom: {r.main_atom}"),
+    "s4s5-k4s5": (translations.t_s4s5_to_k4s5,
+                  lambda r: f"box-subformulas: {len(r.box_subformulas)}")}
 
 
 class CheckFailure(Exception):
@@ -56,6 +59,8 @@ def _counter_width(args, command):
 
 
 def _load_params(args):
+    """The reduction's parameters from --atm, --w and --poly, the one place
+    that requires them; the polynomial is checked before the machine."""
     if not (args.atm and args.w is not None and args.poly):
         raise UsageError("the reduction requires --atm, --w and --poly")
     try:
@@ -185,15 +190,10 @@ def _extract(args):
 
 
 def _translate(args):
-    f = fm.parse(_read(args.formula))
-    if args.kind == "ssl-s4s5":
-        result = translations.t_ssl_to_s4s5(f)
-        extra = [f"main-atom: {result.main_atom}"]
-    else:
-        result = translations.t_s4s5_to_k4s5(f)
-        extra = [f"box-subformulas: {len(result.box_subformulas)}"]
+    translate, extra = TRANSLATIONS[args.kind]
+    result = translate(fm.parse(_read(args.formula)))
     report = [f"command: translate {args.kind}",
-              f"size: {fm.rendered_size(result.formula)}"] + extra
+              f"size: {fm.rendered_size(result.formula)}", extra(result)]
     _emit_formula(report, result.formula, args.out)
     _conclude(report, True)
 
@@ -311,90 +311,53 @@ def build_parser():
                     "builders, checkers, extractors, translations, and a "
                     "bounded satisfiability oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # one parent parser per option group that several subcommands share;
+    # the machine options are checked by `_load_params`, not by argparse
+    machine, located, formula, out, logic, width = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    machine.add_argument("--atm")
+    machine.add_argument("--w")
+    machine.add_argument("--poly")
+    located.add_argument("--model", required=True)
+    located.add_argument("--point")
+    formula.add_argument("--formula", required=True)
+    out.add_argument("--out")
+    logic.add_argument("--logic", choices=list(REDUCTIONS), required=True)
+    width.add_argument("--n", type=int)
 
-    p = sub.add_parser("gen", help="generate a formula")
-    p.add_argument("kind", choices=GEN_KINDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--atm")
-    p.add_argument("--w")
-    p.add_argument("--poly")
-    p.add_argument("--out")
-    p.add_argument("--catalog")
-    p.set_defaults(func=_gen)
+    def command(name, func, help, *parents, **positionals):
+        p = sub.add_parser(name, help=help, parents=parents)
+        for dest, choices in positionals.items():
+            p.add_argument(dest, choices=choices)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("build", help="build a witness model")
-    p.add_argument("what", choices=["model"])
-    p.add_argument("--logic", choices=list(REDUCTIONS), required=True)
-    p.add_argument("--atm", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--out")
-    p.add_argument("--tree-out")
-    p.set_defaults(func=_build)
-
-    p = sub.add_parser("check", help="evaluate a formula on a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--point")
-    p.add_argument("--class", dest="frame_class", choices=FRAME_CLASSES)
-    p.set_defaults(func=_check)
-
-    p = sub.add_parser("extract", help="extract a counter trace or tree")
-    p.add_argument("kind", choices=["trace", "tree"])
-    p.add_argument("--logic", choices=list(REDUCTIONS), required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--point")
-    p.add_argument("--n", type=int)
-    p.add_argument("--atm")
-    p.add_argument("--w")
-    p.add_argument("--poly")
-    p.add_argument("--out")
-    p.set_defaults(func=_extract)
-
-    p = sub.add_parser("translate", help="translate a formula")
-    p.add_argument("kind", choices=["ssl-s4s5", "s4s5-k4s5"])
-    p.add_argument("--formula", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_translate)
-
-    p = sub.add_parser("lift", help="lift a cross-axiom model to a commutator model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--point")
-    p.add_argument("--out")
-    p.set_defaults(func=_lift)
-
-    p = sub.add_parser("restrict", help="restrict a commutator model back")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--point")
-    p.add_argument("--out")
-    p.set_defaults(func=_restrict)
-
-    p = sub.add_parser("sat", help="bounded satisfiability search")
-    p.add_argument("--formula", required=True)
+    command("gen", _gen, "generate a formula", width, machine, out,
+            kind=GEN_KINDS).add_argument("--catalog")
+    command("build", _build, "build a witness model", logic, machine, out,
+            what=["model"]).add_argument("--tree-out")
+    command("check", _check, "evaluate a formula on a model", located,
+            formula).add_argument("--class", dest="frame_class",
+                                  choices=FRAME_CLASSES)
+    command("extract", _extract, "extract a counter trace or tree", logic,
+            located, width, machine, out, kind=["trace", "tree"])
+    command("translate", _translate, "translate a formula", formula, out,
+            kind=list(TRANSLATIONS))
+    command("lift", _lift, "lift a cross-axiom model to a commutator model",
+            located, formula, out)
+    command("restrict", _restrict, "restrict a commutator model back",
+            located, formula, out)
+    p = command("sat", _sat, "bounded satisfiability search", formula, out)
     p.add_argument("--class", dest="frame_class", choices=FRAME_CLASSES,
                    required=True)
     p.add_argument("--bound", type=int, default=satbound.DEFAULT_MAX_POINTS)
     p.add_argument("--max-atoms", type=int, default=satbound.DEFAULT_MAX_ATOMS)
-    p.add_argument("--out")
-    p.set_defaults(func=_sat)
-
-    p = sub.add_parser("atm", help="run a machine")
-    p.add_argument("what", choices=["run"])
+    p = command("atm", _atm_run, "run a machine", out, what=["run"])
     p.add_argument("--atm", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--fuel", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_atm_run)
-
-    p = sub.add_parser("verify", help="end-to-end verification")
-    p.add_argument("what", choices=["pipeline"])
-    p.add_argument("--atm", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(func=_verify)
-
+    command("verify", _verify, "end-to-end verification", machine,
+            what=["pipeline"])
     return parser
 
 
@@ -403,9 +366,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (UsageError, CheckFailure, ExtractionError, fm.ParseError,
-            atm_mod.AtmError, satbound.ResourceCapError, ValueError, KeyError,
-            OSError) as err:
+    # ParseError, AtmError and UnicodeDecodeError are ValueErrors and
+    # CatalogError is a KeyError
+    except (UsageError, CheckFailure, ExtractionError, satbound.ResourceCapError,
+            ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, UsageError) else 1
     return 0

@@ -50,9 +50,7 @@ class ReductionParams:
         self.w = str(w)
         self.n = len(self.w)
         self.N = size_parameter(self.poly, self.n)
-        for a in self.w:
-            if a not in atm.input_symbols:
-                raise ValueError(f"input symbol {a!r} is not in the input alphabet")
+        initial_config(atm, self.w)  # the word is in the input alphabet
 
 
 def size_parameter(poly, n):

@@ -35,7 +35,10 @@ def ones(mask):
     is found by `bit_length` and cleared, so each step works on a mask no
     wider than the bit it finds, and no numeral is made or reversed.
     `compose` and the model file writer and reader decode the rows they
-    visit once with it, where `bits`' cache would only miss."""
+    visit once with it, where `bits`' cache would only miss.  A negative
+    mask, which has no top bit, is refused."""
+    if mask < 0:
+        raise ValueError(f"mask must be a natural number, got {mask}")
     out = []
     while mask:
         j = mask.bit_length() - 1
@@ -48,6 +51,17 @@ def lowest(mask):
     """Index of the lowest set bit of mask, or -1 for 0; lowest(~x) is the
     lowest zero of a natural number x."""
     return (mask & -mask).bit_length() - 1
+
+
+def groups(succ):
+    """Each distinct row of succ mapped to the mask of the points that have
+    it, in order of the row's first point."""
+    members = {}
+    bit = 1
+    for row in succ:
+        members[row] = members.get(row, 0) | bit
+        bit <<= 1
+    return members
 
 
 def reflexive(succ):
@@ -66,12 +80,7 @@ def symmetric(succ):
     lie inside the row of every point in it: one pass per group of equal
     rows (one per class of an equivalence) decides it, and the pairs are
     scanned only to name a counterexample."""
-    members = {}
-    bit = 1
-    for row in succ:
-        members[row] = members.get(row, 0) | bit
-        bit <<= 1
-    for row, group in members.items():
+    for row, group in groups(succ).items():
         for j in bits(row):
             if group & ~succ[j]:
                 return _asymmetric_pair(succ)
@@ -197,20 +206,12 @@ def classes(succ):
     property ("reflexive", "symmetric" or "transitive") and its
     counterexample.
 
-    A relation is an equivalence exactly when every row contains its own
-    point and equals the rows of its members, so one pass over the
-    classes decides it."""
-    blocks = []
-    seen = 0
-    for i, row in enumerate(succ):
-        if seen >> i & 1:
-            continue
-        if not row >> i & 1 or any(succ[j] != row for j in bits(row)):
-            break
-        blocks.append(row)
-        seen |= row
-    else:
-        return blocks, None
+    A relation is an equivalence exactly when every distinct row is the
+    mask of the points that have it, so one grouping of the rows decides
+    it."""
+    by_row = groups(succ)
+    if all(row == members for row, members in by_row.items()):
+        return list(by_row), None
     for name, check in (("reflexive", reflexive), ("symmetric", symmetric),
                         ("transitive",
                          lambda s: transitive(s, compose(s, s, s)[0]))):
@@ -266,14 +267,11 @@ def eval_masks(f, succ_d, succ_l, atom_masks, n, cache, lane=1):
             elif not (miss := full & ~body):
                 v = full  # the body holds everywhere
             else:
-                groups = cache.get(kind)
-                if groups is None:
-                    by_row = {}
-                    for i, row in enumerate(succ):
-                        by_row[row] = by_row.get(row, 0) | 1 << i
-                    groups = cache[kind] = by_row.items()
+                by_row = cache.get(kind)
+                if by_row is None:
+                    by_row = cache[kind] = groups(succ).items()
                 v = 0
-                for row, members in groups:
+                for row, members in by_row:
                     if not row & miss:
                         v |= members
         cache[t] = v

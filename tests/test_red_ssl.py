@@ -42,6 +42,15 @@ def test_params_reject_shrinking_poly(m1):
         ReductionParams(m1, [0], "ab")  # p(n) < n
 
 
+def test_params_reject_a_word_outside_the_input_alphabet(m1):
+    # the same rule, and message, as the machine's own initial configuration
+    message = "input symbol '#' is not in the input alphabet"
+    with pytest.raises(am.AtmError, match=message):
+        am.initial_config(m1, "a#")
+    with pytest.raises(am.AtmError, match=message):
+        ReductionParams(m1, [2, 1], "a#")
+
+
 # --- counter -----------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3])

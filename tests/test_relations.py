@@ -344,12 +344,58 @@ def test_grouped_symmetry_names_the_pair_scans_counterexample(seed):
     assert seen == {True, False}
 
 
+def test_groups_map_each_distinct_row_to_its_points():
+    assert relations.groups([]) == {}
+    got = relations.groups([0b110, 0b001, 0b110, 0b001, 0])
+    assert list(got.items()) == [(0b110, 0b00101), (0b001, 0b01010), (0, 0b10000)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_classes_match_the_pairwise_property_checks(seed):
+    # an equivalence gives its classes in order of their smallest member;
+    # anything else gives the first failing property and its counterexample
+    rng = random.Random(130 + seed)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pick = rng.random()
+        if pick < 0.6:
+            succ = equivalence_rows(rng, n)
+        elif pick < 0.8:
+            succ = repeated_rows(rng, n)
+        else:  # reflexive and symmetric, transitive by chance only
+            edges = {(i, j) for i in range(n) for j in range(i + 1)
+                     if i == j or rng.random() < 0.2}
+            succ = rows(edges | {(j, i) for i, j in edges}, n)
+        rel = {(i, j) for i in range(n) for j in relations.bits(succ[i])}
+        failure = next(((name, bad) for name, bad in (
+            ("reflexive", ref_reflexive(rel, n)),
+            ("symmetric", ref_symmetric(rel, n)),
+            ("transitive", ref_transitive(rel, n))) if bad is not None), None)
+        blocks = []
+        for i in range(n):
+            if not any(b >> i & 1 for b in blocks):
+                blocks.append(sum(1 << j for j in range(n) if (i, j) in rel))
+        expected = (None, failure) if failure else (blocks, None)
+        assert relations.classes(succ) == expected
+        seen.add(failure and failure[0])
+    assert seen == {None, "reflexive", "symmetric", "transitive"}
+
+
 def test_bits_lists_set_bits_ascending():
     assert relations.bits(0) == ()
     assert relations.bits(0b101101) == (0, 2, 3, 5)
     assert relations.bits(1 << 200 | 1 << 7 | 1) == (0, 7, 200)
     assert relations.ones(0) == []
     assert relations.ones(1 << 200 | 1 << 7 | 1) == [200, 7, 0]
+
+
+@pytest.mark.parametrize("decode", [relations.ones, relations.bits],
+                         ids=["ones", "bits"])
+def test_negative_masks_are_refused(decode):
+    # a negative int has no top bit: clearing one only makes it longer
+    with pytest.raises(ValueError, match="natural number, got -1"):
+        decode(-1)
 
 
 def decoded(row):
