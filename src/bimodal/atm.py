@@ -139,15 +139,11 @@ def apply_entry(config, entry):
 
 
 def successors(atm, config):
-    """Successor configurations in transition order, structurally deduplicated."""
-    out = []
-    seen = set()
-    for entry in atm.delta_for(config.state, config.read()):
-        nxt = apply_entry(config, entry)
-        if nxt.key() not in seen:
-            seen.add(nxt.key())
-            out.append(nxt)
-    return out
+    """Successor configurations in transition order, one per distinct
+    transition: two distinct transitions differ in the state, the head
+    move or the written cell, so they never give the same successor."""
+    return [apply_entry(config, entry) for entry
+            in dict.fromkeys(atm.delta_for(config.state, config.read()))]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,9 @@ def successors(atm, config):
 
 class ComputationTree:
     """Rooted tree of configurations.  Node ids are assigned in creation
-    order, so a parent's id is smaller than its children's; the root is
-    node 0.  Each node's depth is recorded when it is added."""
+    order, so a parent's id is smaller than its children's and `nodes`
+    lists them ascending; the root is node 0.  Each node's depth is
+    recorded when it is added."""
 
     def __init__(self):
         self.configs = {}
@@ -192,7 +189,7 @@ class ComputationTree:
         return 0
 
     def nodes(self):
-        return sorted(self.configs)
+        return list(self.configs)
 
     def leaves(self):
         return [v for v in self.nodes() if not self.children[v]]
@@ -290,13 +287,9 @@ def find_accepting_tree(atm, w, time_bound):
             continue
         succs = successors(atm, config)
         if state in atm.exists:
-            chosen = next(s for s in succs if _accepts(atm, s, fuel - 1, memo))
-            child = tree.add_child(v, chosen)
-            pending.append((child, chosen, fuel - 1))
-        else:
-            for s in succs:
-                child = tree.add_child(v, s)
-                pending.append((child, s, fuel - 1))
+            succs = [next(s for s in succs if _accepts(atm, s, fuel - 1, memo))]
+        for s in succs:
+            pending.append((tree.add_child(v, s), s, fuel - 1))
     return tree
 
 
@@ -305,53 +298,33 @@ def find_accepting_tree(atm, w, time_bound):
 
 def validate_tree(atm, w, tree):
     """Check the defining conditions of an accepting tree of the machine
-    on input w."""
+    on input w in one pass over the nodes, stepping each inner node once.
+    Each check names its first counterexample in node order; a bad edge
+    is named by its least child id."""
     root_ok = tree.configs[tree.root] == initial_config(atm, w)
-    checks = [Check("root-is-initial", None if root_ok else tree.root)]
-
-    bad_edge = None
+    bad_edge = dup = missing = bad_leaf = None
     for v in tree.nodes():
-        p = tree.parent[v]
-        if p is None:
-            continue
-        if tree.configs[v] not in successors(atm, tree.configs[p]):
-            bad_edge = (p, v)
-            break
-    checks.append(Check("edges-are-steps", bad_edge))
-
-    dup = None
-    for v in tree.nodes():
-        seen = set()
-        for c in tree.children[v]:
-            key = tree.configs[c].key()
-            if key in seen:
-                dup = (v, c)
-                break
-            seen.add(key)
-        if dup:
-            break
-    checks.append(Check("siblings-distinct", dup))
-
-    missing = None
-    for v in tree.nodes():
-        if not tree.children[v]:
-            continue
         config = tree.configs[v]
-        if config.state in atm.forall:
-            have = {tree.configs[c].key() for c in tree.children[v]}
-            for s in successors(atm, config):
-                if s.key() not in have:
-                    missing = (v, s.state)
-                    break
-        if missing:
-            break
-    checks.append(Check("universal-nodes-complete", missing))
-
-    bad_leaf = next(((v, tree.configs[v].state) for v in tree.leaves()
-                     if tree.configs[v].state != atm.accept), None)
-    checks.append(Check("leaves-accept", bad_leaf))
-
-    return Report(checks)
+        if not tree.children[v]:
+            if bad_leaf is None and config.state != atm.accept:
+                bad_leaf = (v, config.state)
+            continue
+        succs = successors(atm, config)
+        have = set()
+        for c in tree.children[v]:
+            child = tree.configs[c]
+            if child not in succs and (bad_edge is None or c < bad_edge[1]):
+                bad_edge = (v, c)
+            if dup is None and child in have:
+                dup = (v, c)
+            have.add(child)
+        if missing is None and config.state in atm.forall:
+            missing = next(((v, s.state) for s in succs if s not in have), None)
+    return Report([Check("root-is-initial", None if root_ok else tree.root),
+                   Check("edges-are-steps", bad_edge),
+                   Check("siblings-distinct", dup),
+                   Check("universal-nodes-complete", missing),
+                   Check("leaves-accept", bad_leaf)])
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +405,19 @@ def load_tree(text):
         if not line:
             continue
         parts = line.split()
-        if parts[0] != "node" or len(parts) < 5:
-            raise ValueError(f"bad tree line {lineno}: {raw!r}")
-        v = int(parts[1])
-        parent = None if parts[2] == "-" else int(parts[2])
-        state = parts[3]
-        head = int(parts[4])
-        tape = {}
-        for cell in parts[5:]:
-            z, s = cell.split("=", 1)
-            tape[int(z)] = s
-        config = Configuration(state, head, tape)
-        if parent is None:
-            got = tree.add_root(config)
-        else:
-            got = tree.add_child(parent, config)
+        try:
+            if parts[0] != "node" or len(parts) < 5:
+                raise ValueError
+            v, head = int(parts[1]), int(parts[4])
+            parent = None if parts[2] == "-" else int(parts[2])
+            if parent is not None and parent not in tree.configs:
+                raise ValueError
+            tape = {int(z): s for z, s in (cell.split("=", 1) for cell in parts[5:])}
+        except ValueError:
+            raise ValueError(f"bad tree line {lineno}: {raw!r}") from None
+        config = Configuration(parts[3], head, tape)
+        got = (tree.add_root(config) if parent is None
+               else tree.add_child(parent, config))
         if got != v:
             raise ValueError(f"tree nodes must be listed in id order (line {lineno})")
     return tree

@@ -20,8 +20,8 @@ from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       gt_binary, rightmost_zero, rightmost_one)
 from .catalog import VariableCatalog
 from .relations import Check, Report, bits, classes, lowest
-from .semantics import _cloud_masks, cloud_steps, submodel
-from .atm import (BLANK, LEFT, RIGHT, ComputationTree, initial_config,
+from .semantics import submodel
+from .atm import (BLANK, RIGHT, ComputationTree, initial_config,
                   apply_entry, validate_tree)
 
 
@@ -336,9 +336,7 @@ def moved_at(new, old, direction, l):
 def entries_left_then_right(atm, q, a):
     """Transition right-hand sides for (q, a): the left-moving entries
     first, then the right-moving ones, declaration order within each."""
-    all_entries = atm.delta_for(q, a)
-    return ([e for e in all_entries if e[2] == LEFT]
-            + [e for e in all_entries if e[2] == RIGHT])
+    return sorted(atm.delta_for(q, a), key=lambda entry: entry[2] == RIGHT)
 
 
 def everywhere(part):
@@ -471,8 +469,10 @@ def grow_tree(red, model, r0, params):
                                   f"computation: node at the time bound ({leaf})")
         j = window_pos(N, config.head)
         universal = state in atm.forall
-        seen_configs = set()
-        for entry in entries_left_then_right(atm, state, config.read()):
+        # a repeated transition repeats its step; distinct ones give
+        # distinct children (see `successors`)
+        for entry in dict.fromkeys(entries_left_then_right(atm, state,
+                                                           config.read())):
             # the head bit a right move carries into, a left one borrows from
             l = lowest(~j) if entry[2] == RIGHT else lowest(j)
             found = None
@@ -487,11 +487,7 @@ def grow_tree(red, model, r0, params):
                         "witness-not-found",
                         f"computation: compstep for {entry} at node {leaf}")
                 continue
-            nxt = apply_entry(config, entry)
-            if nxt.key() in seen_configs:
-                continue
-            seen_configs.add(nxt.key())
-            tree.add_child(leaf, nxt)
+            tree.add_child(leaf, apply_entry(config, entry))
             at.append(found[1])
             if not universal:
                 break
@@ -521,16 +517,22 @@ def check_morphism(red, model, r0, params, tree, pi):
     root = pi[tree.root]
     checks = [Check("root-anchored", None if root == r0 else root)]
 
-    blocks = _cloud_masks(model)
-    owner = {i: c for c, block in enumerate(blocks) for i in bits(block)}
-    steps = cloud_steps(model._succ_d, blocks)
+    # a node's cloud is the K-row of its point, its class under L; an edge
+    # is preserved when the []-image of the parent's cloud meets the child's
+    succ_d, succ_l = model._succ_d, model._succ_l
 
     def cloud(nid):
-        return owner[model.index[pi[nid]]]
+        return succ_l[model.index[pi[nid]]]
+
+    def image(row):
+        reach = 0
+        for i in bits(row):
+            reach |= succ_d[i]
+        return reach
 
     edges = [(tree.parent[nid], nid) for nid in tree.nodes()[1:]]
     bad_edge = next(((p, c) for p, c in edges
-                     if cloud(c) not in steps[cloud(p)]), None)
+                     if not image(cloud(p)) & cloud(c)), None)
     checks.append(Check("edges-preserved", bad_edge))
 
     data = node_table(params, tree)

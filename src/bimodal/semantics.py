@@ -412,16 +412,12 @@ def clouds(model):
     Classes are sorted tuples, listed in order of their smallest member.
     Raises ValueError when rel_l is not an equivalence relation.
     """
-    return [tuple(model._names(block)) for block in _cloud_masks(model)]
-
-
-def _cloud_masks(model):
     blocks, failure = relations.classes(model._succ_l)
     if failure is not None:
         name, bad = failure
         raise ValueError(f"rel_l is not an equivalence relation "
                          f"(not {name}: {tuple(model.worlds[i] for i in bad)})")
-    return blocks
+    return [tuple(model._names(block)) for block in blocks]
 
 
 def cloud_steps(succ_d, blocks):

@@ -172,6 +172,21 @@ def test_validate_tree_catches_missing_universal_branch(m1):
         "leaves-accept: pass", "result: fail"]
 
 
+@pytest.mark.parametrize("machine, w", [("fan", "bbb"), ("bounce", "bab")])
+def test_validate_tree_steps_each_inner_node_once(monkeypatch, machine, w):
+    spec = parse_atm((MACHINES / f"{machine}.atm").read_text())
+    tree = find_accepting_tree(spec, w, 15)
+    stepped = []
+
+    def counted(atm, config):
+        stepped.append(config)
+        return successors(atm, config)
+
+    monkeypatch.setattr(am, "successors", counted)
+    assert validate_tree(spec, w, tree).ok
+    assert stepped == [tree.configs[v] for v in tree.nodes() if tree.children[v]]
+
+
 def test_height_and_depth_skip_dropped_nodes(m1):
     tree = find_accepting_tree(m1, "a", 7)
     assert tree.height() == 2
@@ -279,7 +294,13 @@ def test_malformed_machine_files_are_named(old, new, message):
     ("node 0 - q0 0\nnode 0 - q0 0\n", "root already present"),
     ("node 0 - q0 0\nnode 5 0 q1 1\n",
      "tree nodes must be listed in id order (line 2)"),
-], ids=["bad-line", "two-roots", "id-order"])
+    ("node 0 - q0 0\nnode 1 5 q1 1\n", "bad tree line 2: 'node 1 5 q1 1'"),
+    ("node 0 - q0 0 1a\n", "bad tree line 1: 'node 0 - q0 0 1a'"),
+    ("node x - q0 0\n", "bad tree line 1: 'node x - q0 0'"),
+    ("node 0 - q0 x\n", "bad tree line 1: 'node 0 - q0 x'"),
+    ("node 0 - q0 0 y=a\n", "bad tree line 1: 'node 0 - q0 0 y=a'"),
+], ids=["bad-line", "two-roots", "id-order", "unknown-parent", "cell-without-eq",
+        "bad-id", "bad-head", "bad-cell"])
 def test_malformed_tree_files_are_named(text, message):
     with pytest.raises(ValueError) as err:
         load_tree(text)

@@ -5,9 +5,10 @@ in one place, keeps the binary counter in the shared engine, builds
 products only from factor rows, reads model files through one reader
 and checks frames in one place, keeps no product flag, builds each
 connective through one constructor, walks formulas through one
-postorder, reads bit positions through `relations` and prints every
-pass/fail check through one report class; and the benchmark worker still
-finds every library function it calls by name."""
+postorder, reads bit positions through `relations`, steps accepting
+trees by one rule and prints every pass/fail check through one report
+class; and the benchmark worker still finds every library function it
+calls by name."""
 
 import ast
 import importlib.util
@@ -158,6 +159,21 @@ def test_box_cache_entry_is_the_row_groups():
     relations.eval_masks(fm.Box(fm.Atom(0)), [0b011, 0b011, 0b100], [], {0: 1},
                          3, cache)
     assert list(cache[fm.BOXMOD]) == [(0b011, 0b011), (0b100, 0b100)]
+
+
+def test_one_stepping_rule_for_trees():
+    """`grow_tree` drops repeated transitions as `successors` does, keeping
+    no set of the configurations it has seen, and `check_morphism` reads
+    clouds as K-rows, importing no second partition of the model."""
+    module = ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))
+    grow = next(node for node in ast.walk(module)
+                if isinstance(node, ast.FunctionDef) and node.name == "grow_tree")
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(grow) if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"set", "add"})
+    imported = {alias.name for node in ast.walk(module)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"_cloud_masks", "cloud_steps"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
