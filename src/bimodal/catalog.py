@@ -68,24 +68,3 @@ class VariableCatalog:
             key_text = "-" if key is None else str(key)
             lines.append(f"atom {a} {fam} {key_text}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text):
-        cat = cls()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "atom":
-                raise ValueError(f"bad catalog line {lineno}: {line!r}")
-            atom_id = int(parts[1])
-            fam = parts[2]
-            key = None if parts[3] == "-" else parts[3]
-            if key is not None:
-                try:
-                    key = int(key)
-                except ValueError:
-                    pass
-            cat.assign(fam, key, atom_id)
-        return cat

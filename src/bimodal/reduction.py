@@ -19,7 +19,7 @@ from .formula import (Not, And, K, Box, L, Diamond, Implies, FormulaVector,
                       conj, disj, eq_vector, eq_binary, leq_binary,
                       gt_binary, rightmost_zero, rightmost_one)
 from .catalog import VariableCatalog
-from .relations import Check, Report, bits, classes, lowest
+from .relations import Check, Report, bits, classes, image, lowest
 from .semantics import submodel
 from .atm import (BLANK, RIGHT, ComputationTree, initial_config,
                   apply_entry, validate_tree)
@@ -420,9 +420,7 @@ def _reachable_restriction(model, r0):
     already holds what was evaluated on it."""
     seen = frontier = 1 << model.index[r0]
     while frontier:
-        reach = 0
-        for i in bits(frontier):
-            reach |= model._succ_l[i] | model._succ_d[i]
+        reach = image(model._succ_l, frontier) | image(model._succ_d, frontier)
         frontier = reach & ~seen
         seen |= frontier
     if seen == (1 << len(model.worlds)) - 1:
@@ -524,15 +522,9 @@ def check_morphism(red, model, r0, params, tree, pi):
     def cloud(nid):
         return succ_l[model.index[pi[nid]]]
 
-    def image(row):
-        reach = 0
-        for i in bits(row):
-            reach |= succ_d[i]
-        return reach
-
     edges = [(tree.parent[nid], nid) for nid in tree.nodes()[1:]]
     bad_edge = next(((p, c) for p, c in edges
-                     if not image(cloud(p)) & cloud(c)), None)
+                     if not image(succ_d, cloud(p)) & cloud(c)), None)
     checks.append(Check("edges-preserved", bad_edge))
 
     data = node_table(params, tree)

@@ -10,7 +10,8 @@ name the counterexample; the evaluator decides a box once per group of
 equal rows.  Bit positions are read one way across the package: `bits`
 caches the ascending set bits of the small rows asked for again and
 again, a row visited once is decoded by `ones`, top bit first, and
-`lowest` gives the lowest set bit (of ~x, the lowest zero of x).
+`lowest` gives the lowest set bit (of ~x, the lowest zero of x); the
+image of a set of points, the union of their rows, is `image`.
 The model checker, the frame validators and the bounded oracle all work
 through this module.  Frame validation, tree validation and the
 extractor's morphism check all report through `Report`.
@@ -62,6 +63,15 @@ def groups(succ):
         members[row] = members.get(row, 0) | bit
         bit <<= 1
     return members
+
+
+def image(succ, mask):
+    """Union of the rows of succ at the set bits of mask: the points one
+    step from some point of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= succ[i]
+    return out
 
 
 def reflexive(succ):
@@ -159,9 +169,7 @@ def constant(succ, masks):
         for k, mask in enumerate(masks):
             for i in bits(mask):
                 column[i] |= 1 << k
-        alike = {}
-        for i, c in enumerate(column):
-            alike[c] = alike.get(c, 0) | 1 << i
+        alike = groups(column)
         if all(not row & ~alike[column[i]] for i, row in enumerate(succ)):
             return None
     full = (1 << len(succ)) - 1

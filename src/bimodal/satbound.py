@@ -40,7 +40,7 @@ import itertools
 from functools import cache, lru_cache
 
 from .formula import atoms as formula_atoms
-from .relations import bits, eval_masks, lowest
+from .relations import bits, eval_masks, groups, lowest
 from .semantics import (BimodalModel, S4S5_PRODUCT, FRAME_CLASSES,
                         D_REFLEXIVE, RIGHT_COMMUTATIVE, PERSISTENT_ATOMS,
                         validate, product_grid, product_rows)
@@ -107,9 +107,7 @@ def _set_partitions(m):
 
 def _partition_succ(blocks, m):
     """L-relation bitmasks of a partition given as block indices."""
-    masks = {}
-    for i, b in enumerate(blocks):
-        masks[b] = masks.get(b, 0) | (1 << i)
+    masks = groups(blocks)
     return [masks[blocks[i]] for i in range(m)]
 
 

@@ -51,7 +51,7 @@ from operator import or_
 
 from .formula import Formula
 from . import relations
-from .relations import Check, Report, bits, eval_masks, lowest, ones
+from .relations import Check, Report, bits, eval_masks, ones
 
 CROSS_AXIOM = "cross-axiom"
 S4S5_COMMUTATOR = "s4s5-commutator"
@@ -404,7 +404,7 @@ def _provenance(model):
 
 
 # ---------------------------------------------------------------------------
-# Clouds (L-equivalence classes) and the induced relation between them.
+# Clouds (L-equivalence classes).
 
 def clouds(model):
     """Partition of the worlds into L-equivalence classes.
@@ -418,27 +418,6 @@ def clouds(model):
         raise ValueError(f"rel_l is not an equivalence relation "
                          f"(not {name}: {tuple(model.worlds[i] for i in bad)})")
     return [tuple(model._names(block)) for block in blocks]
-
-
-def cloud_steps(succ_d, blocks):
-    """For each cloud mask in blocks, the ascending indices of the clouds
-    some member reaches in one []-step."""
-    owner = {}
-    for c, block in enumerate(blocks):
-        for i in bits(block):
-            owner[i] = c
-    out = []
-    for block in blocks:
-        reach = 0
-        for i in bits(block):
-            reach |= succ_d[i]
-        found = []
-        while reach:
-            c = owner[lowest(reach)]
-            found.append(c)
-            reach &= ~blocks[c]
-        out.append(sorted(found))
-    return out
 
 
 # ---------------------------------------------------------------------------

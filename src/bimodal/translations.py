@@ -13,9 +13,9 @@ reflexive loops on the reachable part.
 from .formula import (Atom, Not, And, K, Box, Implies, Or, atoms, postorder,
                       conj, render_all, BOXMOD, ATOM, NOT, AND, KMOD)
 from . import relations
-from .relations import bits
+from .relations import bits, image, lowest
 from .semantics import (BimodalModel, CROSS_AXIOM, S4S5_COMMUTATOR,
-                        K4S5_COMMUTATOR, validate, cloud_steps, submodel)
+                        K4S5_COMMUTATOR, validate, submodel)
 
 
 class TranslationResult:
@@ -76,7 +76,7 @@ def lift_model_ssl_to_s4s5(model, w, main_atom):
     report = validate(model, CROSS_AXIOM)
     if not report.ok:
         raise ValueError(f"input is not a valid cross-axiom model: {report.lines()}")
-    blocks, _ = relations.classes(model._succ_l)
+    blocks = list(relations.groups(model._succ_l))  # L is an equivalence
 
     def new_name(i):
         name = f"newpoint_{i}"
@@ -89,22 +89,25 @@ def lift_model_ssl_to_s4s5(model, w, main_atom):
     where = {name: i for i, name in enumerate(worlds)}
     targets = [where[name] for name in model.worlds]
     runs = relations.index_runs(targets)
-    new_bits = [1 << where[name] for name in new_points]
+    new_bit = {block: 1 << where[name] for block, name in zip(blocks, new_points)}
 
     succ_d = [0] * len(worlds)
     succ_l = [0] * len(worlds)
-    for c, steps in enumerate(cloud_steps(model._succ_d, blocks)):
-        # the induced relation is reflexive on inhabited clouds; keep the
-        # new point inside its own cloud's successor set explicitly
-        reach = new_bits[c]
-        for j in steps:
-            reach |= new_bits[j]
-        cloud = relations.remap(blocks[c], runs) | new_bits[c]
-        for i in bits(blocks[c]):
+    for block, name in zip(blocks, new_points):
+        # the new points of the clouds the []-image meets, one K-row at a
+        # time, and explicitly the cloud's own
+        reach = new_bit[block]
+        met = image(model._succ_d, block)
+        while met:
+            row = model._succ_l[lowest(met)]
+            reach |= new_bit[row]
+            met &= ~row
+        cloud = relations.remap(block, runs) | new_bit[block]
+        for i in bits(block):
             succ_d[targets[i]] = relations.remap(model._succ_d[i], runs) | reach
             succ_l[targets[i]] = cloud
-        succ_d[where[new_points[c]]] = reach
-        succ_l[where[new_points[c]]] = cloud
+        succ_d[where[name]] = reach
+        succ_l[where[name]] = cloud
 
     atom_masks = {a: relations.remap(mask, runs)
                   for a, mask in model._atom_masks.items()}
@@ -124,10 +127,8 @@ def restrict_model_s4s5_to_ssl(model, w, f):
     if not model.eval(w, result.formula):
         raise ValueError("the translated formula does not hold at the given point")
     main_atom = result.main_atom
-    keep = 0
-    for i in bits(model._succ_l[model.index[w]]):
-        keep |= model._succ_d[i]
-    keep &= model._atom_masks.get(main_atom, 0)
+    keep = (image(model._succ_d, model._succ_l[model.index[w]])
+            & model._atom_masks.get(main_atom, 0))
     wanted = (atoms(f) | {main_atom}) & model._atom_masks.keys()
     return submodel(model, keep, CROSS_AXIOM, w, atom_ids=wanted), w
 
@@ -155,7 +156,6 @@ def k4_to_s4_model(model, w, f):
     report = validate(model, K4S5_COMMUTATOR)
     if not report.ok:
         raise ValueError(f"input is not a valid K4xS5 commutator model: {report.lines()}")
-    keep = model._succ_l[model.index[w]]
-    for i in bits(keep):
-        keep |= model._succ_d[i]
+    row = model._succ_l[model.index[w]]
+    keep = row | image(model._succ_d, row)
     return submodel(model, keep, S4S5_COMMUTATOR, w, d_loops=True), w

@@ -315,3 +315,23 @@ def test_parse_atm_rejects_bad_spec():
             "symbols: # a\ninput: a\nstates: q0 qacc qrej\n"
             "exists: q0\nforall:\naccept: qacc\nreject: qrej\ninit: q0\n"
             "delta: q0 z -> qacc a R\n")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m1: find_accepting_tree(m1, "a", -1), ValueError,
+     "time bound must be a natural number"),
+    (lambda m1: am.ComputationTree().add_child(5, initial_config(m1, "a")),
+     KeyError, "unknown node 5"),
+], ids=["negative-time-bound", "child-of-unknown-node"])
+def test_machine_refusals(m1, call, error, message):
+    with pytest.raises(error) as info:
+        call(m1)
+    assert info.value.args == (message,)
+
+
+def test_blank_lines_are_skipped(m1, m1_path):
+    text = open(m1_path).read().replace("\n", "\n\n  \n")
+    assert render_atm(parse_atm(text)) == render_atm(m1)
+    tree = find_accepting_tree(m1, "ab", 8)
+    spaced = "\n \n" + save_tree(tree).replace("\n", "\n\t\n")
+    assert save_tree(load_tree(spaced)) == save_tree(tree)

@@ -375,6 +375,30 @@ def test_verify_pipeline(capsys, m1_path):
     assert report["extractions-agree"] == "pass"
 
 
+def test_verify_pipeline_reports_an_extraction_error(monkeypatch, capsys, m1_path):
+    from bimodal import cli, red_s4s5
+    from bimodal.reduction import ExtractionError
+
+    def grow_tree(red, *args):
+        if red is red_s4s5.S4S5:
+            raise ExtractionError("witness-not-found", "stubbed")
+        return real(red, *args)
+
+    real = cli.grow_tree
+    monkeypatch.setattr(cli, "grow_tree", grow_tree)
+    code, out, err = run(capsys, "verify", "pipeline", "--atm", m1_path,
+                         "--w", "a", "--poly", "2,1")
+    assert code == 1
+    lines = out.splitlines()
+    assert "s4s5-extraction-error: witness-not-found: stubbed" in lines
+    assert "s4s5-extraction: fail" in lines
+    assert "ssl-tree-matches: pass" in lines
+    assert not any(line.startswith(("s4s5-tree-matches", "extractions-agree"))
+                   for line in lines)
+    assert lines[-1] == "result: fail"
+    assert "pipeline verification failed" in err
+
+
 def test_atm_run_names_a_malformed_machine_file(tmp_path, capsys):
     machine = tmp_path / "twice.atm"
     machine.write_text(M1_PATH.read_text() + "init: q1\n")

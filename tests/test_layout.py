@@ -5,10 +5,10 @@ in one place, keeps the binary counter in the shared engine, builds
 products only from factor rows, reads model files through one reader
 and checks frames in one place, keeps no product flag, builds each
 connective through one constructor, walks formulas through one
-postorder, reads bit positions through `relations`, steps accepting
-trees by one rule and prints every pass/fail check through one report
-class; and the benchmark worker still finds every library function it
-calls by name."""
+postorder, reads bit positions and []-images through `relations`, steps
+accepting trees by one rule, prints every pass/fail check through one
+report class and uses every name it imports; and the benchmark worker
+still finds every library function it calls by name."""
 
 import ast
 import importlib.util
@@ -143,12 +143,13 @@ def test_one_constructor_per_connective():
 @pytest.mark.parametrize("module, name", [
     (fm, "ones"), (relations, "_lowest"), (satbound, "_transitive_relations"),
     (satbound, "_preorders"), (satbound, "_frame_groups"), (satbound, "_search"),
-    (semantics, "induced_cloud_relation")])
+    (semantics, "induced_cloud_relation"), (semantics, "cloud_steps")])
 def test_deleted_names_stay_deleted(module, name):
     """Bit positions are read through `relations.ones`, `bits` and
     `lowest`; the oracle reads its frame lists through `_relation_lists`
-    and `_frames` and searches in `bounded_sat`; the cloud steps are
-    `semantics.cloud_steps`.  No second name for any of them comes back."""
+    and `_frames` and searches in `bounded_sat`; a cloud is the K-row of
+    its points, and the []-image of a set of points is `relations.image`.
+    No second name for any of them comes back."""
     assert not hasattr(module, name)
 
 
@@ -159,6 +160,29 @@ def test_box_cache_entry_is_the_row_groups():
     relations.eval_masks(fm.Box(fm.Atom(0)), [0b011, 0b011, 0b100], [], {0: 1},
                          3, cache)
     assert list(cache[fm.BOXMOD]) == [(0b011, 0b011), (0b100, 0b100)]
+
+
+def functions_calling(path, callee):
+    """Names of the functions in a module whose bodies call callee."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and callee in (getattr(call.func, "id", None),
+                                   getattr(call.func, "attr", None))
+                    for call in ast.walk(node))}
+
+
+def test_one_image_walk():
+    """Every union of the rows of a set of points is `relations.image`, and
+    the lift reads clouds as K-rows, with no second partition."""
+    assert functions_calling(PACKAGE / "reduction.py", "image") == {
+        "_reachable_restriction", "check_morphism"}
+    assert functions_calling(PACKAGE / "translations.py", "image") == {
+        "lift_model_ssl_to_s4s5", "restrict_model_s4s5_to_ssl",
+        "k4_to_s4_model"}
+    for callee in ("classes", "cloud_steps"):
+        assert not functions_calling(PACKAGE / "translations.py", callee)
 
 
 def test_one_stepping_rule_for_trees():
@@ -174,6 +198,34 @@ def test_one_stepping_rule_for_trees():
     imported = {alias.name for node in ast.walk(module)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported.isdisjoint({"_cloud_masks", "cloud_steps"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    """A module uses each name it imports, apart from the re-exports of an
+    import marked `# noqa: F401` and the submodules `__init__` lists in
+    `__all__`."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            source = lines[node.lineno - 1:node.end_lineno]
+            if any("# noqa: F401" in line for line in source):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used)
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

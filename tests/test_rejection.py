@@ -12,7 +12,8 @@ witness for it.
 The m1 and bounce fixtures get the same treatment: each near miss points
 the move its accepting runs end with at the rejecting state.  Extracting
 a near miss's tree from its fixture's witness fails, and so does each of
-the extractors' other refusals on a model that reaches it.
+the extractors' other refusals on a model that reaches it.  The witness
+builders refuse a tree that does not accept or outgrows the bounds.
 """
 
 import functools
@@ -23,6 +24,7 @@ import pytest
 from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
 from bimodal.cli import main
+from bimodal import reduction
 from bimodal.reduction import (ExtractionError, ReductionParams, build_counter,
                                extract_counter, grow_tree, node_table)
 from bimodal.semantics import BimodalModel, load_model, save_model, submodel
@@ -287,3 +289,43 @@ def test_counter_without_a_staircase_step_is_refused(step, logic):
     assert str(err.value) == (
         f"extraction-failure: step {step}: no staircase witness for value "
         f"{step + 1} from {p_points[step]}")
+
+
+M1_A = ReductionParams(am.parse_atm(M1_PATH.read_text()), (0, 1), "a")
+
+
+def m1_tree(depth_bound):
+    """m1's accepting tree on "a" (height 2, past N = 1's bound of 1) or,
+    with no bound, its bare root."""
+    if depth_bound is not None:
+        return am.find_accepting_tree(M1_A.atm, "a", depth_bound)
+    tree = am.ComputationTree()
+    tree.add_root(am.initial_config(M1_A.atm, "a"))
+    return tree
+
+
+def off_window_tree(monkeypatch):
+    """A one-node tree with the head left of the window, past a tree
+    check stubbed to pass: a tree that passes the check cannot leave the
+    window before it outgrows the time bound."""
+    monkeypatch.setattr(reduction, "validate_tree",
+                        lambda *args: reduction.Report([]))
+    tree = am.ComputationTree()
+    tree.add_root(am.Configuration("q0", -2, {}))
+    return tree
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: reduction.witness_data(M1_A, m1_tree(None)), ValueError,
+     "tree is not accepting: ['root-is-initial: pass'"),
+    (lambda mp: reduction.witness_data(M1_A, m1_tree(10)), ValueError,
+     "node 2 exceeds the time bound 2^1-1"),
+    (lambda mp: reduction.witness_data(M1_A, off_window_tree(mp)), ValueError,
+     "node 0 leaves the tape window at cell -1"),
+    (lambda mp: reduction.counter_catalog(red_ssl.SSL, 0), ValueError,
+     "counter width must be at least 1"),
+], ids=["not-accepting", "too-deep", "off-window", "counter-width-0"])
+def test_reduction_refusals(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert str(info.value).startswith(message)

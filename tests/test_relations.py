@@ -350,6 +350,18 @@ def test_groups_map_each_distinct_row_to_its_points():
     assert list(got.items()) == [(0b110, 0b00101), (0b001, 0b01010), (0, 0b10000)]
 
 
+def test_image_is_the_union_of_the_rows_of_a_set():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        succ = [rng.getrandbits(n) for _ in range(n)]
+        mask = rng.getrandbits(n)
+        want = {j for i in range(n) if mask >> i & 1
+                for j in range(n) if succ[i] >> j & 1}
+        assert relations.image(succ, mask) == sum(1 << j for j in want)
+    assert relations.image([0b1, 0b10], 0) == 0
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_classes_match_the_pairwise_property_checks(seed):
     # an equivalence gives its classes in order of their smallest member;

@@ -303,3 +303,9 @@ def test_verdict_counts_frames_and_candidates():
     assert (verdict.frames, verdict.candidates) == (1, 2)
     verdict = bounded_sat(Atom(0), CROSS_AXIOM, max_points=2)
     assert (verdict.frames, verdict.candidates) == (1, 2)
+
+
+def test_unknown_class_is_refused():
+    with pytest.raises(ValueError) as info:
+        bounded_sat(Atom(0), "nope")
+    assert info.value.args == ("unknown frame class 'nope'",)

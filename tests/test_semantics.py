@@ -9,7 +9,7 @@ from bimodal import formula as fm, relations, semantics
 from bimodal.formula import Atom, Not, And, K, Box, L, Diamond
 from bimodal.relations import Check, Report
 from bimodal.semantics import (BimodalModel, validate, clouds,
-                               cloud_steps, product_grid,
+                               product_grid,
                                product_point, product_rows, save_model,
                                load_model,
                                CROSS_AXIOM, S4S5_COMMUTATOR, K4S5_COMMUTATOR,
@@ -17,6 +17,7 @@ from bimodal.semantics import (BimodalModel, validate, clouds,
                                RIGHT_COMMUTATIVE, PERSISTENT_ATOMS)
 from bimodal.red_s4s5 import build_counter_s4s5_model
 from bimodal.reduction import _reachable_restriction
+from bimodal.translations import lift_model_ssl_to_s4s5
 from tests.conftest import (mutants, reference_commutes, reference_transitive,
                             rewired)
 from tests.test_model_rows import WITNESSES
@@ -138,8 +139,11 @@ def test_clouds_and_induced_relation(two_cloud_model):
     cloud_list = clouds(m)
     assert [sorted(c) for c in cloud_list] == [["a0", "a1"], ["b0", "b1"]]
     assert cloud_list[1] == ("b0", "b1")
-    blocks = [sum(1 << m.index[w] for w in c) for c in cloud_list]
-    assert cloud_steps(m._succ_d, blocks) == [[0, 1], [1]]
+    # the lift adds a point per cloud, reached from the clouds stepping
+    # into it: a steps to a and b, b only to b
+    lifted, _ = lift_model_ssl_to_s4s5(m, "a0", 2)
+    assert set(lifted.d_successors("newpoint_0")) == {"newpoint_0", "newpoint_1"}
+    assert set(lifted.d_successors("newpoint_1")) == {"newpoint_1"}
 
 
 def test_world_ids_must_be_strings():
@@ -387,3 +391,14 @@ def test_witness_boxes_match_per_world_evaluation(branch_witnesses):
                 repeated += miss != 0 and (t.kind, miss) in decided
                 decided.add((t.kind, miss))
     assert everywhere and repeated
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: m.eval("zz", Atom(0)), KeyError, "unknown world 'zz'"),
+    (lambda m: m.eval("a0", "p0"), TypeError, "eval expects a Formula"),
+    (lambda m: validate(m, "nope"), ValueError, "unknown frame class 'nope'"),
+], ids=["eval-unknown-world", "eval-non-formula", "validate-unknown-class"])
+def test_model_refusals(two_cloud_model, call, error, message):
+    with pytest.raises(error) as info:
+        call(two_cloud_model)
+    assert info.value.args == (message,)

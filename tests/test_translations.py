@@ -8,7 +8,7 @@ from bimodal import atm, red_s4s5
 from bimodal import formula as fm
 from bimodal.formula import Atom, Not, And, Or, K, Box, L, Diamond, Implies
 from bimodal.semantics import (validate, CROSS_AXIOM, S4S5_COMMUTATOR,
-                               K4S5_COMMUTATOR, BimodalModel)
+                               K4S5_COMMUTATOR, BimodalModel, save_model)
 from bimodal.translations import (TranslationResult, main_var, t_ssl_to_s4s5,
                                   lift_model_ssl_to_s4s5,
                                   restrict_model_s4s5_to_ssl,
@@ -208,3 +208,58 @@ def test_k4_witnesses_restore_s4_models(seed):
         out, p = k4_to_s4_model(verdict.model, verdict.point, f)
         assert validate(out, S4S5_COMMUTATOR).ok
         assert out.eval(p, f)
+
+
+def newpoint_model():
+    """Clouds {newpoint_0, newpoint_1} and {v}: two of the names the lift
+    would give its new points are taken."""
+    worlds = ["newpoint_0", "newpoint_1", "v"]
+    rel_l = {(a, b) for a in worlds[:2] for b in worlds[:2]} | {("v", "v")}
+    rel_d = {(a, a) for a in worlds} | {("newpoint_0", "v")}
+    return BimodalModel(worlds, rel_d, rel_l, {0: {"newpoint_0", "v"}},
+                        frame_class=CROSS_AXIOM, designated="v")
+
+
+def test_lift_prefixes_new_point_names_that_are_taken():
+    lifted, p = lift_model_ssl_to_s4s5(newpoint_model(), "v", 1)
+    assert p == "v"
+    assert save_model(lifted) == "\n".join([
+        "class s4s5-commutator", "designated v",
+        "world _newpoint_0", "world _newpoint_1", "world newpoint_0",
+        "world newpoint_1", "world v",
+        "d _newpoint_0 _newpoint_0", "d _newpoint_0 _newpoint_1",
+        "d _newpoint_1 _newpoint_1",
+        "d newpoint_0 _newpoint_0", "d newpoint_0 _newpoint_1",
+        "d newpoint_0 newpoint_0", "d newpoint_0 v",
+        "d newpoint_1 _newpoint_0", "d newpoint_1 _newpoint_1",
+        "d newpoint_1 newpoint_1",
+        "d v _newpoint_1", "d v v",
+        "l _newpoint_0 _newpoint_0", "l _newpoint_0 newpoint_0",
+        "l _newpoint_0 newpoint_1",
+        "l _newpoint_1 _newpoint_1", "l _newpoint_1 v",
+        "l newpoint_0 _newpoint_0", "l newpoint_0 newpoint_0",
+        "l newpoint_0 newpoint_1",
+        "l newpoint_1 _newpoint_0", "l newpoint_1 newpoint_0",
+        "l newpoint_1 newpoint_1",
+        "l v _newpoint_1", "l v v",
+        "val 0 newpoint_0 v", "val 1 newpoint_0 newpoint_1 v", ""])
+
+
+def _k4_model_off_class():
+    """Atom 0 holds at w, but L is not symmetric: not a K4xS5 model."""
+    return BimodalModel(["v", "w"], set(), {("v", "v"), ("w", "w"), ("w", "v")},
+                        {0: {"w"}}, frame_class=K4S5_COMMUTATOR)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lift_model_ssl_to_s4s5(newpoint_model(), "v", 0), ValueError,
+     "atom 0 is already in use and cannot mark the base"),
+    (lambda: k4_to_s4_model(_k4_model_off_class(), "v", Atom(0)), ValueError,
+     "the translated formula does not hold at the given point"),
+    (lambda: k4_to_s4_model(_k4_model_off_class(), "w", Atom(0)), ValueError,
+     "input is not a valid K4xS5 commutator model: ['class: k4s5-commutator'"),
+], ids=["lift-main-atom-in-use", "k4-formula-false", "k4-off-class"])
+def test_transform_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)

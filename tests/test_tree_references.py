@@ -5,7 +5,7 @@ the same pass; the reference below runs one loop per check and steps a
 parent again for every child, as the check was first written.
 `check_morphism` reads a node's cloud as the K-row of its point; the
 reference partitions the model into clouds and steps between them with
-`cloud_steps`.  On mutated trees and moved morphisms both must give the
+`cloud_steps`, kept here as the package first had it.  On mutated trees and moved morphisms both must give the
 same report lines.
 """
 
@@ -17,8 +17,8 @@ import pytest
 
 from bimodal import atm as am
 from bimodal import red_s4s5, red_ssl
-from bimodal.relations import Check, Report, bits
-from bimodal.semantics import cloud_steps, clouds
+from bimodal.relations import Check, Report, bits, lowest
+from bimodal.semantics import clouds
 from bimodal.reduction import ReductionParams, check_morphism, grow_tree
 from tests.test_extraction_variants import LOGICS as VARIANT_LOGICS, with_copies
 from tests.test_mutant_sweep import MACHINES
@@ -84,6 +84,27 @@ def reference_validate_tree(atm, w, tree):
                      and tree.configs[v].state != atm.accept), None)
     checks.append(Check("leaves-accept", bad_leaf))
     return Report(checks)
+
+
+def cloud_steps(succ_d, blocks):
+    """For each cloud mask in blocks, the ascending indices of the clouds
+    some member reaches in one []-step."""
+    owner = {}
+    for c, block in enumerate(blocks):
+        for i in bits(block):
+            owner[i] = c
+    out = []
+    for block in blocks:
+        reach = 0
+        for i in bits(block):
+            reach |= succ_d[i]
+        found = []
+        while reach:
+            c = owner[lowest(reach)]
+            found.append(c)
+            reach &= ~blocks[c]
+        out.append(sorted(found))
+    return out
 
 
 def reference_edges_preserved(model, tree, pi):
